@@ -7,6 +7,8 @@
 
 #include "BenchUtil.h"
 
+#include "support/Telemetry.h"
+
 #include <cstdio>
 
 using namespace ace;
@@ -28,6 +30,8 @@ Sample runOne(const BenchModel &M, const air::CompileOptions &Opt) {
     std::fprintf(stderr, "setup failed: %s\n", S.message().c_str());
     std::exit(1);
   }
+  telemetry::Telemetry &Tel = telemetry::Telemetry::instance();
+  telemetry::CounterSnapshot Before = Tel.counters();
   WallTimer Clock;
   auto Logits = Exec.infer(M.Data.Images[0]);
   if (!Logits.ok())
@@ -36,7 +40,8 @@ Sample runOne(const BenchModel &M, const air::CompileOptions &Opt) {
   Out.Seconds = Clock.seconds();
   Out.KeyBytes = Exec.memory().evaluationKeyBytes();
   Out.KeyCount = Exec.evalKeys().rotationKeyCount();
-  Out.Rotations = Exec.counters().Rotate;
+  Out.Rotations =
+      Tel.counters().deltaSince(Before).get(telemetry::Counter::Rotate);
   return Out;
 }
 
@@ -46,6 +51,8 @@ int main(int argc, char **argv) {
   BenchArgs Args(argc, argv, /*DefaultModels=*/1, /*DefaultImages=*/0);
   auto Models = buildPaperModels(1);
   BenchModel &M = Models[0];
+  // The rotation column reads telemetry's op counters.
+  telemetry::Telemetry::instance().setEnabled(true);
 
   struct Config {
     const char *Name;

@@ -20,8 +20,7 @@ int main(int argc, char **argv) {
   auto Models = buildPaperModels(Args.Models);
 
   // Phase breakdowns come from the telemetry spans the pass manager
-  // opens around every pass (the per-result TimingRegistry stays as a
-  // backward-compat adapter fed by the same spans).
+  // opens around every pass.
   telemetry::Telemetry &Tel = telemetry::Telemetry::instance();
   Tel.setEnabled(true);
 

@@ -9,9 +9,9 @@
 // the MLP end-to-end at 1/2/4/8 worker threads, verifies the decrypted
 // logits are bit-identical at every count, and reports the speedup
 // (docs/performance.md quotes this table). --pipeline-sweep compiles
-// the MLP under each rescale-placement mode and packing strategy
-// (docs/compiler.md) and reports compiled op budgets plus measured
-// per-image seconds per policy. --json=PATH writes any mode's numbers
+// the MLP under lazy and eager (reference) rescale placement and each
+// packing strategy (docs/compiler.md) and reports compiled op budgets
+// plus measured per-image seconds per policy. --json=PATH writes any mode's numbers
 // with git-rev/build-type/threads metadata.
 //===----------------------------------------------------------------------===//
 
@@ -149,9 +149,9 @@ int runThreadSweep(const std::string &JsonPath) {
   return 0;
 }
 
-// Compiles the MLP under each rescale-placement policy (packing pinned
-// to bsgs) and, under lazy placement, each packing strategy, then runs
-// one encrypted image per policy. The compiled rescale/relin budget is
+// Compiles the MLP under eager and lazy rescale placement (packing
+// pinned to bsgs) and, under lazy placement, each packing strategy, then
+// runs one encrypted image per policy. The compiled rescale/relin budget is
 // the headline (EXPERIMENTS.md quotes it); the measured seconds show
 // the runtime saving the removed ops buy.
 int runPipelineSweep(const std::string &JsonPath) {
@@ -162,15 +162,14 @@ int runPipelineSweep(const std::string &JsonPath) {
                                               /*NoiseSigma=*/0.1, 77);
 
   struct Leg {
-    RescaleMode Rescale;
+    bool Lazy;
     PackingStrategy Packing;
   };
   const Leg Legs[] = {
-      {RescaleMode::RM_Eager, PackingStrategy::PS_Bsgs},
-      {RescaleMode::RM_Waterline, PackingStrategy::PS_Bsgs},
-      {RescaleMode::RM_Lazy, PackingStrategy::PS_Bsgs},
-      {RescaleMode::RM_Lazy, PackingStrategy::PS_Diag},
-      {RescaleMode::RM_Lazy, PackingStrategy::PS_Column},
+      {false, PackingStrategy::PS_Bsgs},
+      {true, PackingStrategy::PS_Bsgs},
+      {true, PackingStrategy::PS_Diag},
+      {true, PackingStrategy::PS_Column},
   };
 
   std::printf("=== Pipeline policy sweep: MLP encrypted inference ===\n");
@@ -179,8 +178,9 @@ int runPipelineSweep(const std::string &JsonPath) {
   std::string Rows;
   double EagerSeconds = 0;
   for (const Leg &L : Legs) {
+    const char *Rescale = L.Lazy ? "lazy" : "eager";
     air::CompileOptions Opt = benchOptions();
-    Opt.Rescale = L.Rescale;
+    Opt.EnableRescalePlacement = L.Lazy;
     Opt.Packing = L.Packing;
     auto R = compileOrDie(Model, Data, Opt);
     codegen::CkksExecutor Exec(R->Program, R->State);
@@ -191,26 +191,24 @@ int runPipelineSweep(const std::string &JsonPath) {
     WallTimer Clock;
     auto Logits = Exec.infer(Data.Images[0]);
     if (!Logits.ok()) {
-      std::fprintf(stderr, "inference failed under %s/%s: %s\n",
-                   rescaleModeName(L.Rescale),
+      std::fprintf(stderr, "inference failed under %s/%s: %s\n", Rescale,
                    packingStrategyName(L.Packing),
                    Logits.status().message().c_str());
       return 1;
     }
     double Seconds = Clock.seconds();
-    if (L.Rescale == RescaleMode::RM_Eager)
+    if (!L.Lazy)
       EagerSeconds = Seconds;
     const air::CkksOpBudget &B = R->State.Budget;
-    std::printf("%10s %-7s | %8zu %8zu %8zu | %8.2f %8.2fx\n",
-                rescaleModeName(L.Rescale), packingStrategyName(L.Packing),
-                B.Rescale, B.Relinearize, B.Rotate, Seconds,
-                EagerSeconds / Seconds);
+    std::printf("%10s %-7s | %8zu %8zu %8zu | %8.2f %8.2fx\n", Rescale,
+                packingStrategyName(L.Packing), B.Rescale, B.Relinearize,
+                B.Rotate, Seconds, EagerSeconds / Seconds);
     char Row[256];
     std::snprintf(Row, sizeof(Row),
                   "%s{\"pipeline\": {\"rescale\": \"%s\", "
                   "\"packing\": \"%s\"}, \"budget\": {\"rescale\": %zu, "
                   "\"relin\": %zu, \"rotate\": %zu}, \"seconds\": %.4f}",
-                  Rows.empty() ? "" : ",\n  ", rescaleModeName(L.Rescale),
+                  Rows.empty() ? "" : ",\n  ", Rescale,
                   packingStrategyName(L.Packing), B.Rescale, B.Relinearize,
                   B.Rotate, Seconds);
     Rows += Row;

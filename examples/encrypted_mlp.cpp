@@ -17,9 +17,9 @@
 //                       [--packing=STRATEGY]
 //   ACE_TRACE=trace.json ./encrypted_mlp   # chrome://tracing span dump
 //   --metrics-dump writes the Prometheus exposition on exit
-//   --rescale: eager | waterline | lazy (default: ACE_LAZY_RESCALE,
-//     then waterline); --packing: auto | diag | bsgs | column (default:
-//     ACE_PACKING, then the per-layer cost model). See docs/compiler.md.
+//   --rescale: lazy (default) | eager (the Expert reference placement);
+//   --packing: auto | diag | bsgs | column (default: ACE_PACKING, then
+//     the per-layer cost model). See docs/compiler.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +42,7 @@ int main(int argc, char **argv) {
   bool Report = false, ReportJson = false;
   int Threads = 0;
   std::string MetricsDump;
-  RescaleMode Rescale = RescaleMode::RM_Auto;
+  bool LazyRescale = true;
   PackingStrategy Packing = PackingStrategy::PS_Auto;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--telemetry-report") == 0)
@@ -54,8 +54,11 @@ int main(int argc, char **argv) {
     else if (std::strncmp(argv[I], "--metrics-dump=", 15) == 0)
       MetricsDump = argv[I] + 15;
     else if (std::strncmp(argv[I], "--rescale=", 10) == 0) {
-      if (!parseRescaleMode(argv[I] + 10, Rescale)) {
-        std::fprintf(stderr, "unknown --rescale mode '%s'\n", argv[I] + 10);
+      LazyRescale = std::strcmp(argv[I] + 10, "lazy") == 0;
+      if (!LazyRescale && std::strcmp(argv[I] + 10, "eager") != 0) {
+        std::fprintf(stderr,
+                     "unknown --rescale mode '%s' (want lazy|eager)\n",
+                     argv[I] + 10);
         return 2;
       }
     } else if (std::strncmp(argv[I], "--packing=", 10) == 0) {
@@ -66,8 +69,10 @@ int main(int argc, char **argv) {
       }
     }
   }
-  if (Report || !MetricsDump.empty())
-    telemetry::Telemetry::instance().setEnabled(true);
+  // Telemetry feeds the timing breakdown printed after inference, the
+  // optional report, and the metrics dump.
+  telemetry::Telemetry &Tel = telemetry::Telemetry::instance();
+  Tel.setEnabled(true);
   // A 2-hidden-layer MLP classifying synthetic 24-dim vectors.
   const int Classes = 6;
   onnx::Model Model = nn::buildMlp({24, 16, 12, Classes}, 31);
@@ -81,8 +86,8 @@ int main(int argc, char **argv) {
 
   air::CompileOptions Opt;
   Opt.NumThreads = Threads; // 0 keeps the ACE_THREADS default
-  Opt.Rescale = Rescale;    // RM_Auto keeps the ACE_LAZY_RESCALE default
-  Opt.Packing = Packing;    // PS_Auto keeps the ACE_PACKING default
+  Opt.EnableRescalePlacement = LazyRescale;
+  Opt.Packing = Packing; // PS_Auto keeps the ACE_PACKING default
   driver::AceCompiler Compiler(Opt);
   auto Result = Compiler.compile(Model, Data.Images);
   if (!Result.ok()) {
@@ -97,7 +102,7 @@ int main(int argc, char **argv) {
               R.State.MaxComputeDepth, R.State.RotationSteps.size());
   std::printf("pipeline: rescale=%s ops[rescale=%zu relin=%zu rotate=%zu "
               "ctct=%zu ctpt=%zu]\n",
-              rescaleModeName(R.State.ResolvedRescale), R.State.Budget.Rescale,
+              LazyRescale ? "lazy" : "eager", R.State.Budget.Rescale,
               R.State.Budget.Relinearize, R.State.Budget.Rotate,
               R.State.Budget.CtCtMul, R.State.Budget.CtPtMul);
   for (const auto &D : R.State.PackingDecisions)
@@ -149,9 +154,12 @@ int main(int argc, char **argv) {
                 Logits[EncTop]);
   }
   std::printf("\ndecision agreement: %zu/%zu\n", Match, Total);
-  std::printf("timings: ");
-  for (const auto &[Region, Seconds] : Exec.regionTimes().entries())
-    std::printf("%s=%.2fs ", Region.c_str(), Seconds);
+  std::printf("timings over %zu runs: ", Total);
+  for (int K = 0; K <= static_cast<int>(air::OriginKind::OR_Other); ++K) {
+    const char *Region = air::originKindName(static_cast<air::OriginKind>(K));
+    if (double Seconds = Tel.phaseSeconds(Region); Seconds > 0)
+      std::printf("%s=%.2fs ", Region, Seconds);
+  }
   std::printf("\nencrypted_mlp OK\n");
   if (Report)
     driver::printTelemetryReport(std::cout, ReportJson);

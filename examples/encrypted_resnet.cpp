@@ -20,6 +20,7 @@
 #include "codegen/CkksExecutor.h"
 #include "driver/AceCompiler.h"
 #include "nn/ModelZoo.h"
+#include "support/Telemetry.h"
 
 #include <cmath>
 #include <cstdio>
@@ -49,6 +50,10 @@ int main(int argc, char **argv) {
               static_cast<long long>(Model.parameterCount()),
               100.0 * nn::cleartextAccuracy(Model.MainGraph, Data, 16));
 
+  // The compile time and the per-operator breakdown below are read from
+  // telemetry's span phase table.
+  telemetry::Telemetry &Tel = telemetry::Telemetry::instance();
+  Tel.setEnabled(true);
   air::CompileOptions Opt;
   Opt.NumThreads = Threads; // 0 keeps the ACE_THREADS default
   driver::AceCompiler Compiler(Opt);
@@ -62,7 +67,7 @@ int main(int argc, char **argv) {
   std::printf(
       "compiled in %.2fs: %zu CKKS nodes, %zu bootstraps, chain %d "
       "primes, N=2^%d (production: N=2^%d at 128-bit security)\n",
-      R.State.Timing.total(), R.PhaseNodeCounts["CKKS"],
+      Tel.phaseSeconds("compile"), R.PhaseNodeCounts["CKKS"],
       R.State.BootstrapCount, R.State.SelectedParams.NumRescaleModuli + 1,
       static_cast<int>(std::log2(R.State.SelectedParams.RingDegree)),
       static_cast<int>(std::log2(R.State.SecureRingDegree)));
@@ -94,8 +99,11 @@ int main(int argc, char **argv) {
               "true label %d)\n",
               Seconds, EncTop, nn::argmax(*Clear), Data.Labels[0]);
   std::printf("breakdown: ");
-  for (const auto &[Region, T] : Exec.regionTimes().entries())
-    std::printf("%s=%.2fs ", Region.c_str(), T);
+  for (int K = 0; K <= static_cast<int>(air::OriginKind::OR_Other); ++K) {
+    const char *Region = air::originKindName(static_cast<air::OriginKind>(K));
+    if (double T = Tel.phaseSeconds(Region); T > 0)
+      std::printf("%s=%.2fs ", Region, T);
+  }
   std::printf("\nencrypted_resnet OK\n");
   return 0;
 }

@@ -17,9 +17,9 @@ Three invariants:
      helpers, the free parsing/naming functions) is mentioned by name
      in docs/memory.md.
   5. Same for the compiler pipeline-policy contract: every public entry
-     point of src/support/PipelineConfig.h (knob enums, parse/resolve
-     functions, the ACE_LAZY_RESCALE / ACE_PACKING environment
-     variables) is mentioned by name in docs/compiler.md.
+     point of src/support/PipelineConfig.h (the packing enum values,
+     parse/resolve functions, the ACE_PACKING environment variable) is
+     mentioned by name in docs/compiler.md.
 
 Exits nonzero listing every violation.
 """
@@ -130,14 +130,14 @@ def check_governor_doc():
 
 def pipeline_entry_points():
     """Public names of the compiler pipeline-policy contract: the free
-    functions of src/support/PipelineConfig.h plus the knob enum values
-    and the environment variables they resolve from."""
+    functions of src/support/PipelineConfig.h plus the packing enum
+    values and the environment variable they resolve from."""
     header = (ROOT / "src/support/PipelineConfig.h").read_text()
     names = set(m for m in FREE_FUNCTION.findall(header)
                 if m not in ("namespace", "endif", "include", "define",
                              "ifndef"))
-    names.update(re.findall(r"\b(RM_\w+|PS_\w+)\b", header))
-    names.update(("ACE_LAZY_RESCALE", "ACE_PACKING"))
+    names.update(re.findall(r"\bPS_\w+\b", header))
+    names.add("ACE_PACKING")
     return sorted(names - GENERIC_NAMES)
 
 

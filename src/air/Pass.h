@@ -22,7 +22,6 @@
 #include "onnx/Model.h"
 #include "support/PipelineConfig.h"
 #include "support/Telemetry.h"
-#include "support/Timer.h"
 
 #include <map>
 #include <memory>
@@ -51,16 +50,14 @@ struct CompileOptions {
   /// Disable optimizations for ablation studies and the Expert baseline.
   bool EnableRotationKeyAnalysis = true;
   bool EnableMinimalBootstrapLevel = true;
-  /// Legacy ablation switch: false forces RescaleMode::RM_Eager (the
-  /// Expert baseline settles and relinearizes at every producer).
+  /// Rescale/relinearize placement of the SIHE->CKKS lowering
+  /// (docs/compiler.md): true places lazily (memoized, at the last
+  /// responsible moment); false is the eager reference the Expert
+  /// baseline uses, settling and relinearizing at every producer.
   bool EnableRescalePlacement = true;
-  /// Rescale/relinearize placement policy of the SIHE->CKKS lowering
-  /// (docs/compiler.md). RM_Auto resolves through the process default,
-  /// then ACE_LAZY_RESCALE, then the builtin waterline policy.
-  RescaleMode Rescale = RescaleMode::RM_Auto;
   /// Matrix-vector packing strategy of the NN->VECTOR lowering. PS_Auto
-  /// resolves through the process default, then ACE_PACKING; an Auto
-  /// result means the per-layer cost model chooses.
+  /// resolves through ACE_PACKING; an Auto result means the per-layer
+  /// cost model chooses.
   PackingStrategy Packing = PackingStrategy::PS_Auto;
   /// Extra chain levels a hand implementation budgets conservatively
   /// (0 under compiler-driven parameter selection).
@@ -114,9 +111,7 @@ struct CompileState {
   CompileOptions Options;
   const onnx::Model *Model = nullptr;
 
-  /// Concrete pipeline knobs after resolution (driver/AceCompiler fills
-  /// these before the passes run; ResolvedRescale is never RM_Auto).
-  RescaleMode ResolvedRescale = RescaleMode::RM_Waterline;
+  /// The packing knob after resolution (set by the NN->VECTOR lowering).
   PackingStrategy ResolvedPacking = PackingStrategy::PS_Auto;
   /// Per-gemm packing decisions (NN->VECTOR cost model).
   std::vector<PackingDecision> PackingDecisions;
@@ -165,9 +160,6 @@ struct CompileState {
   /// executing with toy parameters).
   size_t SecureRingDegree = 0;
   int SecureLogQ = 0;
-
-  /// Per-phase compile times (paper Figure 5).
-  TimingRegistry Timing;
 };
 
 /// A compiler pass.
@@ -183,15 +175,15 @@ public:
 
 /// Runs passes in order, tracing each one. Every pass gets a telemetry
 /// span named after the pass, nested (by start/duration containment)
-/// inside a span for its phase label; phase wall time still accumulates
-/// into State.Timing for the Figure 5 breakdown.
+/// inside a span for its phase label; with telemetry enabled, the phase
+/// spans accumulate the Figure 5 breakdown (Telemetry::phaseSeconds).
 class PassManager {
 public:
   void add(std::unique_ptr<Pass> P) { Passes.push_back(std::move(P)); }
 
   Status run(IrFunction &F, CompileState &State) {
     for (auto &P : Passes) {
-      telemetry::TraceSpan PhaseSpan("phase", P->phase(), &State.Timing);
+      telemetry::TraceSpan PhaseSpan("phase", P->phase());
       telemetry::TraceSpan PassSpan("pass", P->name());
       if (Status S = P->run(F, State))
         return Status::error(std::string(P->name()) + ": " + S.message());

@@ -202,7 +202,6 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
         fhe::scaleMismatchMessage("executor input", Input.Scale,
                                   Ctx->scale()) +
         "; fresh inputs must be encrypted at the context scale");
-  RegionTimes.clear();
   telemetry::TraceSpan RunSpan("executor", "run");
   std::map<int, Ciphertext> Values;
   const IrNode *ConstOf[1]; // silence unused warnings in release
@@ -236,8 +235,7 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
     // cancelled or deadline-expired request costs at most one more CKKS
     // op before unwinding.
     ACE_RETURN_IF_ERROR(checkCancellation("executor"));
-    telemetry::TraceSpan RegionSpan("region", originKindName(N->Origin),
-                                    &RegionTimes);
+    telemetry::TraceSpan RegionSpan("region", originKindName(N->Origin));
     switch (N->Kind) {
     case NodeKind::NK_Input:
       Values[N->Id] = Input;

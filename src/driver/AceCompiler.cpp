@@ -45,7 +45,7 @@ AceCompiler::compile(const onnx::Model &Model,
 
   // Frontend (timed as the NN phase of Figure 5).
   {
-    telemetry::TraceSpan Span("phase", "NN", &State.Timing);
+    telemetry::TraceSpan Span("phase", "NN");
     if (Status S = passes::importModel(Model, Calibration, F, State))
       return S;
     if (Status S = Snapshot("NN", DialectKind::DK_Nn))

@@ -16,7 +16,6 @@
 #include "fhe/Serializer.h"
 #include "support/LimbPool.h"
 #include "support/MetricsRegistry.h"
-#include "support/PipelineConfig.h"
 #include "support/ResourceGovernor.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -755,40 +754,3 @@ int ace_limb_pool(void) {
   return LimbPool::instance().enabled() ? 1 : 0;
 }
 
-//===----------------------------------------------------------------------===//
-// Compiler pipeline policies
-//===----------------------------------------------------------------------===//
-
-int ace_set_rescale_mode(const char *Name) {
-  RescaleMode Mode;
-  if (!Name || !parseRescaleMode(Name, Mode)) {
-    setLastError(ACE_ERR_INVALID_ARGUMENT,
-                 std::string("set_rescale_mode: unknown mode '") +
-                     (Name ? Name : "(null)") +
-                     "' (want auto|eager|waterline|lazy)");
-    return ACE_ERR_INVALID_ARGUMENT;
-  }
-  setProcessRescaleMode(Mode);
-  return ACE_OK;
-}
-
-const char *ace_rescale_mode(void) {
-  return rescaleModeName(processRescaleMode());
-}
-
-int ace_set_packing_strategy(const char *Name) {
-  PackingStrategy Strategy;
-  if (!Name || !parsePackingStrategy(Name, Strategy)) {
-    setLastError(ACE_ERR_INVALID_ARGUMENT,
-                 std::string("set_packing_strategy: unknown strategy '") +
-                     (Name ? Name : "(null)") +
-                     "' (want auto|diag|bsgs|column)");
-    return ACE_ERR_INVALID_ARGUMENT;
-  }
-  setProcessPackingStrategy(Strategy);
-  return ACE_OK;
-}
-
-const char *ace_packing_strategy(void) {
-  return packingStrategyName(processPackingStrategy());
-}

@@ -253,31 +253,6 @@ int ace_limb_pool(void);
 
 /// @}
 
-/// \name Compiler pipeline policies (see docs/compiler.md)
-/// Process-wide defaults for the two compile-time strategy knobs: the
-/// rescale/relinearize placement of the SIHE->CKKS lowering and the
-/// matrix-vector packing strategy of the NN->VECTOR lowering. An
-/// explicit CompileOptions value still wins; these defaults in turn win
-/// over the ACE_LAZY_RESCALE / ACE_PACKING environment variables. The
-/// knobs only affect programs compiled afterwards, never an already
-/// compiled program.
-/// @{
-
-/// Sets the process-default rescale mode: "eager", "waterline", "lazy",
-/// or "auto" (clear the override back to the environment). Returns
-/// ACE_OK, or ACE_ERR_INVALID_ARGUMENT for an unknown name.
-int ace_set_rescale_mode(const char *name);
-/// The process-default rescale mode name; never NULL.
-const char *ace_rescale_mode(void);
-/// Sets the process-default packing strategy: "diag", "bsgs", "column",
-/// or "auto" (per-layer cost model / environment). Returns ACE_OK, or
-/// ACE_ERR_INVALID_ARGUMENT for an unknown name.
-int ace_set_packing_strategy(const char *name);
-/// The process-default packing strategy name; never NULL.
-const char *ace_packing_strategy(void);
-
-/// @}
-
 #ifdef __cplusplus
 } // extern "C"
 #endif

@@ -190,7 +190,6 @@ void Evaluator::checkAddCompatible(const Ciphertext &A,
 
 void Evaluator::addInPlace(Ciphertext &A, const Ciphertext &B) const {
   checkAddCompatible(A, B);
-  ++Counters.Add;
   countOp(telemetry::Counter::Add);
   // Adding a Cipher and a Cipher3 is permitted: missing components are
   // implicitly zero.
@@ -210,7 +209,6 @@ Ciphertext Evaluator::add(const Ciphertext &A, const Ciphertext &B) const {
 
 void Evaluator::subInPlace(Ciphertext &A, const Ciphertext &B) const {
   checkAddCompatible(A, B);
-  ++Counters.Add;
   countOp(telemetry::Counter::Add);
   if (B.size() > A.size())
     A.Polys.resize(B.size(),
@@ -237,7 +235,6 @@ void Evaluator::addPlainInPlace(Ciphertext &A, const Plaintext &P) const {
   assert(P.numQ() >= A.numQ() && "plaintext level below ciphertext level");
   assert(scalesCloseOrReport("addPlain", A.Scale, P.Scale) &&
          "addPlain scale mismatch");
-  ++Counters.Add;
   countOp(telemetry::Counter::Add);
   if (P.numQ() == A.numQ()) {
     A.Polys[0].addInPlace(P.Poly);
@@ -285,7 +282,6 @@ Ciphertext Evaluator::mulNoRelin(const Ciphertext &A,
          "ciphertext product requires two-polynomial operands");
   assert(A.numQ() == B.numQ() && "product operands at different levels");
   assert(A.Slots == B.Slots && "product operands with different slots");
-  ++Counters.MulCipher;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::CtCtMul, A.numQ(), A.Scale,
@@ -311,7 +307,6 @@ Ciphertext Evaluator::mul(const Ciphertext &A, const Ciphertext &B) const {
 
 void Evaluator::mulPlainInPlace(Ciphertext &A, const Plaintext &P) const {
   assert(P.numQ() >= A.numQ() && "plaintext level below ciphertext level");
-  ++Counters.MulPlain;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::CtPtMul, A.numQ(), A.Scale,
@@ -341,8 +336,6 @@ void Evaluator::mulPlainAddInPlace(Ciphertext &Acc, const Ciphertext &A,
          Acc.Slots == A.Slots && "mulPlainAdd operand shape mismatch");
   assert(scalesCloseOrReport("mulPlainAdd", Acc.Scale, A.Scale * P.Scale) &&
          "mulPlainAdd scale mismatch");
-  ++Counters.MulPlain;
-  ++Counters.Add;
   countOp(telemetry::Counter::Add);
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
@@ -364,7 +357,6 @@ void Evaluator::mulPlainAddInPlace(Ciphertext &Acc, const Ciphertext &A,
 
 Ciphertext Evaluator::mulScalar(const Ciphertext &A, double Value,
                                 double TargetScale) const {
-  ++Counters.MulPlain;
   countOp(telemetry::Counter::CtPtMul);
   Ciphertext R = A;
   if (TargetScale <= 0.0)
@@ -551,7 +543,6 @@ std::pair<RnsPoly, RnsPoly> Evaluator::switchKey(const RnsPoly &D,
          "switchKey input must be coeff-domain without special component");
   assert(Key.Parts.size() >= D.numQ() &&
          "switch key truncated below this ciphertext's level");
-  ++Counters.KeySwitch;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::KeySwitch, D.numQ(), /*Scale=*/0.0,
@@ -566,7 +557,6 @@ std::pair<RnsPoly, RnsPoly> Evaluator::switchKey(const RnsPoly &D,
 Ciphertext Evaluator::relinearize(const Ciphertext &A) const {
   assert(A.size() == 3 && "relinearize expects a Cipher3");
   assert(Keys.HasRelin && "relinearization key not generated");
-  ++Counters.Relinearize;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Relinearize, A.numQ(), A.Scale,
@@ -610,7 +600,6 @@ Ciphertext Evaluator::applyGalois(const Ciphertext &A, uint64_t Galois,
   assert(A.size() == 2 && "relinearize before applying automorphisms");
   assert(Key.Parts.size() >= A.numQ() &&
          "switch key truncated below this ciphertext's level");
-  ++Counters.KeySwitch;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::KeySwitch, A.numQ(), /*Scale=*/0.0,
@@ -633,7 +622,6 @@ Ciphertext Evaluator::rotate(const Ciphertext &A, int64_t Steps) const {
               static_cast<int64_t>(Slots);
   if (K == 0)
     return A;
-  ++Counters.Rotate;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Rotate, A.numQ(), A.Scale,
@@ -690,8 +678,6 @@ Evaluator::rotateHoisted(const Ciphertext &A,
   if (Jobs.empty())
     return Out;
 
-  Counters.Rotate += Jobs.size();
-  Counters.KeySwitch += Jobs.size();
   telemetry::FheOpSpan Span;
   if (telemetry::enabled()) {
     auto &T = telemetry::Telemetry::instance();
@@ -730,7 +716,6 @@ Ciphertext Evaluator::rotateGalois(const Ciphertext &A,
                                    uint64_t Galois) const {
   if (Galois == 1)
     return A;
-  ++Counters.Rotate;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Rotate, A.numQ(), A.Scale,
@@ -745,7 +730,6 @@ Ciphertext Evaluator::rotateGalois(const Ciphertext &A,
 
 Ciphertext Evaluator::conjugate(const Ciphertext &A) const {
   assert(Keys.HasConjugate && "conjugation key not generated");
-  ++Counters.Conjugate;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Conjugate, A.numQ(), A.Scale,
@@ -760,7 +744,6 @@ Ciphertext Evaluator::conjugate(const Ciphertext &A) const {
 void Evaluator::rescaleInPlace(Ciphertext &A) const {
   size_t L = A.numQ();
   assert(L >= 2 && "cannot rescale past the base modulus");
-  ++Counters.Rescale;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Rescale, A.numQ(), A.Scale,
@@ -796,7 +779,6 @@ void Evaluator::rescaleInPlace(Ciphertext &A) const {
 
 void Evaluator::modSwitchInPlace(Ciphertext &A) const {
   assert(A.numQ() >= 2 && "cannot mod-switch past the base modulus");
-  ++Counters.ModSwitch;
   countOp(telemetry::Counter::ModSwitch);
   for (auto &Poly : A.Polys)
     Poly.dropLastQ();
@@ -1078,7 +1060,6 @@ StatusOr<Ciphertext> Evaluator::checkedRotate(const Ciphertext &A,
         " truncated to " + std::to_string(Key->Parts.size()) +
         " digits but the ciphertext has " + std::to_string(A.numQ()) +
         " active primes");
-  ++Counters.Rotate;
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Rotate, A.numQ(), A.Scale,

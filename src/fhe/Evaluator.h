@@ -46,21 +46,6 @@ struct HoistedDecomposition {
   size_t NumQ = 0;
 };
 
-/// Counts of executed homomorphic operations, for benches and ablations.
-struct OpCounters {
-  size_t Add = 0;
-  size_t MulCipher = 0;
-  size_t MulPlain = 0;
-  size_t Rotate = 0;
-  size_t Conjugate = 0;
-  size_t Relinearize = 0;
-  size_t Rescale = 0;
-  size_t ModSwitch = 0;
-  size_t KeySwitch = 0;
-
-  void clear() { *this = OpCounters(); }
-};
-
 /// Stateless-per-operation evaluator bound to a context and key set.
 ///
 /// Two tiers of entry points: the plain operations below document their
@@ -267,9 +252,6 @@ public:
   /// (the bootstrapper's SubSum path). Asserts the key is present.
   Ciphertext rotateGalois(const Ciphertext &A, uint64_t Galois) const;
 
-  /// Mutable operation counters.
-  OpCounters &counters() const { return Counters; }
-
   /// Estimated remaining noise budget of \p A in bits: log2 of the active
   /// modulus product minus log2 of the scale. The telemetry layer records
   /// it per operation so traces show budget draining toward bootstrap.
@@ -282,7 +264,6 @@ private:
   /// Optional lazy key source consulted when Keys.Rotations lacks an
   /// element; not owned.
   RotationKeyCache *KeyCache = nullptr;
-  mutable OpCounters Counters;
   /// NTT form of the monomial X^{N/2} per modulus, built lazily.
   mutable std::vector<std::vector<uint64_t>> MonomialNtt;
   /// LogQPrefix[I] = sum of log2(q_j) for j < I, built lazily for

@@ -36,31 +36,29 @@ int levelCost(const IrNode *N) {
              : 0;
 }
 
-/// Forward rebuild state. The rescale-mode legality rules this builder
-/// implements are documented in docs/compiler.md; the three policies are:
+/// Forward rebuild state. The placement legality rules this builder
+/// implements are documented in docs/compiler.md. Placement is lazy:
+/// settles, level drops, and relinearizations are memoized (CSE over
+/// scale management), degree-3 products flow through additions / scalar
+/// ops / ct-pt multiplies, and canonical form (scale Delta, degree 2) is
+/// demanded only at rotations, ct-ct multiply operands, bootstrap inputs,
+/// and the return value.
 ///
-///  - RM_Eager: settle the pending rescale (and relinearize) immediately
-///    after every producer. Every mapped value is canonical.
-///  - RM_Waterline: the historical default. One rescale per value is
-///    postponed (scale Delta^2 "waterline") and settled, unmemoized, at
-///    every consumer that cannot take a pending operand: a value read by
-///    several such consumers is re-settled per consumer.
-///  - RM_Lazy: last-responsible-moment placement. Settles, level drops,
-///    and relinearizations are memoized (CSE over scale management),
-///    degree-3 products flow through additions / scalar ops / ct-pt
-///    multiplies, and canonical form (scale Delta, degree 2) is demanded
-///    only at rotations, ct-ct multiply operands, bootstrap inputs, and
-///    the return value.
+/// The eager reference (CompileOptions::EnableRescalePlacement=false)
+/// runs the same builder but relinearizes and rescales right after every
+/// producer, so every mapped value is canonical and canonical() is the
+/// identity on it; its level drops stay unmemoized.
 struct CkksBuilder {
   IrFunction &Out;
   CompileState &State;
-  RescaleMode Mode;
+  bool Eager;
   std::map<const IrNode *, IrNode *> Map;
   std::map<IrNode *, size_t> NumQ;
   std::map<IrNode *, bool> Pending; ///< scale Delta*q, rescale postponed
   std::map<IrNode *, int> Degree;   ///< ciphertext components (2 or 3)
-  /// Lazy-mode memoization: each value settles / drops to a given level /
-  /// relinearizes at most once, no matter how many consumers demand it.
+  /// Memoization: each value settles / relinearizes (and, when lazy,
+  /// drops to a given level) at most once, however many consumers
+  /// demand it.
   std::map<IrNode *, IrNode *> SettleCache;
   std::map<std::pair<IrNode *, size_t>, IrNode *> DropCache;
   std::map<IrNode *, IrNode *> RelinCache;
@@ -81,11 +79,8 @@ struct CkksBuilder {
     return R;
   }
 
-  /// Emits the postponed rescale. Memoized under RM_Lazy; the waterline
-  /// policy re-settles per consumer (its historical behavior).
+  /// Emits the postponed rescale, once per value.
   IrNode *settle(IrNode *V) {
-    if (Mode != RescaleMode::RM_Lazy)
-      return Pending[V] ? makeRescale(V) : V;
     IrNode *S = V;
     if (Pending[V]) {
       auto [It, Inserted] = SettleCache.try_emplace(V, nullptr);
@@ -106,14 +101,12 @@ struct CkksBuilder {
     if (NumQ[V] == Target)
       return V;
     assert(NumQ[V] > Target && "cannot raise a level without bootstrapping");
-    if (Mode == RescaleMode::RM_Lazy) {
-      auto [It, Inserted] = DropCache.try_emplace({V, Target}, nullptr);
-      if (!Inserted)
-        return It->second;
+    if (Eager)
+      return makeDrop(V, Target);
+    auto [It, Inserted] = DropCache.try_emplace({V, Target}, nullptr);
+    if (Inserted)
       It->second = makeDrop(V, Target);
-      return It->second;
-    }
-    return makeDrop(V, Target);
+    return It->second;
   }
 
   IrNode *makeDrop(IrNode *V, size_t Target) {
@@ -127,9 +120,7 @@ struct CkksBuilder {
     return M;
   }
 
-  /// Reduces a degree-3 product back to two components. Memoized; only
-  /// RM_Lazy ever sees a degree-3 value here (the other modes
-  /// relinearize at the producing multiply).
+  /// Reduces a degree-3 product back to two components. Memoized.
   IrNode *relin(IrNode *V) {
     if (degreeOf(V) == 2)
       return V;
@@ -150,16 +141,14 @@ struct CkksBuilder {
   /// at the lower level, which shortens the key-switch.
   IrNode *canonical(IrNode *V) { return relin(settle(V)); }
 
-  /// Settles mismatched pending states and aligns levels for a binary
-  /// ciphertext operation.
-  void alignPair(IrNode *&A, IrNode *&B, bool RequireSettled) {
-    if (RequireSettled || Pending[A] != Pending[B]) {
-      A = settle(A);
-      B = settle(B);
-    }
-    size_t Target = std::min(NumQ[A], NumQ[B]);
-    A = dropTo(A, Target);
-    B = dropTo(B, Target);
+  /// A multiply's result: eager placement relinearizes and rescales it
+  /// on the spot; lazy placement leaves it pending for its consumers.
+  IrNode *produced(IrNode *V) {
+    if (!Eager)
+      return V;
+    IrNode *R = relin(V);
+    R->CkksScale = V->CkksScale; // the relinearized product is still pending
+    return settle(R);
   }
 
   IrNode *finish(IrNode *N, size_t Q, bool IsPending, int Deg = 2) {
@@ -223,16 +212,9 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
   }
 
   // --- Forward rebuild ----------------------------------------------------
-  // Resolve the placement policy here (not in the driver) so the pass
-  // behaves identically when driven standalone by tests. The legacy
-  // ablation switch maps to the eager policy.
-  RescaleMode Mode = State.Options.EnableRescalePlacement
-                         ? resolveRescaleMode(State.Options.Rescale)
-                         : RescaleMode::RM_Eager;
-  State.ResolvedRescale = Mode;
-
   IrFunction NewF(F.name());
-  CkksBuilder B{NewF, State, Mode, {}, {}, {}, {}, {}, {}, {}};
+  bool Eager = !State.Options.EnableRescalePlacement;
+  CkksBuilder B{NewF, State, Eager, {}, {}, {}, {}, {}, {}, {}};
   std::map<const IrNode *, IrNode *> Refreshed;
 
   int MaxBootTarget = 0;
@@ -247,9 +229,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
       const IrNode *XOld = N->Operands[0];
       if (!Refreshed.count(XOld)) {
         // Bootstrapping demands canonical form (degree 2, scale Delta).
-        IrNode *X = Mode == RescaleMode::RM_Lazy
-                        ? B.canonical(B.Map.at(XOld))
-                        : B.settle(B.Map.at(XOld));
+        IrNode *X = B.canonical(B.Map.at(XOld));
         int Target = RefreshNeed.at(XOld) + 1;
         if (!State.Options.EnableMinimalBootstrapLevel) {
           // Expert-style: refresh to the deepest level any ReLU needs,
@@ -294,14 +274,12 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
       break;
     }
     case NodeKind::NK_SiheRotate: {
-      IrNode *X = B.Map.at(N->Operands[0]);
-      // Rotation key-switches a degree-2 ciphertext; under the lazy
-      // policy this is the canonical-form demand point. The memoized
-      // settle hoists one rescale above a rotation fan-out (e.g. the
-      // BSGS baby steps) instead of re-settling per rotation, and
-      // rotating at the settled (lower) level truncates the key.
-      if (Mode == RescaleMode::RM_Lazy)
-        X = B.canonical(X);
+      // Rotation key-switches a degree-2 ciphertext: a canonical-form
+      // demand point. The memoized settle hoists one rescale above a
+      // rotation fan-out (e.g. the BSGS baby steps) instead of
+      // re-settling per rotation, and rotating at the settled (lower)
+      // level truncates the key.
+      IrNode *X = B.canonical(B.Map.at(N->Operands[0]));
       Lowered = NewF.create(NodeKind::NK_CkksRotate, TypeKind::TK_Cipher,
                             {X}, N->Origin);
       Lowered->Ints = N->Ints;
@@ -323,15 +301,13 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
       IrNode *C = B.Map.at(N->Operands[1]);
       if (C->Type == TypeKind::TK_Plain) {
         // A pending Delta*q scale would make the product doubly pending;
-        // settle first. The lazy policy lets a degree-3 operand through
-        // (plaintext products touch every component independently).
+        // settle first. A degree-3 operand passes through (plaintext
+        // products touch every component independently).
         A = B.settle(A);
         Lowered = NewF.create(NodeKind::NK_CkksMul, A->Type, {A, C},
                               N->Origin);
         B.finish(Lowered, B.NumQ[A], /*IsPending=*/true, B.degreeOf(A));
-        if (Mode == RescaleMode::RM_Eager)
-          Lowered = B.settle(Lowered);
-      } else if (Mode == RescaleMode::RM_Lazy) {
+      } else {
         // Ciphertext products need canonical degree-2 operands at the
         // plain scale; the relinearization of the product itself is
         // deferred until a consumer demands canonical form, so a sum of
@@ -345,18 +321,8 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
                               {A, C}, N->Origin);
         B.finish(Lowered, Target, true, /*Deg=*/3);
         State.NeedsRelin = true;
-      } else {
-        B.alignPair(A, C, /*RequireSettled=*/true);
-        IrNode *M = NewF.create(NodeKind::NK_CkksMul, TypeKind::TK_Cipher3,
-                                {A, C}, N->Origin);
-        B.finish(M, B.NumQ[A], true, /*Deg=*/3);
-        Lowered = NewF.create(NodeKind::NK_CkksRelin, TypeKind::TK_Cipher,
-                              {M}, N->Origin);
-        B.finish(Lowered, B.NumQ[A], true);
-        State.NeedsRelin = true;
-        if (Mode == RescaleMode::RM_Eager)
-          Lowered = B.settle(Lowered);
       }
+      Lowered = B.produced(Lowered);
       break;
     }
     case NodeKind::NK_SiheMulConst: {
@@ -365,8 +331,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
                             N->Origin);
       Lowered->Scalar = N->Scalar;
       B.finish(Lowered, B.NumQ[A], true, B.degreeOf(A));
-      if (Mode == RescaleMode::RM_Eager)
-        Lowered = B.settle(Lowered);
+      Lowered = B.produced(Lowered);
       break;
     }
     case NodeKind::NK_SiheAddConst: {
@@ -393,7 +358,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
         A = B.settle(A);
         Lowered = NewF.create(Kind, A->Type, {A, C}, N->Origin);
         B.finish(Lowered, B.NumQ[A], B.Pending[A], B.degreeOf(A));
-      } else if (Mode == RescaleMode::RM_Lazy) {
+      } else {
         // Pending operands add directly: the rescale primes are balanced
         // around 2^LogScale, so two pending values agree on scale within
         // the runtime tolerance even at different levels. A settled and
@@ -411,22 +376,12 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
                                        : TypeKind::TK_Cipher,
                               {A, C}, N->Origin);
         B.finish(Lowered, Target, B.Pending[A], Deg);
-      } else {
-        // Eager mode keeps every value settled, so RequireSettled only
-        // normalizes level alignment there.
-        B.alignPair(A, C,
-                    /*RequireSettled=*/Mode == RescaleMode::RM_Eager);
-        Lowered =
-            NewF.create(Kind, TypeKind::TK_Cipher, {A, C}, N->Origin);
-        B.finish(Lowered, B.NumQ[A], B.Pending[A]);
       }
       break;
     }
     case NodeKind::NK_Return: {
       // The decryptor expects canonical form.
-      Result = Mode == RescaleMode::RM_Lazy
-                   ? B.canonical(B.Map.at(N->Operands[0]))
-                   : B.settle(B.Map.at(N->Operands[0]));
+      Result = B.canonical(B.Map.at(N->Operands[0]));
       continue;
     }
     default:

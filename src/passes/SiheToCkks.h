@@ -9,9 +9,13 @@
 /// \file
 /// SIHE -> CKKS lowering (paper Sec. 4.4), the automation core:
 ///
-///  - Rescale placement: lazily after multiplications, delayed through
-///    addition trees (EVA-style waterline; paper Table 2).
-///  - Relinearization insertion after ciphertext-ciphertext products.
+///  - Rescale placement: lazy and memoized, sunk past same-scale
+///    additions to the last consumer that needs the plain scale (paper
+///    Table 2); CompileOptions::EnableRescalePlacement=false selects the
+///    eager reference that rescales right after every multiplication.
+///  - Relinearization insertion after ciphertext-ciphertext products,
+///    deferred under lazy placement so a sum of products relinearizes
+///    once.
 ///  - Level inference with modswitch insertion for operand alignment.
 ///  - Minimal-level bootstrap placement before every ReLU region: each
 ///    refresh targets exactly the depth the downstream program needs.

@@ -16,8 +16,8 @@ using namespace ace::air;
 
 int ace::passes::reluDepth(int Iterations) {
   // Each f-composition: t2 (1), t3 (2), t5 (3), t7 (4), plus the scalar
-  // multiplications on each power (one more level under the waterline
-  // policy): 5 levels. Input amplification: 1. Final 0.5*x*(1+p): 2.
+  // multiplications on each power (one more level): 5 levels. Input
+  // amplification: 1. Final 0.5*x*(1+p): 2.
   return 5 * Iterations + 3;
 }
 

@@ -17,9 +17,6 @@ using namespace ace;
 
 namespace {
 
-std::atomic<RescaleMode> ProcessRescale{RescaleMode::RM_Auto};
-std::atomic<PackingStrategy> ProcessPacking{PackingStrategy::PS_Auto};
-
 bool equalsIgnoreCase(const char *A, const char *B) {
   for (; *A && *B; ++A, ++B)
     if ((*A | 0x20) != (*B | 0x20))
@@ -37,20 +34,6 @@ void warnOnce(const char *Var, const char *Value, const char *Want) {
 
 } // namespace
 
-const char *ace::rescaleModeName(RescaleMode Mode) {
-  switch (Mode) {
-  case RescaleMode::RM_Auto:
-    return "auto";
-  case RescaleMode::RM_Eager:
-    return "eager";
-  case RescaleMode::RM_Waterline:
-    return "waterline";
-  case RescaleMode::RM_Lazy:
-    return "lazy";
-  }
-  return "auto";
-}
-
 const char *ace::packingStrategyName(PackingStrategy Strategy) {
   switch (Strategy) {
   case PackingStrategy::PS_Auto:
@@ -63,27 +46,6 @@ const char *ace::packingStrategyName(PackingStrategy Strategy) {
     return "column";
   }
   return "auto";
-}
-
-bool ace::parseRescaleMode(const char *Spec, RescaleMode &Out) {
-  if (!Spec)
-    return false;
-  if (equalsIgnoreCase(Spec, "auto")) {
-    Out = RescaleMode::RM_Auto;
-  } else if (equalsIgnoreCase(Spec, "eager")) {
-    Out = RescaleMode::RM_Eager;
-  } else if (equalsIgnoreCase(Spec, "waterline") ||
-             equalsIgnoreCase(Spec, "off") || equalsIgnoreCase(Spec, "0") ||
-             equalsIgnoreCase(Spec, "false")) {
-    Out = RescaleMode::RM_Waterline;
-  } else if (equalsIgnoreCase(Spec, "lazy") ||
-             equalsIgnoreCase(Spec, "on") || equalsIgnoreCase(Spec, "1") ||
-             equalsIgnoreCase(Spec, "true")) {
-    Out = RescaleMode::RM_Lazy;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 bool ace::parsePackingStrategy(const char *Spec, PackingStrategy &Out) {
@@ -103,44 +65,9 @@ bool ace::parsePackingStrategy(const char *Spec, PackingStrategy &Out) {
   return true;
 }
 
-void ace::setProcessRescaleMode(RescaleMode Mode) {
-  ProcessRescale.store(Mode, std::memory_order_relaxed);
-}
-
-void ace::setProcessPackingStrategy(PackingStrategy Strategy) {
-  ProcessPacking.store(Strategy, std::memory_order_relaxed);
-}
-
-RescaleMode ace::processRescaleMode() {
-  return ProcessRescale.load(std::memory_order_relaxed);
-}
-
-PackingStrategy ace::processPackingStrategy() {
-  return ProcessPacking.load(std::memory_order_relaxed);
-}
-
-RescaleMode ace::resolveRescaleMode(RescaleMode Option) {
-  if (Option != RescaleMode::RM_Auto)
-    return Option;
-  RescaleMode Process = processRescaleMode();
-  if (Process != RescaleMode::RM_Auto)
-    return Process;
-  if (const char *Env = std::getenv("ACE_LAZY_RESCALE")) {
-    RescaleMode Parsed;
-    if (parseRescaleMode(Env, Parsed) && Parsed != RescaleMode::RM_Auto)
-      return Parsed;
-    if (*Env)
-      warnOnce("ACE_LAZY_RESCALE", Env, "on|off|lazy|waterline|eager");
-  }
-  return RescaleMode::RM_Waterline;
-}
-
 PackingStrategy ace::resolvePackingStrategy(PackingStrategy Option) {
   if (Option != PackingStrategy::PS_Auto)
     return Option;
-  PackingStrategy Process = processPackingStrategy();
-  if (Process != PackingStrategy::PS_Auto)
-    return Process;
   if (const char *Env = std::getenv("ACE_PACKING")) {
     PackingStrategy Parsed;
     if (parsePackingStrategy(Env, Parsed))

@@ -7,19 +7,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compiler pipeline knobs: the rescale/relinearize placement policy of
-/// the SIHE->CKKS lowering and the packing strategy of the NN->VECTOR
-/// lowering (docs/compiler.md). Both knobs resolve through the same
-/// precedence chain:
+/// The packing-strategy knob of the NN->VECTOR lowering (docs/compiler.md).
+/// It resolves through one precedence chain:
 ///
 ///   explicit CompileOptions value
-///     > process-wide default (ace_set_rescale_mode /
-///       ace_set_packing_strategy C API)
-///       > environment (ACE_LAZY_RESCALE / ACE_PACKING)
-///         > builtin default (waterline / auto)
+///     > environment (ACE_PACKING)
+///       > builtin default (auto: the per-layer cost model)
 ///
-/// so a test that pins a mode stays deterministic while the CI matrix can
-/// sweep whole test suites through the environment.
+/// so a test that pins a strategy stays deterministic while the CI matrix
+/// can sweep whole test suites through the environment. Rescale placement
+/// is not a knob: the SIHE->CKKS lowering always places lazily, and
+/// CompileOptions::EnableRescalePlacement=false selects the eager
+/// reference the Expert baseline and the ablation measure against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,26 +26,6 @@
 #define ACE_SUPPORT_PIPELINE_CONFIG_H
 
 namespace ace {
-
-/// Rescale/relinearize placement policy (docs/compiler.md).
-enum class RescaleMode {
-  /// Resolve through the process default / ACE_LAZY_RESCALE chain.
-  RM_Auto,
-  /// Settle the pending rescale and relinearize immediately after every
-  /// multiplication (the hand-implementation baseline the op-budget
-  /// contract measures against).
-  RM_Eager,
-  /// The historical default: postpone one rescale per value (scale
-  /// Delta^2 "waterline") but settle at every consumer that cannot take a
-  /// pending operand, re-settling per consumer.
-  RM_Waterline,
-  /// Last-responsible-moment placement: memoized settles, rescales sunk
-  /// past same-scale additions, relinearization deferred (Cipher3 flows
-  /// through additions and scalar ops) and fused over added products;
-  /// canonical form is produced only at rotations, ct-ct multiply
-  /// operands, bootstraps, and the return value.
-  RM_Lazy,
-};
 
 /// Matrix-vector packing strategy of the NN->VECTOR lowering.
 enum class PackingStrategy {
@@ -66,30 +45,17 @@ enum class PackingStrategy {
   PS_Column,
 };
 
-/// Printable knob values ("lazy", "bsgs", ...).
-const char *rescaleModeName(RescaleMode Mode);
+/// Printable strategy name ("bsgs", ...).
 const char *packingStrategyName(PackingStrategy Strategy);
 
-/// Parses a knob spelling; returns false on unknown input. Accepted
-/// rescale spellings: auto, eager, waterline, lazy, and the
-/// ACE_LAZY_RESCALE values on/1/true (lazy) and off/0/false (waterline).
-/// Accepted packing spellings: auto, diag, bsgs, column.
-bool parseRescaleMode(const char *Spec, RescaleMode &Out);
+/// Parses a strategy spelling (auto, diag, bsgs, column); returns false
+/// on unknown input.
 bool parsePackingStrategy(const char *Spec, PackingStrategy &Out);
 
-/// Process-wide defaults consulted when a CompileOptions knob is Auto.
-/// Setting RM_Auto / PS_Auto clears the override back to the environment.
-void setProcessRescaleMode(RescaleMode Mode);
-void setProcessPackingStrategy(PackingStrategy Strategy);
-RescaleMode processRescaleMode();
-PackingStrategy processPackingStrategy();
-
-/// Resolves a CompileOptions knob to a concrete policy: an explicit
-/// (non-Auto) option wins, then the process default, then the
-/// environment (ACE_LAZY_RESCALE / ACE_PACKING, re-read on every resolve
-/// so tests can flip it), then the builtin default. Unknown environment
-/// values warn once and fall through; they never abort.
-RescaleMode resolveRescaleMode(RescaleMode Option);
+/// Resolves CompileOptions::Packing to a policy: an explicit (non-Auto)
+/// option wins, then ACE_PACKING (re-read on every resolve so tests can
+/// flip it), then Auto. Unknown environment values warn once and fall
+/// through; they never abort.
 PackingStrategy resolvePackingStrategy(PackingStrategy Option);
 
 } // namespace ace

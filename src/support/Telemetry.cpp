@@ -560,21 +560,17 @@ std::string Telemetry::reportString(bool Json) const {
 // Spans
 //===----------------------------------------------------------------------===//
 
-TraceSpan::TraceSpan(const char *Category, std::string Name,
-                     TimingRegistry *Also)
-    : Category(Category), Name(std::move(Name)), Also(Also),
-      Emit(enabled()) {
+TraceSpan::TraceSpan(const char *Category, std::string Name)
+    : Category(Category), Name(std::move(Name)), Emit(enabled()) {
   if (Emit)
     StartUs = Telemetry::instance().nowUs();
 }
 
 TraceSpan::~TraceSpan() {
-  double Seconds = Clock.seconds();
-  if (Also)
-    Also->add(Name, Seconds);
   if (!Emit)
     return;
   Telemetry &T = Telemetry::instance();
+  double Seconds = (T.nowUs() - StartUs) * 1e-6;
   RequestContext *Ctx = detail::CurrentRequest;
   if (Ctx && Ctx->Spans.size() < RequestContext::kMaxSpans)
     Ctx->Spans.emplace_back(Name, Seconds);

@@ -292,9 +292,9 @@ public:
   /// @}
 
   /// \name Phase accumulation
-  /// Wall seconds per span name, accumulated when spans close. This is
-  /// what the Figure 5/6 benches read instead of bespoke TimingRegistry
-  /// plumbing.
+  /// Wall seconds per span name, accumulated when spans close while
+  /// telemetry is enabled. The Figure 5/6 benches and the examples read
+  /// their compile-phase and per-operator breakdowns here.
   /// @{
   void accumulatePhase(const std::string &Name, double Seconds);
   double phaseSeconds(const std::string &Name) const;
@@ -365,15 +365,12 @@ private:
 };
 
 /// RAII span for coarse scopes (compiler passes, executor regions,
-/// setup). Always measures wall time; when \p Also is non-null the
-/// seconds are recorded there even with telemetry disabled, which is how
-/// TimingRegistry remains a thin backward-compatible adapter over the
-/// trace spans. Events and phase accumulation happen only when telemetry
-/// was enabled at construction.
+/// setup). When telemetry was enabled at construction, the span records
+/// a trace event and accumulates its wall time under its name
+/// (Telemetry::phaseSeconds); otherwise it reads no clock at all.
 class TraceSpan {
 public:
-  TraceSpan(const char *Category, std::string Name,
-            TimingRegistry *Also = nullptr);
+  TraceSpan(const char *Category, std::string Name);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan &) = delete;
@@ -382,10 +379,8 @@ public:
 private:
   const char *Category;
   std::string Name;
-  TimingRegistry *Also;
   bool Emit;
   double StartUs = 0.0;
-  WallTimer Clock;
 };
 
 /// RAII span for hot FHE primitives. Default construction is free; call

@@ -7,9 +7,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Wall-clock timing utilities. TimingRegistry accumulates named phase
-/// timings; the compiler driver uses it to produce the Figure 5 per-IR
-/// compile-time breakdown, and the inference harness uses it for the
+/// Wall-clock timing utilities. WallTimer is a stopwatch; TimingRegistry
+/// is the phase table behind Telemetry::phaseSeconds, which accumulates
+/// the span times of the Figure 5 per-IR compile-time breakdown and the
 /// Figure 6 Conv/Bootstrap/ReLU breakdown.
 ///
 //===----------------------------------------------------------------------===//
@@ -71,22 +71,6 @@ private:
   /// Phase name -> position in Entries, so add()/get() are O(1) amortized
   /// while Entries keeps first-seen order for reporting.
   std::unordered_map<std::string, size_t> Index;
-};
-
-/// RAII helper: times its scope and records into a TimingRegistry.
-class ScopedTimer {
-public:
-  ScopedTimer(TimingRegistry &Registry, std::string Phase)
-      : Registry(Registry), Phase(std::move(Phase)) {}
-  ~ScopedTimer() { Registry.add(Phase, Clock.seconds()); }
-
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-private:
-  TimingRegistry &Registry;
-  std::string Phase;
-  WallTimer Clock;
 };
 
 } // namespace ace

@@ -4,7 +4,7 @@
 // the same model, but decrypt to the same answer. Tier-1 checks every
 // zoo model shape at 1 and 4 threads; the ACE_EXHAUSTIVE tier (see
 // README "Testing") additionally sweeps every packing strategy under
-// every rescale mode.
+// both placements.
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CkksExecutor.h"
@@ -71,18 +71,18 @@ std::vector<ZooModel> zooModels() {
   return Z;
 }
 
-/// Compiles and runs one sample, returning the decrypted logits.
-std::vector<double> runModel(const ZooModel &Z, RescaleMode Rescale,
+/// Compiles and runs one sample under lazy or eager placement, returning
+/// the decrypted logits.
+std::vector<double> runModel(const ZooModel &Z, bool Lazy,
                              PackingStrategy Packing, size_t Threads) {
   air::CompileOptions Opt = toyOptions();
-  Opt.Rescale = Rescale;
+  Opt.EnableRescalePlacement = Lazy;
   Opt.Packing = Packing;
   driver::AceCompiler Compiler(Opt);
   auto R = Compiler.compile(Z.Model, Z.Inputs);
   EXPECT_TRUE(R.ok()) << Z.Name << ": " << R.status().message();
   if (!R.ok())
     return {};
-  EXPECT_EQ((*R)->State.ResolvedRescale, Rescale);
   codegen::CkksExecutor Exec((*R)->Program, (*R)->State);
   EXPECT_FALSE(Exec.setup());
   ThreadPool::instance().setNumThreads(Threads);
@@ -102,12 +102,10 @@ void expectClose(const std::vector<double> &A, const std::vector<double> &B,
 TEST(PipelineDifferentialTest, LazyMatchesEagerOnEveryZooModel) {
   for (const ZooModel &Z : zooModels()) {
     for (size_t Threads : {1u, 4u}) {
-      std::vector<double> Eager = runModel(Z, RescaleMode::RM_Eager,
-                                           PackingStrategy::PS_Bsgs,
-                                           Threads);
-      std::vector<double> Lazy = runModel(Z, RescaleMode::RM_Lazy,
-                                          PackingStrategy::PS_Bsgs,
-                                          Threads);
+      std::vector<double> Eager =
+          runModel(Z, /*Lazy=*/false, PackingStrategy::PS_Bsgs, Threads);
+      std::vector<double> Lazy =
+          runModel(Z, /*Lazy=*/true, PackingStrategy::PS_Bsgs, Threads);
       expectClose(Eager, Lazy, kModeTolerance,
                   std::string(Z.Name) + " @" + std::to_string(Threads) +
                       " threads");
@@ -120,9 +118,7 @@ TEST(PipelineDifferentialTest, LazyLogitsBitIdenticalAcrossThreadCounts) {
   // for the lazily placed schedule too (its Cipher3 adds exercise
   // three-component hot loops the eager schedule never runs).
   for (const ZooModel &Z : zooModels()) {
-    air::CompileOptions Opt = toyOptions();
-    Opt.Rescale = RescaleMode::RM_Lazy;
-    driver::AceCompiler Compiler(Opt);
+    driver::AceCompiler Compiler(toyOptions());
     auto R = Compiler.compile(Z.Model, Z.Inputs);
     ASSERT_TRUE(R.ok()) << Z.Name << ": " << R.status().message();
     codegen::CkksExecutor Exec((*R)->Program, (*R)->State);
@@ -156,18 +152,16 @@ TEST(PipelineDifferentialTest, ExhaustiveModeAndPackingSweep) {
     GTEST_SKIP() << "set ACE_EXHAUSTIVE=1 to run the full policy sweep";
 
   for (const ZooModel &Z : zooModels()) {
-    std::vector<double> Reference = runModel(Z, RescaleMode::RM_Waterline,
-                                             PackingStrategy::PS_Bsgs, 1);
-    for (RescaleMode Rescale :
-         {RescaleMode::RM_Eager, RescaleMode::RM_Waterline,
-          RescaleMode::RM_Lazy}) {
+    std::vector<double> Reference =
+        runModel(Z, /*Lazy=*/false, PackingStrategy::PS_Bsgs, 1);
+    for (bool Lazy : {false, true}) {
       for (PackingStrategy Packing :
            {PackingStrategy::PS_Auto, PackingStrategy::PS_Diag,
             PackingStrategy::PS_Bsgs, PackingStrategy::PS_Column}) {
-        std::vector<double> Logits = runModel(Z, Rescale, Packing, 4);
+        std::vector<double> Logits = runModel(Z, Lazy, Packing, 4);
         expectClose(Reference, Logits, kModeTolerance,
                     std::string(Z.Name) + " rescale=" +
-                        rescaleModeName(Rescale) + " packing=" +
+                        (Lazy ? "lazy" : "eager") + " packing=" +
                         packingStrategyName(Packing));
       }
     }

@@ -8,6 +8,7 @@
 
 #include "fhe/Encryptor.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -291,18 +292,22 @@ TEST_F(EvaluatorFixture, RotateThenMulAccumulate) {
 }
 
 TEST_F(EvaluatorFixture, CountersTrackOperations) {
-  Eval->counters().clear();
+  using telemetry::Counter;
+  telemetry::Telemetry &Tel = telemetry::Telemetry::instance();
   auto X = randomReals(Ctx.slots(), 28);
   Ciphertext CX = encrypt(X);
+  Tel.setEnabled(true);
+  telemetry::CounterSnapshot Before = Tel.counters();
   Ciphertext P = Eval->mul(CX, CX);
   Eval->rescaleInPlace(P);
   Eval->rotate(P, 1);
-  const OpCounters &C = Eval->counters();
-  EXPECT_EQ(C.MulCipher, 1u);
-  EXPECT_EQ(C.Relinearize, 1u);
-  EXPECT_EQ(C.Rescale, 1u);
-  EXPECT_EQ(C.Rotate, 1u);
-  EXPECT_EQ(C.KeySwitch, 2u); // one relin, one rotation
+  telemetry::CounterSnapshot C = Tel.counters().deltaSince(Before);
+  Tel.setEnabled(false);
+  EXPECT_EQ(C.get(Counter::CtCtMul), 1u);
+  EXPECT_EQ(C.get(Counter::Relinearize), 1u);
+  EXPECT_EQ(C.get(Counter::Rescale), 1u);
+  EXPECT_EQ(C.get(Counter::Rotate), 1u);
+  EXPECT_EQ(C.get(Counter::KeySwitch), 2u); // one relin, one rotation
 }
 
 } // namespace

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 using namespace ace;
 
 namespace {
@@ -35,14 +37,14 @@ std::vector<nn::Tensor> randomInputs(const std::vector<int64_t> &Shape,
   return Out;
 }
 
-/// Compiles \p M under an explicit rescale mode with the packing pinned
+/// Compiles \p M under lazy or eager placement with the packing pinned
 /// to BSGS, so the budgets are functions of the placement policy alone
-/// (immune to the ACE_PACKING / ACE_LAZY_RESCALE CI matrix).
+/// (immune to the ACE_PACKING CI matrix).
 std::unique_ptr<driver::CompileResult>
 compileWithMode(const onnx::Model &M, const std::vector<nn::Tensor> &Inputs,
-                RescaleMode Mode) {
+                bool Lazy) {
   air::CompileOptions Opt;
-  Opt.Rescale = Mode;
+  Opt.EnableRescalePlacement = Lazy;
   Opt.Packing = PackingStrategy::PS_Bsgs;
   driver::AceCompiler Compiler(Opt);
   auto R = Compiler.compile(M, Inputs);
@@ -51,19 +53,16 @@ compileWithMode(const onnx::Model &M, const std::vector<nn::Tensor> &Inputs,
 }
 
 struct Budgets {
-  air::CkksOpBudget Eager, Waterline, Lazy;
+  air::CkksOpBudget Eager, Lazy;
 };
 
 Budgets budgetsOf(const onnx::Model &M,
                   const std::vector<nn::Tensor> &Inputs) {
   Budgets B;
-  auto E = compileWithMode(M, Inputs, RescaleMode::RM_Eager);
-  auto W = compileWithMode(M, Inputs, RescaleMode::RM_Waterline);
-  auto L = compileWithMode(M, Inputs, RescaleMode::RM_Lazy);
+  auto E = compileWithMode(M, Inputs, /*Lazy=*/false);
+  auto L = compileWithMode(M, Inputs, /*Lazy=*/true);
   if (E)
     B.Eager = E->State.Budget;
-  if (W)
-    B.Waterline = W->State.Budget;
   if (L)
     B.Lazy = L->State.Budget;
   return B;
@@ -77,18 +76,18 @@ TEST(OpBudgetTest, MlpBudgetsAreExactPerMode) {
   // Rescale counts are the policy's whole story; everything else is
   // invariant across modes (same graph, same Need analysis).
   EXPECT_EQ(B.Eager.Rescale, 223u);
-  EXPECT_EQ(B.Waterline.Rescale, 184u);
   EXPECT_EQ(B.Lazy.Rescale, 58u);
 
   // Canonical forwarding makes lazy relinearize exactly as often as
   // eager: once per ct-ct product, never per consumer.
   EXPECT_EQ(B.Eager.Relinearize, 26u);
-  EXPECT_EQ(B.Waterline.Relinearize, 26u);
   EXPECT_EQ(B.Lazy.Relinearize, 26u);
 
+  // The eager reference keeps its unmemoized level drops.
+  EXPECT_EQ(B.Eager.ModSwitch, 38u);
+
   // Mode-invariant counters pin the rest of the lowering.
-  for (const air::CkksOpBudget *Budget :
-       {&B.Eager, &B.Waterline, &B.Lazy}) {
+  for (const air::CkksOpBudget *Budget : {&B.Eager, &B.Lazy}) {
     EXPECT_EQ(Budget->Rotate, 40u);
     EXPECT_EQ(Budget->CtCtMul, 26u);
     EXPECT_EQ(Budget->CtPtMul, 197u);
@@ -109,19 +108,16 @@ TEST(OpBudgetTest, LeNetBudgetsAreExactPerMode) {
   onnx::Model M = nn::buildLeNet(/*Classes=*/8, 11);
   Budgets B = budgetsOf(M, randomInputs({1, 1, 8, 8}, 2, 13));
 
-  // On the conv fan the waterline's per-consumer re-settling costs one
-  // more rescale than plain eager placement; only the memoized lazy
-  // policy collapses the fan-out.
+  // The memoized lazy policy collapses the conv fan-out.
   EXPECT_EQ(B.Eager.Rescale, 208u);
-  EXPECT_EQ(B.Waterline.Rescale, 209u);
   EXPECT_EQ(B.Lazy.Rescale, 63u);
 
   EXPECT_EQ(B.Eager.Relinearize, 39u);
-  EXPECT_EQ(B.Waterline.Relinearize, 39u);
   EXPECT_EQ(B.Lazy.Relinearize, 39u);
 
-  for (const air::CkksOpBudget *Budget :
-       {&B.Eager, &B.Waterline, &B.Lazy}) {
+  EXPECT_EQ(B.Eager.ModSwitch, 57u);
+
+  for (const air::CkksOpBudget *Budget : {&B.Eager, &B.Lazy}) {
     EXPECT_EQ(Budget->Rotate, 122u);
     EXPECT_EQ(Budget->CtCtMul, 39u);
     EXPECT_EQ(Budget->CtPtMul, 169u);
@@ -132,6 +128,20 @@ TEST(OpBudgetTest, LeNetBudgetsAreExactPerMode) {
   size_t LazyTotal = B.Lazy.Rescale + B.Lazy.Relinearize;
   EXPECT_LE(LazyTotal * 5, EagerTotal * 4)
       << "lazy " << LazyTotal << " vs eager " << EagerTotal;
+}
+
+// Lazy placement is the compiler's behaviour: untouched CompileOptions
+// compile the contract MLP to the lazy budget, not the eager reference.
+TEST(OpBudgetTest, DefaultOptionsPlaceLazily) {
+  // Auto packing must mean the cost model here, not a forced ACE_PACKING
+  // from the CI matrix.
+  unsetenv("ACE_PACKING");
+  onnx::Model M = nn::buildMlp({64, 48, 32, 10}, 7);
+  driver::AceCompiler Compiler{air::CompileOptions()};
+  auto R = Compiler.compile(M, randomInputs({1, 64}, 2, 7));
+  ASSERT_TRUE(R.ok()) << R.status().message();
+  EXPECT_EQ((*R)->State.Budget.Rescale, 58u);
+  EXPECT_EQ((*R)->State.Budget.Relinearize, 26u);
 }
 
 // The static budget is not just an estimate: executing the compiled
@@ -146,7 +156,7 @@ TEST(OpBudgetTest, ExecutedTelemetryMatchesBudgetDelta) {
   onnx::Model M = nn::buildMlp({24, 16, 12, 6}, 31);
   auto Inputs = randomInputs({1, 24}, 2, 3);
 
-  auto RunOnce = [&](RescaleMode Mode, air::CkksOpBudget &Budget)
+  auto RunOnce = [&](bool Lazy, air::CkksOpBudget &Budget)
       -> CounterSnapshot {
     air::CompileOptions Opt;
     Opt.ToyParameters = true;
@@ -154,7 +164,7 @@ TEST(OpBudgetTest, ExecutedTelemetryMatchesBudgetDelta) {
     Opt.LogFirstModulus = 55;
     Opt.CalibrationSamples = 2;
     Opt.Seed = 11;
-    Opt.Rescale = Mode;
+    Opt.EnableRescalePlacement = Lazy;
     Opt.Packing = PackingStrategy::PS_Bsgs;
     driver::AceCompiler Compiler(Opt);
     auto R = Compiler.compile(M, Inputs);
@@ -172,8 +182,8 @@ TEST(OpBudgetTest, ExecutedTelemetryMatchesBudgetDelta) {
   };
 
   air::CkksOpBudget EagerBudget, LazyBudget;
-  CounterSnapshot Eager = RunOnce(RescaleMode::RM_Eager, EagerBudget);
-  CounterSnapshot Lazy = RunOnce(RescaleMode::RM_Lazy, LazyBudget);
+  CounterSnapshot Eager = RunOnce(/*Lazy=*/false, EagerBudget);
+  CounterSnapshot Lazy = RunOnce(/*Lazy=*/true, LazyBudget);
 
   // Same params, same bootstrap targets: the executed difference is the
   // compiled difference, to the op.
@@ -190,7 +200,7 @@ TEST(OpBudgetTest, ExecutedTelemetryMatchesBudgetDelta) {
 // addition and relinearizes the sum once; eager placement pays one
 // relin per product.
 TEST(OpBudgetTest, SumOfProductsRelinearizesOnce) {
-  auto CountOps = [](RescaleMode Mode, size_t &Relins, size_t &Rescales) {
+  auto CountOps = [](bool Lazy, size_t &Relins, size_t &Rescales) {
     air::IrFunction F("sihe");
     air::IrNode *X = F.addInput("x", air::TypeKind::TK_Cipher);
     air::IrNode *P1 = F.create(air::NodeKind::NK_SiheMul,
@@ -210,7 +220,7 @@ TEST(OpBudgetTest, SumOfProductsRelinearizesOnce) {
     F.renumber();
 
     air::CompileState State;
-    State.Options.Rescale = Mode;
+    State.Options.EnableRescalePlacement = Lazy;
     State.InputLayout.W0 = State.InputLayout.W = 8;
 
     passes::SiheToCkksPass Pass;
@@ -221,8 +231,8 @@ TEST(OpBudgetTest, SumOfProductsRelinearizesOnce) {
 
   size_t LazyRelins = 0, LazyRescales = 0;
   size_t EagerRelins = 0, EagerRescales = 0;
-  CountOps(RescaleMode::RM_Lazy, LazyRelins, LazyRescales);
-  CountOps(RescaleMode::RM_Eager, EagerRelins, EagerRescales);
+  CountOps(/*Lazy=*/true, LazyRelins, LazyRescales);
+  CountOps(/*Lazy=*/false, EagerRelins, EagerRescales);
 
   EXPECT_EQ(EagerRelins, 2u); // one per product
   EXPECT_EQ(LazyRelins, 1u);  // the fused sum

@@ -30,15 +30,6 @@ TEST(TimerTest, EntriesPreserveFirstSeenOrder) {
   EXPECT_EQ(Reg.entries()[1].first, "a");
 }
 
-TEST(TimerTest, ScopedTimerRecords) {
-  TimingRegistry Reg;
-  {
-    ScopedTimer T(Reg, "phase");
-  }
-  EXPECT_GE(Reg.get("phase"), 0.0);
-  EXPECT_EQ(Reg.entries().size(), 1u);
-}
-
 TEST(TimerTest, WallTimerAdvances) {
   WallTimer T;
   volatile double Sink = 0;
