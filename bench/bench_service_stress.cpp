@@ -75,10 +75,11 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  if (BudgetBytes > 0) // 0 keeps the ACE_MEMORY_BUDGET default
+    ResourceGovernor::instance().setBudgetBytes(BudgetBytes);
   service::ServiceConfig Config;
   Config.QueueCapacity = QueueCap;
   Config.DefaultDeadlineSeconds = DeadlineSeconds;
-  Config.MemoryBudgetBytes = BudgetBytes;
   service::InferenceService Svc((*Compiled)->Program, (*Compiled)->State,
                                 Config);
 

@@ -29,6 +29,7 @@
 #include "support/MetricsRegistry.h"
 #include "support/PipelineConfig.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -69,6 +70,8 @@ int main(int argc, char **argv) {
       }
     }
   }
+  if (Threads > 0) // --threads=N overrides the ACE_THREADS default
+    ThreadPool::instance().setNumThreads(static_cast<size_t>(Threads));
   // Telemetry feeds the timing breakdown printed after inference, the
   // optional report, and the metrics dump.
   telemetry::Telemetry &Tel = telemetry::Telemetry::instance();
@@ -85,7 +88,6 @@ int main(int argc, char **argv) {
   // cluster structure that survives them.)
 
   air::CompileOptions Opt;
-  Opt.NumThreads = Threads; // 0 keeps the ACE_THREADS default
   Opt.EnableRescalePlacement = LazyRescale;
   Opt.Packing = Packing; // PS_Auto keeps the ACE_PACKING default
   driver::AceCompiler Compiler(Opt);

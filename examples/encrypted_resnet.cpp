@@ -21,6 +21,7 @@
 #include "driver/AceCompiler.h"
 #include "nn/ModelZoo.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <cmath>
 #include <cstdio>
@@ -34,6 +35,8 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I)
     if (std::strncmp(argv[I], "--threads=", 10) == 0)
       Threads = std::atoi(argv[I] + 10);
+  if (Threads > 0) // --threads=N overrides the ACE_THREADS default
+    ThreadPool::instance().setNumThreads(static_cast<size_t>(Threads));
   nn::NanoResNetSpec Spec = nn::paperModelSpecs()[0]; // nano-resnet-20
   nn::Dataset Data = nn::makeSyntheticDataset(
       {1, Spec.InputChannels, Spec.InputHW, Spec.InputHW},
@@ -55,7 +58,6 @@ int main(int argc, char **argv) {
   telemetry::Telemetry &Tel = telemetry::Telemetry::instance();
   Tel.setEnabled(true);
   air::CompileOptions Opt;
-  Opt.NumThreads = Threads; // 0 keeps the ACE_THREADS default
   driver::AceCompiler Compiler(Opt);
   auto Result = Compiler.compile(Model, Data.Images);
   if (!Result.ok()) {

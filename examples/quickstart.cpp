@@ -35,6 +35,7 @@
 #include "support/MetricsRegistry.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -63,6 +64,8 @@ int main(int argc, char **argv) {
     else if (std::strncmp(argv[I], "--metrics-dump=", 15) == 0)
       MetricsDump = argv[I] + 15;
   }
+  if (Threads > 0) // --threads=N overrides the ACE_THREADS default
+    ThreadPool::instance().setNumThreads(static_cast<size_t>(Threads));
   if (Report || !MetricsDump.empty())
     telemetry::Telemetry::instance().setEnabled(true);
   // --- 1. The model (paper Fig. 4), round-tripped through a model file.
@@ -94,7 +97,6 @@ int main(int argc, char **argv) {
   }
 
   air::CompileOptions Opt;
-  Opt.NumThreads = Threads; // 0 keeps the ACE_THREADS default
   driver::AceCompiler Compiler(Opt);
   auto Result = Compiler.compile(*Loaded, Calibration, /*KeepDumps=*/true);
   if (!Result.ok()) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks run by CI (docs-check job).
 
-Three invariants:
+Invariants:
   1. Every page under docs/ is referenced (linked) from README.md, so
      the README docs index stays the complete entry point.
   2. Every relative markdown link in README.md, DESIGN.md,
@@ -18,8 +18,12 @@ Three invariants:
      in docs/memory.md.
   5. Same for the compiler pipeline-policy contract: every public entry
      point of src/support/PipelineConfig.h (the packing enum values,
-     parse/resolve functions, the ACE_PACKING environment variable) is
-     mentioned by name in docs/compiler.md.
+     the parse/print functions, the ACE_PACKING environment variable)
+     is mentioned by name in docs/compiler.md.
+  6. The runtime settings table in docs/architecture.md lists exactly
+     the ACE_* variables of the settings module's table
+     (src/support/Env.cpp): one row per variable, none missing, none
+     extra.
 
 Exits nonzero listing every violation.
 """
@@ -152,6 +156,27 @@ def check_pipeline_doc():
             for name in pipeline_entry_points() if name not in text]
 
 
+def env_settings():
+    """The ACE_* variables of the settings module: the rows of the
+    table in src/support/Env.cpp."""
+    source = (ROOT / "src/support/Env.cpp").read_text()
+    return set(re.findall(r'\{"(ACE_[A-Z_]+)"', source))
+
+
+def check_settings_table():
+    doc = ROOT / "docs/architecture.md"
+    rows = set(re.findall(r"^\| `(ACE_[A-Z_]+)` \|", doc.read_text(),
+                          re.MULTILINE))
+    module = env_settings()
+    if not module:
+        return ["src/support/Env.cpp: no settings table rows found"]
+    return ([f"docs/architecture.md: settings table misses '{name}' "
+             "from src/support/Env.cpp" for name in sorted(module - rows)] +
+            [f"docs/architecture.md: settings table lists '{name}', which "
+             "src/support/Env.cpp does not read"
+             for name in sorted(rows - module)])
+
+
 def main():
     errors = []
     readme = (ROOT / "README.md").read_text()
@@ -164,6 +189,7 @@ def main():
     errors.extend(check_backend_doc())
     errors.extend(check_governor_doc())
     errors.extend(check_pipeline_doc())
+    errors.extend(check_settings_table())
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 1
@@ -175,7 +201,8 @@ def main():
           "indexed, all relative links resolve, all "
           f"{entry_points} poly-backend, {governor_points} "
           f"memory-governance and {pipeline_points} pipeline-policy "
-          "entry points documented")
+          f"entry points and all {len(env_settings())} runtime settings "
+          "documented")
     return 0
 
 

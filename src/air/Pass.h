@@ -65,12 +65,6 @@ struct CompileOptions {
   /// Calibration images for activation-bound estimation.
   int CalibrationSamples = 4;
   uint64_t Seed = 1;
-  /// Runtime worker threads for the FHE hot loops (see
-  /// docs/performance.md). 0 = keep the process default (the ACE_THREADS
-  /// environment variable, or serial when unset); CkksExecutor::setup
-  /// applies any positive value to the process-wide pool. Results are
-  /// bit-identical at every thread count.
-  int NumThreads = 0;
 };
 
 /// Per-layer packing choice made by the NN->VECTOR cost model

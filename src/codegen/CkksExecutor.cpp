@@ -38,11 +38,6 @@ Status CkksExecutor::setup(uint64_t SeedOverride) {
     P.Seed = SeedOverride;
   if (!P.valid())
     return Status::error("invalid selected parameters");
-  // Apply the compile-level thread request before any runtime work so
-  // key generation and execution share one pool configuration.
-  if (State.Options.NumThreads > 0)
-    ACE_RETURN_IF_ERROR(ThreadPool::instance().setNumThreads(
-        static_cast<size_t>(State.Options.NumThreads)));
   // The old cache (a re-setup) references the old Ctx/Gen; drop it
   // before they are replaced.
   KeyCache.reset();

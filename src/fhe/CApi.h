@@ -155,10 +155,8 @@ double *ace_load_weights(const char *path, size_t *count);
 
 /// \name Telemetry (see docs/observability.md)
 /// The generated C programs call these so traces and op counts from the
-/// generated-C path match the in-process executor. Also driven by the
-/// environment: ACE_TRACE=<file> enables collection at load time and
-/// writes a chrome://tracing JSON at exit; ACE_TELEMETRY=1 enables
-/// collection only.
+/// generated-C path match the in-process executor. ACE_TRACE and
+/// ACE_TELEMETRY also enable collection (docs/architecture.md §5).
 /// @{
 
 /// Enables (nonzero) or disables (zero) telemetry collection.
@@ -232,10 +230,8 @@ const char *ace_poly_backend(void);
 /// against a hard byte budget. Over-budget charges first reclaim cold
 /// key-cache entries and trim the limb pool; what still does not fit is
 /// refused with ACE_ERR_RESOURCE_EXHAUSTED instead of aborting the
-/// process. The default budget comes from the ACE_MEMORY_BUDGET
-/// environment variable ("512m", "8g", plain bytes; unset = unlimited);
-/// the limb pool itself can be bypassed with ACE_LIMB_POOL=off for
-/// differential testing.
+/// process. The defaults come from ACE_MEMORY_BUDGET and ACE_LIMB_POOL
+/// (docs/architecture.md §5).
 /// @{
 
 /// Sets the process memory budget in bytes (0 = unlimited). Takes

@@ -18,11 +18,10 @@
 
 #include "fhe/ModArith.h"
 #include "fhe/Ntt.h"
+#include "support/Env.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
 using namespace ace;
@@ -148,9 +147,10 @@ namespace {
 
 // The active backend, published once resolution has run. Reads on the
 // hot path are one relaxed atomic load; writes (env resolution, the
-// knob, the C API) serialize on SelectionMutex.
+// knob, the C API) serialize on SelectionMutex, which env resolution
+// holds while it hands the value to selectPolyBackend.
 std::atomic<const PolyBackend *> Active{nullptr};
-std::mutex SelectionMutex;
+std::recursive_mutex SelectionMutex;
 
 // Records the choice where perf artifacts can see it: the Chrome-trace
 // "otherData" block and the ace_build_info Prometheus gauge
@@ -167,37 +167,18 @@ const PolyBackend &autoBackend() {
   return scalarPolyBackend();
 }
 
-// Resolves ACE_POLY_BACKEND once. Environment misconfiguration must
-// never abort a process that would otherwise run fine, so unknown
-// values (and "simd" without hardware support) warn and degrade to
-// auto; the strict error path is selectPolyBackend / the C API.
+// Resolves ACE_POLY_BACKEND once, through the strict selection. A value
+// it rejects (including "simd" on a host without vector support) warns
+// and keeps the builtin auto choice (support/Env.h).
 const PolyBackend &resolveFromEnv() {
-  std::lock_guard<std::mutex> Lock(SelectionMutex);
+  std::lock_guard<std::recursive_mutex> Lock(SelectionMutex);
   if (const PolyBackend *B = Active.load(std::memory_order_acquire))
     return *B;
-  const PolyBackend *Chosen = &autoBackend();
-  if (const char *Env = std::getenv("ACE_POLY_BACKEND")) {
-    std::string Spec(Env);
-    if (Spec == "scalar") {
-      Chosen = &scalarPolyBackend();
-    } else if (Spec == "simd") {
-      if (const PolyBackend *Simd = simdPolyBackend()) {
-        Chosen = Simd;
-      } else {
-        std::fprintf(stderr,
-                     "ace: ACE_POLY_BACKEND=simd but this host/build "
-                     "has no vectorized backend; using scalar\n");
-        Chosen = &scalarPolyBackend();
-      }
-    } else if (!Spec.empty() && Spec != "auto") {
-      std::fprintf(stderr,
-                   "ace: ignoring unknown ACE_POLY_BACKEND='%s' "
-                   "(want scalar|simd|auto)\n",
-                   Env);
-    }
-  }
-  publish(*Chosen);
-  return *Chosen;
+  if (!env::read(env::Setting::PolyBackend, [](const char *Spec) {
+        return selectPolyBackend(Spec).ok();
+      }))
+    publish(autoBackend());
+  return *Active.load(std::memory_order_acquire);
 }
 
 } // namespace
@@ -213,7 +194,7 @@ const char *ace::fhe::activePolyBackendName() {
 }
 
 Status ace::fhe::selectPolyBackend(const std::string &Spec) {
-  std::lock_guard<std::mutex> Lock(SelectionMutex);
+  std::lock_guard<std::recursive_mutex> Lock(SelectionMutex);
   if (Spec == "scalar") {
     publish(scalarPolyBackend());
     return Status::success();

@@ -8,6 +8,8 @@
 
 #include "passes/NnToVector.h"
 
+#include "support/Env.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>

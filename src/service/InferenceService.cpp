@@ -139,11 +139,6 @@ InferenceService::InferenceService(const air::IrFunction &F,
                                    const air::CompileState &State,
                                    ServiceConfig Config)
     : F(F), State(State), Config(Config) {
-  // Install the configured hard budget before any session can charge
-  // against it. 0 leaves an externally configured budget
-  // (ACE_MEMORY_BUDGET / ace_set_memory_budget) in place.
-  if (Config.MemoryBudgetBytes > 0)
-    ResourceGovernor::instance().setBudgetBytes(Config.MemoryBudgetBytes);
   // Export the service's health through the process metrics registry
   // (docs/observability.md). Callbacks run at export time only and take
   // the same locks stats() does; registrations are released in
@@ -180,8 +175,7 @@ InferenceService::InferenceService(const air::IrFunction &F,
         std::lock_guard<std::mutex> Lock(SessionsMutex);
         size_t Bytes = 0;
         for (const auto &[Id, S] : Sessions)
-          if (auto *Cache = S->Exec->keyCache())
-            Bytes += Cache->stats().ResidentBytes;
+          Bytes += S->Exec->keyCache()->stats().ResidentBytes;
         return static_cast<double>(Bytes);
       }));
   Dispatcher = std::thread([this] { dispatchLoop(); });
@@ -199,8 +193,7 @@ StatusOr<uint64_t> InferenceService::openSession() {
   // Resident-server key discipline: rotation keys materialize on first
   // use and stay evictable instead of being generated eagerly and held
   // forever (docs/memory.md). Relin/conjugation keys stay eager.
-  if (Config.LazySessionKeys)
-    S->Exec->enableLazyRotationKeys(Config.KeyCacheBytesPerSession);
+  S->Exec->enableLazyRotationKeys(Config.KeyCacheBytesPerSession);
   S->LastUsedUs.store(steadyNowUs(), std::memory_order_relaxed);
   // Reseed key generation per session: the compiled parameters carry one
   // deterministic seed, and two sessions sharing it would generate
@@ -238,10 +231,8 @@ Status InferenceService::closeSession(uint64_t SessionId) {
   // behind reads as a leak in ace_memory_charged_bytes until teardown.
   // The session is already out of the map, so only an in-flight wave can
   // hold RunMutex; blocking here orders the release after that request.
-  if (auto *Cache = S->Exec->keyCache()) {
-    std::lock_guard<std::mutex> Run(S->RunMutex);
-    Cache->releaseAll();
-  }
+  std::lock_guard<std::mutex> Run(S->RunMutex);
+  S->Exec->keyCache()->releaseAll();
   return Status::success();
 }
 
@@ -425,9 +416,6 @@ void InferenceService::sweepIdleSessions() {
       Snapshot.push_back(S);
   }
   for (const auto &S : Snapshot) {
-    auto *Cache = S->Exec->keyCache();
-    if (!Cache)
-      continue;
     if (Now - S->LastUsedUs.load(std::memory_order_relaxed) < TtlUs)
       continue;
     // Never block on a busy session: try_lock skips one mid-request (it
@@ -435,7 +423,7 @@ void InferenceService::sweepIdleSessions() {
     std::unique_lock<std::mutex> Run(S->RunMutex, std::try_to_lock);
     if (!Run.owns_lock())
       continue;
-    if (Cache->releaseAll() > 0) {
+    if (S->Exec->keyCache()->releaseAll() > 0) {
       std::lock_guard<std::mutex> SLock(StatsMutex);
       ++Counters.IdleKeyEvictions;
     }
@@ -825,8 +813,7 @@ ServiceStats InferenceService::stats() const {
     std::lock_guard<std::mutex> Lock(SessionsMutex);
     Out.OpenSessions = Sessions.size();
     for (const auto &[Id, S] : Sessions)
-      if (auto *Cache = S->Exec->keyCache())
-        Out.KeyCacheBytes += Cache->stats().ResidentBytes;
+      Out.KeyCacheBytes += S->Exec->keyCache()->stats().ResidentBytes;
   }
   // Percentiles come from the end-to-end histogram (completed requests
   // only, matching the counter semantics): within one log-linear bucket

@@ -121,21 +121,8 @@ struct ServiceConfig {
   /// Deadline applied to requests that carry none (0 = no default). A
   /// client opts out explicitly with encryptRequest(DeadlineSeconds=0).
   double DefaultDeadlineSeconds = 0.0;
-  /// Hard process memory budget installed on the ResourceGovernor at
-  /// construction (0 = leave the governor's current budget untouched,
-  /// e.g. one set via ACE_MEMORY_BUDGET). Requests whose working set
-  /// would exceed it are shed in-band with ResourceExhausted after cold
-  /// keys have been reclaimed; in-flight work is never crashed. See
-  /// docs/memory.md.
-  size_t MemoryBudgetBytes = 0;
-  /// Generate each session's rotation keys lazily through an LRU
-  /// RotationKeyCache (on-demand keygen, governor-charged, evictable
-  /// under pressure) instead of eagerly at openSession(). Defaults on:
-  /// a resident server must not hold every session's full key set
-  /// forever. Off restores the PR 6 eager behavior.
-  bool LazySessionKeys = true;
   /// Per-session LRU bound on cached rotation-key bytes (0 = only the
-  /// process budget limits them). Meaningful only with LazySessionKeys.
+  /// process memory budget limits them).
   size_t KeyCacheBytesPerSession = 0;
   /// When > 0, the dispatcher evicts the cached rotation keys of
   /// sessions idle longer than this many seconds (the keys regenerate

@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 
@@ -232,35 +231,3 @@ void EventLog::record(const RequestLogEntry &E) {
   std::fflush(P->File);
   ++P->Written;
 }
-
-//===----------------------------------------------------------------------===//
-// Environment activation: ACE_EVENT_LOG=<file> opens the log at process
-// start and enables telemetry (op deltas and noise budgets come from
-// the telemetry hooks); ACE_SLOW_REQUEST_SECONDS=<s> arms the slow dump.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-void closeEventLogAtExit() { EventLog::instance().close(); }
-
-struct EventLogEnvActivation {
-  EventLogEnvActivation() {
-    const char *Path = std::getenv("ACE_EVENT_LOG");
-    if (Path && *Path) {
-      Status S = EventLog::instance().open(Path);
-      if (!S.ok())
-        std::fprintf(stderr, "ace: %s\n", S.message().c_str());
-      telemetry::Telemetry::instance().setEnabled(true);
-      std::atexit(closeEventLogAtExit);
-    }
-    const char *Slow = std::getenv("ACE_SLOW_REQUEST_SECONDS");
-    if (Slow && *Slow) {
-      char *End = nullptr;
-      double V = std::strtod(Slow, &End);
-      if (End != Slow && V > 0.0)
-        EventLog::instance().setSlowThresholdSeconds(V);
-    }
-  }
-} EventLogEnvActivationInstance;
-
-} // namespace

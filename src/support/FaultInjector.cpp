@@ -8,9 +8,11 @@
 
 #include "support/FaultInjector.h"
 
-#include <cstdio>
+#include "support/Env.h"
+
 #include <cstdlib>
-#include <cstring>
+#include <tuple>
+#include <vector>
 
 using namespace ace;
 
@@ -54,12 +56,8 @@ static bool kindFromName(const std::string &Name, FaultKind &Out) {
 }
 
 FaultInjector::FaultInjector() {
-  if (const char *Env = std::getenv("ACE_FAULT_INJECT")) {
-    if (!configure(Env))
-      std::fprintf(stderr,
-                   "ace: ignoring malformed ACE_FAULT_INJECT spec '%s'\n",
-                   Env);
-  }
+  env::read(env::Setting::FaultInject,
+            [this](const char *Spec) { return configure(Spec); });
 }
 
 FaultInjector &FaultInjector::instance() {
@@ -116,6 +114,7 @@ size_t FaultInjector::firedCount(FaultKind Kind) const {
 }
 
 bool FaultInjector::configure(const std::string &Spec) {
+  std::vector<std::tuple<FaultKind, int, int>> Parsed;
   size_t Pos = 0;
   while (Pos < Spec.size()) {
     size_t Comma = Spec.find(',', Pos);
@@ -147,8 +146,11 @@ bool FaultInjector::configure(const std::string &Spec) {
     FaultKind Kind;
     if (!kindFromName(Name, Kind))
       return false;
-    arm(Kind, Count, Skip);
+    Parsed.emplace_back(Kind, Count, Skip);
   }
+  // Arm only a spec that parsed whole.
+  for (auto [Kind, Count, Skip] : Parsed)
+    arm(Kind, Count, Skip);
   return true;
 }
 

@@ -100,8 +100,8 @@ public:
   size_t firedCount(FaultKind Kind) const;
 
   /// Parses and arms a spec string (`kind[:count[:skip]]`, comma
-  /// separated). Returns false (arming nothing further) on a malformed
-  /// spec or unknown kind name.
+  /// separated). Returns false, arming nothing, on a malformed spec or
+  /// an unknown kind name anywhere in the list.
   bool configure(const std::string &Spec);
 
 private:

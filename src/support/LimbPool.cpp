@@ -8,9 +8,9 @@
 
 #include "support/LimbPool.h"
 
+#include "support/Env.h"
 #include "support/ResourceGovernor.h"
 
-#include <cstdlib>
 #include <cstring>
 
 namespace ace {
@@ -22,12 +22,8 @@ LimbPool &LimbPool::instance() {
   return *Pool;
 }
 
-LimbPool::LimbPool() {
-  if (const char *Env = std::getenv("ACE_LIMB_POOL")) {
-    if (std::strcmp(Env, "off") == 0 || std::strcmp(Env, "0") == 0 ||
-        std::strcmp(Env, "false") == 0)
-      Enabled.store(false, std::memory_order_relaxed);
-  }
+LimbPool::LimbPool()
+    : Enabled(env::readSwitch(env::Setting::LimbPool, /*Default=*/true)) {
   // Priority 10: the governor drains cold rotation keys (priority 0)
   // before it gives back the free lists — parked limbs are cheap to
   // refill, but the pool can still cover a shortfall on its own.

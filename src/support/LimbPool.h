@@ -55,8 +55,8 @@ struct LimbPoolStats {
 /// registry) so storages destroyed during static teardown stay valid.
 class LimbPool {
 public:
-  /// The singleton. First access resolves ACE_LIMB_POOL ("off"/"0"
-  /// disables; anything else, including unset, enables).
+  /// The singleton. First access reads ACE_LIMB_POOL (support/Env.h;
+  /// unset = on).
   static LimbPool &instance();
 
   /// True when acquires are served from the free lists. Bypass mode
@@ -94,7 +94,7 @@ private:
   LimbPool(const LimbPool &) = delete;
   LimbPool &operator=(const LimbPool &) = delete;
 
-  std::atomic<bool> Enabled{true};
+  std::atomic<bool> Enabled;
   std::atomic<uint64_t> Hits{0}, Misses{0}, Trims{0};
   std::atomic<size_t> FreeBytes{0}, InUseBytes{0};
 

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -359,36 +358,3 @@ Status MetricsRegistry::writePrometheusFile(const std::string &Path) const {
   writePrometheus(OS);
   return Status::success();
 }
-
-//===----------------------------------------------------------------------===//
-// Environment activation: ACE_METRICS=<file> enables telemetry at
-// process start (so the counters feeding the exposition actually count)
-// and dumps the Prometheus exposition to the file at exit.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::string &metricsPath() {
-  static std::string Path;
-  return Path;
-}
-
-void dumpMetricsAtExit() {
-  Status S =
-      MetricsRegistry::instance().writePrometheusFile(metricsPath());
-  if (!S.ok())
-    std::fprintf(stderr, "ace: %s\n", S.message().c_str());
-}
-
-struct MetricsEnvActivation {
-  MetricsEnvActivation() {
-    const char *Path = std::getenv("ACE_METRICS");
-    if (Path && *Path) {
-      metricsPath() = Path;
-      telemetry::Telemetry::instance().setEnabled(true);
-      std::atexit(dumpMetricsAtExit);
-    }
-  }
-} MetricsEnvActivationInstance;
-
-} // namespace

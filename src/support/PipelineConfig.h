@@ -8,7 +8,8 @@
 ///
 /// \file
 /// The packing-strategy knob of the NN->VECTOR lowering (docs/compiler.md).
-/// It resolves through one precedence chain:
+/// resolvePackingStrategy (support/Env.h) resolves it through the
+/// settings' precedence chain:
 ///
 ///   explicit CompileOptions value
 ///     > environment (ACE_PACKING)
@@ -48,15 +49,9 @@ enum class PackingStrategy {
 /// Printable strategy name ("bsgs", ...).
 const char *packingStrategyName(PackingStrategy Strategy);
 
-/// Parses a strategy spelling (auto, diag, bsgs, column); returns false
-/// on unknown input.
+/// Parses a strategy spelling (auto, diag, bsgs, column, in any case);
+/// returns false on unknown input.
 bool parsePackingStrategy(const char *Spec, PackingStrategy &Out);
-
-/// Resolves CompileOptions::Packing to a policy: an explicit (non-Auto)
-/// option wins, then ACE_PACKING (re-read on every resolve so tests can
-/// flip it), then Auto. Unknown environment values warn once and fall
-/// through; they never abort.
-PackingStrategy resolvePackingStrategy(PackingStrategy Option);
 
 } // namespace ace
 

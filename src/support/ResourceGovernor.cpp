@@ -8,11 +8,11 @@
 
 #include "support/ResourceGovernor.h"
 
+#include "support/Env.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 
 namespace ace {
@@ -50,14 +50,13 @@ ResourceGovernor &ResourceGovernor::instance() {
 ResourceGovernor::ResourceGovernor() {
   for (auto &C : Charged)
     C.store(0, std::memory_order_relaxed);
-  if (const char *Env = std::getenv("ACE_MEMORY_BUDGET")) {
+  env::read(env::Setting::MemoryBudget, [this](const char *V) {
     size_t Bytes = 0;
-    if (parseByteSize(Env, Bytes))
-      Budget.store(Bytes, std::memory_order_relaxed);
-    else
-      std::fprintf(stderr, "ace: ignoring malformed ACE_MEMORY_BUDGET '%s'\n",
-                   Env);
-  }
+    if (!parseByteSize(V, Bytes))
+      return false;
+    setBudgetBytes(Bytes);
+    return true;
+  });
 }
 
 void ResourceGovernor::setBudgetBytes(size_t Bytes) {

@@ -10,7 +10,7 @@
 /// Process-wide memory governor (see docs/memory.md). Long-lived
 /// consumers — the limb pool, per-session rotation-key caches, service
 /// sessions — charge their resident bytes against a single optional hard
-/// budget (ACE_MEMORY_BUDGET env, ServiceConfig::MemoryBudgetBytes,
+/// budget (ACE_MEMORY_BUDGET env, setBudgetBytes,
 /// ace_set_memory_budget). Admission points call admit() before growing;
 /// when a charge would exceed the budget the governor first asks
 /// registered reclaimers (key caches evict cold keys, the pool trims its
@@ -77,8 +77,8 @@ struct GovernorStats {
 /// released during static teardown stay valid.
 class ResourceGovernor {
 public:
-  /// The singleton. First access parses ACE_MEMORY_BUDGET (bytes, or
-  /// with a k/m/g suffix; 0/unset = unlimited).
+  /// The singleton. First access reads ACE_MEMORY_BUDGET through
+  /// parseByteSize (support/Env.h; 0/unset = unlimited).
   static ResourceGovernor &instance();
 
   /// Sets the hard budget in bytes; 0 means unlimited. Takes effect at

@@ -8,11 +8,11 @@
 
 #include "support/Telemetry.h"
 
+#include "support/Env.h"
 #include "support/MemTrack.h"
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -628,37 +628,8 @@ FheOpSpan::~FheOpSpan() {
   T.recordHealth(Op, NumQ, Log2Scale, NoiseBudgetBits);
 }
 
-//===----------------------------------------------------------------------===//
-// Environment activation: ACE_TRACE=<file> enables telemetry at process
-// start and writes the Chrome trace at exit; ACE_TELEMETRY=1 enables
-// collection without the exit-time file.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-std::string &tracePath() {
-  static std::string Path;
-  return Path;
-}
-
-void flushTraceAtExit() {
-  Status S = Telemetry::instance().writeChromeTraceFile(tracePath());
-  if (!S.ok())
-    std::fprintf(stderr, "ace: %s\n", S.message().c_str());
-}
-
-struct EnvActivation {
-  EnvActivation() {
-    const char *Trace = std::getenv("ACE_TRACE");
-    if (Trace && *Trace) {
-      tracePath() = Trace;
-      Telemetry::instance().setEnabled(true);
-      std::atexit(flushTraceAtExit);
-    }
-    const char *Collect = std::getenv("ACE_TELEMETRY");
-    if (Collect && *Collect && *Collect != '0')
-      Telemetry::instance().setEnabled(true);
-  }
-} EnvActivationInstance;
-
-} // namespace
+// The one initializer of the process-start settings (support/Env.h). It
+// sits here because every runtime binary links this file:
+// telemetry::enabled() reads its flag.
+[[maybe_unused]] static const bool StartupSettingsApplied =
+    (env::applyStartupSettings(), true);

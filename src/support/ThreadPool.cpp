@@ -8,12 +8,12 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/Env.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -37,18 +37,6 @@ struct TaskFlagScope {
 };
 
 } // namespace
-
-size_t ace::threadCountFromSpec(const char *Spec) {
-  if (!Spec || !*Spec)
-    return 1;
-  char *End = nullptr;
-  long V = std::strtol(Spec, &End, 10);
-  if (End == Spec || *End != '\0' || V <= 0)
-    return 1;
-  if (V > 256)
-    return 256;
-  return static_cast<size_t>(V);
-}
 
 struct ThreadPool::Impl {
   /// One parallelFor invocation. Geometry is immutable after
@@ -144,7 +132,7 @@ struct ThreadPool::Impl {
 };
 
 ThreadPool::ThreadPool() : P(std::make_unique<Impl>()) {
-  P->NumThreads = threadCountFromSpec(std::getenv("ACE_THREADS"));
+  P->NumThreads = env::threadCount();
 }
 
 ThreadPool::~ThreadPool() { P->stopWorkers(); }
@@ -180,7 +168,7 @@ Status ThreadPool::setNumThreads(size_t N) {
         "cannot join its own workers (reconfigure from a quiescent "
         "point instead)");
   if (N == 0)
-    N = threadCountFromSpec(std::getenv("ACE_THREADS"));
+    N = env::threadCount();
   std::lock_guard<std::mutex> RunLock(P->RunMutex);
   P->stopWorkers();
   std::lock_guard<std::mutex> Lock(P->Mutex);

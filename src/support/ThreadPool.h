@@ -54,11 +54,6 @@
 
 namespace ace {
 
-/// Parses a thread-count spec (the ACE_THREADS value): returns the count
-/// for a positive integer, 1 for null/empty/invalid/zero/negative input.
-/// Counts above 256 clamp to 256.
-size_t threadCountFromSpec(const char *Spec);
-
 /// The process-wide worker pool. All methods are safe to call from the
 /// main thread; parallelFor is additionally safe (and serial) from
 /// within a worker.

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 using namespace ace;
 
@@ -25,6 +26,16 @@ namespace {
 bool fileExists(const std::string &Path) {
   std::ifstream F(Path);
   return F.good();
+}
+
+/// The "logit[k] = v" lines a generated program printed to \p Path.
+std::vector<std::string> logitLines(const std::string &Path) {
+  std::ifstream Out(Path);
+  std::vector<std::string> Lines;
+  for (std::string Line; std::getline(Out, Line);)
+    if (Line.rfind("logit[", 0) == 0)
+      Lines.push_back(Line);
+  return Lines;
 }
 
 TEST(GeneratedCTest, CompilesAndRuns) {
@@ -77,21 +88,25 @@ TEST(GeneratedCTest, CompilesAndRuns) {
   ASSERT_EQ(std::system("/tmp/ace_gen_bin > /tmp/ace_gen.out"), 0);
 
   // Zero input -> logits equal the biases, up to encryption noise.
-  std::ifstream Out("/tmp/ace_gen.out");
   const auto &Bias = M.MainGraph.Initializers.at("output.b");
-  std::string Line;
-  int Checked = 0;
-  while (std::getline(Out, Line)) {
+  std::vector<std::string> Logits = logitLines("/tmp/ace_gen.out");
+  for (const std::string &Line : Logits) {
     int K = -1;
     double V = 0;
-    if (std::sscanf(Line.c_str(), "logit[%d] = %lf", &K, &V) == 2) {
-      ASSERT_GE(K, 0);
-      ASSERT_LT(K, 10);
-      EXPECT_NEAR(V, Bias.Values[K], 1e-3) << Line;
-      ++Checked;
-    }
+    ASSERT_EQ(std::sscanf(Line.c_str(), "logit[%d] = %lf", &K, &V), 2);
+    ASSERT_GE(K, 0);
+    ASSERT_LT(K, 10);
+    EXPECT_NEAR(V, Bias.Values[K], 1e-3) << Line;
   }
-  EXPECT_EQ(Checked, 10);
+  EXPECT_EQ(Logits.size(), 10u);
+
+  // The runtime alone reads ACE_THREADS: a malformed value warns, runs
+  // serially and, by the pool's determinism contract, prints the same
+  // logits bit for bit.
+  ASSERT_EQ(std::system("ACE_THREADS=-2 /tmp/ace_gen_bin > "
+                        "/tmp/ace_gen_threads.out 2> /tmp/ace_gen_threads.err"),
+            0);
+  EXPECT_EQ(logitLines("/tmp/ace_gen_threads.out"), Logits);
 }
 
 } // namespace

@@ -699,9 +699,9 @@ TEST_F(InferenceServiceTest, ClosingSessionsReleasesKeyCacheCharges) {
 /// future), and raising the budget restores service on the same frame.
 TEST_F(InferenceServiceTest, TightBudgetShedsRequestsInBand) {
   size_t SavedBudget = ResourceGovernor::instance().budgetBytes();
-  ServiceConfig Cfg;
-  Cfg.MemoryBudgetBytes = 1 << 20; // far below the session working set
-  InferenceService Svc(Compiled->Program, Compiled->State, Cfg);
+  // Far below the session working set.
+  ResourceGovernor::instance().setBudgetBytes(1 << 20);
+  InferenceService Svc(Compiled->Program, Compiled->State);
   auto Sid = Svc.openSession();
   ASSERT_TRUE(Sid.ok()) << Sid.status().message();
   auto Frame = Svc.encryptRequest(*Sid, makeInput(22));

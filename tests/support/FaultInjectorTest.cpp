@@ -90,6 +90,9 @@ TEST_F(FaultInjectorTest, ConfigureRejectsMalformedSpecs) {
   EXPECT_FALSE(FI.configure("no-such-fault"));
   EXPECT_FALSE(FI.configure("scale-drift:banana"));
   EXPECT_FALSE(FI.configure("scale-drift:1:2:3"));
+  // A list with one bad item arms none of its good ones.
+  EXPECT_FALSE(FI.configure("scale-drift,bogus"));
+  EXPECT_FALSE(FI.shouldFire(FaultKind::ScaleDrift));
   // An empty spec is well-formed: it arms nothing.
   EXPECT_TRUE(FI.configure(""));
   EXPECT_FALSE(FI.enabled());

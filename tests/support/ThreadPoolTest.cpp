@@ -6,12 +6,12 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/Env.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -28,17 +28,6 @@ protected:
   void TearDown() override { ThreadPool::instance().setNumThreads(0); }
 };
 
-TEST_F(ThreadPoolTest, SpecParsing) {
-  EXPECT_EQ(threadCountFromSpec(nullptr), 1u);
-  EXPECT_EQ(threadCountFromSpec(""), 1u);
-  EXPECT_EQ(threadCountFromSpec("not-a-number"), 1u);
-  EXPECT_EQ(threadCountFromSpec("0"), 1u);
-  EXPECT_EQ(threadCountFromSpec("-4"), 1u);
-  EXPECT_EQ(threadCountFromSpec("1"), 1u);
-  EXPECT_EQ(threadCountFromSpec("8"), 8u);
-  EXPECT_EQ(threadCountFromSpec("999999"), 256u); // clamp
-}
-
 TEST_F(ThreadPoolTest, ReconfigurationRoundTrip) {
   ThreadPool &Pool = ThreadPool::instance();
   Pool.setNumThreads(5);
@@ -47,7 +36,7 @@ TEST_F(ThreadPoolTest, ReconfigurationRoundTrip) {
   EXPECT_EQ(Pool.numThreads(), 1u);
   // 0 re-reads the environment default.
   Pool.setNumThreads(0);
-  EXPECT_EQ(Pool.numThreads(), threadCountFromSpec(getenv("ACE_THREADS")));
+  EXPECT_EQ(Pool.numThreads(), env::threadCount());
 }
 
 /// parallelFor must call Fn(I) exactly once per index, whatever the
