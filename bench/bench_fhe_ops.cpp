@@ -37,7 +37,10 @@ struct Fixture {
   Ciphertext CtA, CtB;
   Plaintext Pt;
 
-  explicit Fixture(size_t N, bool WithBootstrap = false) {
+  explicit Fixture(size_t N, bool WithBootstrap = false)
+      : Fixture(defaultParams(N, WithBootstrap), WithBootstrap) {}
+
+  static CkksParams defaultParams(size_t N, bool WithBootstrap) {
     CkksParams P;
     P.RingDegree = N;
     P.Slots = N / 2;
@@ -47,6 +50,10 @@ struct Fixture {
     P.LogSpecialModulus = 60;
     P.SparseSecret = WithBootstrap;
     P.Seed = 5;
+    return P;
+  }
+
+  explicit Fixture(const CkksParams &P, bool WithBootstrap = false) {
     Ctx = std::make_unique<Context>(P);
     Enc = std::make_unique<Encoder>(*Ctx);
     Gen = std::make_unique<KeyGenerator>(*Ctx);
@@ -151,6 +158,41 @@ BENCHMARK(BM_RotateBatchHoisted)
     ->Arg(1024)
     ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+
+// One key switch (a rotation: ModUp, inner product, ModDown, plus the
+// automorphism of c0) at the contract MLP's geometry - N = 128, the
+// 37-prime chain (q_0 of 55 bits, 45-bit rescale primes, 60-bit special
+// primes) - at 4, 19 and 37 active primes. The hybrid digit rule
+// (Context.h, keySwitchShape) was chosen on these rows: see
+// EXPERIMENTS.md.
+void BM_KeySwitchByLevel(benchmark::State &State) {
+  static std::unique_ptr<Fixture> F = [] {
+    CkksParams P;
+    P.RingDegree = 128;
+    P.Slots = 64;
+    P.LogScale = 45;
+    P.LogFirstModulus = 55;
+    P.NumRescaleModuli = 36;
+    P.LogSpecialModulus = 60;
+    P.SparseSecret = true;
+    P.Seed = 5;
+    auto Fix = std::make_unique<Fixture>(P);
+    Fix->Gen->fillEvalKeys(Fix->Keys, {1}, /*NeedRelin=*/false,
+                           /*NeedConjugate=*/false);
+    return Fix;
+  }();
+  Ciphertext Ct = F->CtA;
+  F->Eval->modSwitchTo(Ct, static_cast<size_t>(State.range(0)));
+  for (auto _ : State)
+    benchmark::DoNotOptimize(F->Eval->rotate(Ct, 1));
+  State.counters["digits"] = static_cast<double>(
+      F->Ctx->keySwitch().digits(Ct.numQ()));
+}
+BENCHMARK(BM_KeySwitchByLevel)
+    ->Arg(4)
+    ->Arg(19)
+    ->Arg(37)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Rescale(benchmark::State &State) {
   Fixture F(State.range(0));

@@ -283,14 +283,21 @@ Ciphertext Bootstrapper::modRaise(const Ciphertext &Ct, size_t NumQ) const {
     RnsPoly Raised(Ctx, NumQ, /*HasSpecial=*/false, /*NttForm=*/false);
     parallelFor(0, NumQ, [&](size_t C) {
       uint64_t Q = Ctx.qModulus(C);
+      const Barrett &Red = Ctx.barrett(C);
+      // Magnitudes are below q0; one conditional subtraction reduces them
+      // when q0 < 2q, Barrett otherwise.
+      bool OneSubtraction = Q0 < 2 * Q;
+      auto Reduce = [&](uint64_t V) {
+        return OneSubtraction ? (V >= Q ? V - Q : V) : Red.reduce(V);
+      };
       uint64_t *Dst = Raised.component(C);
       for (size_t K = 0; K < N; ++K) {
         uint64_t V = Src[K];
         // Centered lift: values above q0/2 represent negatives.
         if (V <= Q0 / 2)
-          Dst[K] = V % Q;
+          Dst[K] = Reduce(V);
         else
-          Dst[K] = negMod((Q0 - V) % Q, Q);
+          Dst[K] = negMod(Reduce(Q0 - V), Q);
       }
     });
     Raised.toNtt();

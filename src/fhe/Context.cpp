@@ -11,6 +11,7 @@
 #include "fhe/ModArith.h"
 #include "fhe/PolyBackend.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -33,7 +34,65 @@ bool CkksParams::valid() const {
   return true;
 }
 
-Context::Context(const CkksParams &P) : Params(P) {
+KeySwitchShape ace::fhe::keySwitchShape(const CkksParams &P) {
+  constexpr size_t MaxDigits = 3;
+  size_t L = 1 + static_cast<size_t>(std::max(P.NumRescaleModuli, 0));
+  KeySwitchShape S;
+  S.DigitSize = (L + MaxDigits - 1) / MaxDigits;
+  // Nominal digit widths: the first digit holds q_0, later digits hold
+  // only rescale primes.
+  int Alpha = static_cast<int>(S.DigitSize);
+  int FirstDigitBits = P.LogFirstModulus +
+                       (std::min(Alpha, static_cast<int>(L)) - 1) * P.LogScale;
+  int MaxDigitBits = L > S.DigitSize
+                         ? std::max(FirstDigitBits, Alpha * P.LogScale)
+                         : FirstDigitBits;
+  // floor(log2(alpha)) + 1 bits of margin keep P above alpha times a
+  // digit product even where nominal widths round down (the raised digit
+  // is centered, so it stays far below). One prime per digit needs none.
+  int Margin = 0;
+  while (Alpha > 1 && (1 << Margin) <= Alpha)
+    ++Margin;
+  int Need = MaxDigitBits + Margin;
+  S.NumSpecial = static_cast<size_t>(
+      std::max(1, (Need + P.LogSpecialModulus - 1) / P.LogSpecialModulus));
+  return S;
+}
+
+/// Builds the fast-basis-conversion constants from the consecutive
+/// sources Moduli[First, First + Count) into every modulus of \p Moduli.
+/// Hats come from prefix/suffix products, O(Count) per target.
+static BasisConversion makeConversion(const std::vector<uint64_t> &Moduli,
+                                      size_t First, size_t Count) {
+  assert(Count >= 1 && Count <= 31 &&
+         "basis conversion sums must stay below 2^127 (see Barrett)");
+  BasisConversion Conv;
+  Conv.FirstSource = First;
+  Conv.NumSources = Count;
+  Conv.HatMod.resize(Moduli.size() * Count);
+  std::vector<uint64_t> Prefix(Count + 1), Suffix(Count + 1);
+  for (size_t T = 0; T < Moduli.size(); ++T) {
+    uint64_t M = Moduli[T];
+    Prefix[0] = Suffix[Count] = 1 % M;
+    for (size_t I = 0; I < Count; ++I)
+      Prefix[I + 1] = mulMod(Prefix[I], Moduli[First + I] % M, M);
+    for (size_t I = Count; I-- > 0;)
+      Suffix[I] = mulMod(Suffix[I + 1], Moduli[First + I] % M, M);
+    for (size_t I = 0; I < Count; ++I)
+      Conv.HatMod[T * Count + I] = mulMod(Prefix[I], Suffix[I + 1], M);
+    Conv.NegProductMod.push_back(negMod(Prefix[Count], M));
+  }
+  for (size_t I = 0; I < Count; ++I) {
+    uint64_t M = Moduli[First + I];
+    uint64_t Inv = invMod(Conv.HatMod[(First + I) * Count + I], M);
+    Conv.InvHat.push_back(Inv);
+    Conv.InvHatShoup.push_back(shoupPrecompute(Inv, M));
+    Conv.InvSource.push_back(1.0 / static_cast<double>(M));
+  }
+  return Conv;
+}
+
+Context::Context(const CkksParams &P) : Params(P), Shape(keySwitchShape(P)) {
   assert(P.valid() && "invalid CKKS parameters");
   // Pin the poly-ops backend now (CPUID probe + ACE_POLY_BACKEND
   // resolution, docs/kernels.md): the choice is per-process and must be
@@ -41,8 +100,8 @@ Context::Context(const CkksParams &P) : Params(P) {
   (void)activePolyBackend();
   uint64_t TwoN = 2 * P.RingDegree;
 
-  // Build the chain: one q_0 prime, NumRescaleModuli rescale primes, one
-  // special prime. Primes of equal bit width must be distinct, so each
+  // Build the chain: one q_0 prime, NumRescaleModuli rescale primes, the
+  // special primes. Primes of equal bit width must be distinct, so each
   // generation round excludes everything chosen so far.
   std::vector<uint64_t> Exclude;
   auto Take = [&](int Bits, size_t Count) {
@@ -60,11 +119,14 @@ Context::Context(const CkksParams &P) : Params(P) {
     Exclude.insert(Exclude.end(), Rescale.begin(), Rescale.end());
     QModuli.insert(QModuli.end(), Rescale.begin(), Rescale.end());
   }
-  SpecialPrime = Take(P.LogSpecialModulus, 1)[0];
+  SpecialModuli = Take(P.LogSpecialModulus, Shape.NumSpecial);
 
-  for (uint64_t Q : QModuli)
-    NttTables.push_back(std::make_unique<NttTable>(P.RingDegree, Q));
-  NttTables.push_back(std::make_unique<NttTable>(P.RingDegree, SpecialPrime));
+  std::vector<uint64_t> Moduli = QModuli;
+  Moduli.insert(Moduli.end(), SpecialModuli.begin(), SpecialModuli.end());
+  for (uint64_t M : Moduli) {
+    NttTables.push_back(std::make_unique<NttTable>(P.RingDegree, M));
+    Reducers.emplace_back(M);
+  }
 
   // Rescale precomputation: inv(q_l) mod q_j for every (l, j < l).
   size_t L = QModuli.size();
@@ -76,11 +138,50 @@ Context::Context(const CkksParams &P) : Params(P) {
           invMod(QModuli[Last] % QModuli[J], QModuli[J]);
   }
 
-  InvSpecialModQ.resize(L);
-  for (size_t J = 0; J < L; ++J)
-    InvSpecialModQ[J] = invMod(SpecialPrime % QModuli[J], QModuli[J]);
+  PModQ.resize(L);
+  InvPModQ.resize(L);
+  for (size_t J = 0; J < L; ++J) {
+    uint64_t Q = QModuli[J];
+    uint64_t Prod = 1;
+    for (uint64_t Special : SpecialModuli)
+      Prod = mulMod(Prod, Special % Q, Q);
+    PModQ[J] = Prod;
+    InvPModQ[J] = invMod(Prod, Q);
+  }
+
+  // Hybrid key switching: one ModUp conversion per (digit, active size),
+  // because the last digit of a truncated level is partial, and one
+  // ModDown conversion out of the special primes.
+  size_t Alpha = Shape.DigitSize;
+  ModUpConversions.resize(Shape.digits(L));
+  for (size_t Digit = 0; Digit < ModUpConversions.size(); ++Digit) {
+    size_t First = Digit * Alpha;
+    for (size_t Size = 1; Size <= std::min(Alpha, L - First); ++Size)
+      ModUpConversions[Digit].push_back(makeConversion(Moduli, First, Size));
+  }
+  ModDown = makeConversion(Moduli, L, SpecialModuli.size());
+#ifndef NDEBUG
+  // The nominal widths keySwitchShape counts must bound the real primes:
+  // P exceeds DigitSize times every multi-prime digit product.
+  double LogP = 0.0;
+  for (uint64_t Special : SpecialModuli)
+    LogP += std::log2(static_cast<double>(Special));
+  for (size_t First = 0; Alpha > 1 && First < L; First += Alpha) {
+    double LogDigit = std::log2(static_cast<double>(Alpha));
+    for (size_t I = First; I < std::min(First + Alpha, L); ++I)
+      LogDigit += std::log2(static_cast<double>(QModuli[I]));
+    assert(LogP > LogDigit && "special primes too small for the digits");
+  }
+#endif
 
   Scale = std::ldexp(1.0, P.LogScale);
+}
+
+size_t Context::switchKeyBytes(size_t NumQ) const {
+  if (NumQ == 0 || NumQ > chainLength())
+    NumQ = chainLength();
+  return Shape.digits(NumQ) * 2 * (NumQ + numSpecial()) *
+         bytesPerComponent();
 }
 
 /// Reverses the low \p Bits bits of \p X.

@@ -110,10 +110,17 @@ static Status checkedEntry(const Context &Ctx, const char *What,
   return Status::success();
 }
 
+/// A switch key's truncation level for KeyMissing diagnostics, e.g.
+/// "6 chain primes (2 digits)".
+static std::string keyLevel(const SwitchKey &Key) {
+  return std::to_string(Key.numQ()) + " chain primes (" +
+         std::to_string(Key.Parts.size()) + " digits)";
+}
+
 Evaluator::Evaluator(const Context &Ctx, const Encoder &Enc,
                      const EvalKeys &Keys, RotationKeyCache *KeyCache)
     : Ctx(Ctx), Enc(Enc), Keys(Keys), KeyCache(KeyCache) {
-  MonomialNtt.resize(Ctx.chainLength() + 1);
+  MonomialNtt.resize(Ctx.chainLength() + Ctx.numSpecial());
 }
 
 bool Evaluator::hasGaloisKey(uint64_t Galois) const {
@@ -154,11 +161,11 @@ Status Evaluator::materializeGaloisKey(
   const SwitchKey *Key = galoisKeyFor(Galois, Hold, &WhyNot);
   if (!Key)
     return WhyNot; // KeyMissing, or ResourceExhausted from lazy keygen
-  if (Key->Parts.size() < MinNumQ)
+  if (!Key->covers(MinNumQ))
     return Status::keyMissing(
         "switch key for Galois element " + std::to_string(Galois) +
-        " truncated to " + std::to_string(Key->Parts.size()) +
-        " digits but " + std::to_string(MinNumQ) + " are required");
+        " truncated to " + keyLevel(*Key) + " but " +
+        std::to_string(MinNumQ) + " primes are required");
   if (Hold)
     Pins.push_back(std::move(Hold));
   return Status::success();
@@ -423,41 +430,139 @@ Ciphertext Evaluator::mulByI(const Ciphertext &A) const {
 // Key switching
 //===----------------------------------------------------------------------===//
 
+/// The multiples of the source product M that make a basis conversion
+/// exact and centered (BasisConversion): V[J] = round(sum_i Src[i * N + J]
+/// / m_i) over source rows already multiplied by their inverse hats. A
+/// double is enough: it can misround only within ~2^-44 of a half, where
+/// the result is still a representative below M in magnitude.
+static void centeringMultiples(const uint64_t *Src,
+                               const BasisConversion &Conv, uint64_t *V,
+                               size_t N) {
+  // Residues are below 2^61, so the signed conversion (one instruction)
+  // is exact to double precision.
+  for (size_t J = 0; J < N; ++J) {
+    double Sum = 0.0;
+    for (size_t I = 0; I < Conv.NumSources; ++I)
+      Sum += static_cast<double>(static_cast<int64_t>(Src[I * N + J])) *
+             Conv.InvSource[I];
+    V[J] = static_cast<uint64_t>(Sum + 0.5);
+  }
+}
+
+/// One target limb of a basis conversion: Dst[J] = sum_i Src[i * N + J]
+/// * Hats[i] + V[J] * NegM mod the target, where the source rows are
+/// coefficient-domain residues already multiplied by their inverse hats,
+/// V are the centering multiples (null for one source, where the sum is
+/// already exact) and NegM is -M mod the target. The sum stays below
+/// 2^127 (at most 32 products of values below 2^61, see makeConversion),
+/// so one Barrett reduction finishes it.
+static void convertLimb(const uint64_t *Src, const uint64_t *Hats,
+                        size_t NumSources, const Barrett &Red, uint64_t *Dst,
+                        size_t N, const uint64_t *V, uint64_t NegM) {
+  // Blocks of coefficients with one 128-bit accumulator each, filled
+  // four source rows per pass: the products are independent of each
+  // other, and each accumulator is loaded and stored once per pass.
+  using U128 = unsigned __int128;
+  constexpr size_t Block = 64;
+  U128 Acc[Block];
+  for (size_t J0 = 0; J0 < N; J0 += Block) {
+    size_t Len = std::min(Block, N - J0);
+    for (size_t J = 0; J < Len; ++J)
+      Acc[J] = V ? static_cast<U128>(V[J0 + J]) * NegM : 0;
+    size_t I = 0;
+    for (; I + 4 <= NumSources; I += 4) {
+      const uint64_t *R0 = Src + I * N + J0;
+      const uint64_t *R1 = R0 + N, *R2 = R1 + N, *R3 = R2 + N;
+      uint64_t H0 = Hats[I], H1 = Hats[I + 1], H2 = Hats[I + 2],
+               H3 = Hats[I + 3];
+      for (size_t J = 0; J < Len; ++J)
+        Acc[J] += static_cast<U128>(R0[J]) * H0 +
+                  static_cast<U128>(R1[J]) * H1 +
+                  static_cast<U128>(R2[J]) * H2 +
+                  static_cast<U128>(R3[J]) * H3;
+    }
+    for (; I < NumSources; ++I) {
+      const uint64_t *Row = Src + I * N + J0;
+      for (size_t J = 0; J < Len; ++J)
+        Acc[J] += static_cast<U128>(Row[J]) * Hats[I];
+    }
+    for (size_t J = 0; J < Len; ++J)
+      Dst[J0 + J] = Red.reduce128(Acc[J]);
+  }
+}
+
 HoistedDecomposition Evaluator::decomposeNtt(const RnsPoly &D) const {
-  assert(!D.isNtt() && !D.hasSpecial() &&
-         "decomposeNtt input must be coeff-domain without special component");
+  assert(D.isNtt() && !D.hasSpecial() &&
+         "decomposeNtt input must be NTT-domain without special components");
   size_t L = D.numQ();
   size_t N = Ctx.degree();
+  size_t Alpha = Ctx.keySwitch().DigitSize;
+  size_t NumDigits = Ctx.keySwitch().digits(L);
   // One ModUp = the full digit decomposition; this is the unit of work
   // hoisted rotation batches share (one per batch instead of one per
   // rotation), so the counter pair below is what the differential tests
   // and EXPERIMENTS.md use to prove the amortization.
   countOp(telemetry::Counter::ModUp);
-  countOp(telemetry::Counter::KeySwitchDigit, L);
+  countOp(telemetry::Counter::KeySwitchDigit, NumDigits);
+  auto DigitSizeOf = [&](size_t Digit) {
+    return std::min(Alpha, L - Digit * Alpha);
+  };
+
+  // Conversion sources: every limb in coefficient form, times its
+  // inverse hat within its digit ([x_i * (Q_j / q_i)^{-1}]_{q_i}).
+  RnsPoly Y(Ctx, L, /*HasSpecial=*/false, /*NttForm=*/false);
+  const PolyBackend &B = activePolyBackend();
+  parallelFor(0, L, [&](size_t I) {
+    uint64_t *Limb = Y.component(I);
+    std::copy(D.component(I), D.component(I) + N, Limb);
+    Ctx.nttTable(I).inverse(Limb);
+    size_t Digit = I / Alpha;
+    const BasisConversion &Conv =
+        Ctx.modUpConversion(Digit, DigitSizeOf(Digit));
+    size_t Src = I - Conv.FirstSource;
+    if (Conv.InvHat[Src] != 1)
+      B.scalarMul(Limb, Conv.InvHat[Src], Conv.InvHatShoup[Src], N,
+                  Ctx.qModulus(I));
+  });
+
+  // Centering multiples per multi-prime digit: each digit is raised as
+  // its representative in (-Q_j/2, Q_j/2].
+  std::vector<uint64_t> Centering(NumDigits * N);
+  parallelFor(0, NumDigits, [&](size_t Digit) {
+    const BasisConversion &Conv =
+        Ctx.modUpConversion(Digit, DigitSizeOf(Digit));
+    if (Conv.NumSources > 1)
+      centeringMultiples(Y.component(Conv.FirstSource), Conv,
+                         Centering.data() + Digit * N, N);
+  });
 
   HoistedDecomposition Dec;
   Dec.NumQ = L;
-  Dec.Digits.assign(L, RnsPoly(Ctx, L, /*HasSpecial=*/true,
-                               /*NttForm=*/true));
-  size_t NumComp = L + 1; // L chain primes + special
-  // Fully parallel over (digit, component) pairs: each pair lifts the
-  // digit residues (integers in [0, q_digit)) into the component's
-  // modulus and transforms that component in place. Every pair writes a
-  // disjoint slice, so the result is bit-identical at any thread count.
-  parallelFor(0, L * NumComp, [&](size_t Idx) {
+  Dec.Digits.assign(NumDigits, RnsPoly(Ctx, L, /*HasSpecial=*/true,
+                                       /*NttForm=*/true));
+  size_t NumComp = L + Ctx.numSpecial();
+  // Fully parallel over (digit, component) pairs. A digit is congruent to
+  // D modulo its own primes, so those limbs are copied from the NTT-form
+  // input; every other component is a basis conversion plus one forward
+  // NTT. Every pair writes a disjoint slice, so the result is
+  // bit-identical at any thread count.
+  parallelFor(0, NumDigits * NumComp, [&](size_t Idx) {
     size_t Digit = Idx / NumComp;
     size_t C = Idx % NumComp;
     RnsPoly &E = Dec.Digits[Digit];
-    const uint64_t *Src = D.component(Digit);
-    uint64_t M = E.modulus(C);
+    const BasisConversion &Conv =
+        Ctx.modUpConversion(Digit, DigitSizeOf(Digit));
     uint64_t *Dst = E.component(C);
-    if (M == Ctx.qModulus(Digit)) {
-      std::copy(Src, Src + N, Dst);
-    } else {
-      for (size_t J = 0; J < N; ++J)
-        Dst[J] = Src[J] % M;
+    if (C >= Conv.FirstSource && C < Conv.FirstSource + Conv.NumSources) {
+      std::copy(D.component(C), D.component(C) + N, Dst);
+      return;
     }
-    Ctx.nttTable(E.modIndex(C)).forward(Dst);
+    size_t Target = E.modIndex(C);
+    convertLimb(Y.component(Conv.FirstSource), Conv.hatsFor(Target),
+                Conv.NumSources, Ctx.barrett(Target), Dst, N,
+                Conv.NumSources > 1 ? Centering.data() + Digit * N : nullptr,
+                Conv.NegProductMod[Target]);
+    Ctx.nttTable(Target).forward(Dst);
   });
   return Dec;
 }
@@ -467,11 +572,11 @@ void Evaluator::hoistedInnerProduct(const HoistedDecomposition &Dec,
                                     RnsPoly &Acc0, RnsPoly &Acc1) const {
   size_t L = Dec.NumQ;
   size_t N = Ctx.degree();
-  assert(Key.Parts.size() >= L &&
+  assert(Key.covers(L) &&
          "switch key truncated below this ciphertext's level");
-  // Keys may be truncated to fewer digits than the full chain; their
-  // special component sits right after their chain components.
-  size_t KeySpecial = Key.Parts[0].first.numQ();
+  // Keys may be truncated below the full chain; their special components
+  // sit right after their chain components.
+  size_t KeyNumQ = Key.numQ();
   // The automorphism acts on every lifted digit as the same NTT-domain
   // index permutation, so instead of materializing rotated digits the
   // accumulation gathers through the permutation table (identity when
@@ -482,18 +587,17 @@ void Evaluator::hoistedInnerProduct(const HoistedDecomposition &Dec,
   Acc0 = RnsPoly(Ctx, L, /*HasSpecial=*/true, /*NttForm=*/true);
   Acc1 = RnsPoly(Ctx, L, /*HasSpecial=*/true, /*NttForm=*/true);
   const PolyBackend &B = activePolyBackend();
-  parallelFor(0, L + 1, [&](size_t C) {
-    // Chain prime c maps to key component c, the special prime to the
-    // key's own special slot. Digits accumulate in ascending order so
+  parallelFor(0, Acc0.numComponents(), [&](size_t C) {
+    // Chain prime c maps to key component c, special prime k to the
+    // key's own special slot k. Digits accumulate in ascending order so
     // each residue sees exactly the serial code's value; within a digit
-    // the two backend mulAcc calls touch disjoint accumulators, so the
-    // values also match the old interleaved loop element-for-element.
-    size_t KeyComp = (C == L) ? KeySpecial : C;
+    // the two backend mulAcc calls touch disjoint accumulators.
+    size_t KeyComp = C < L ? C : KeyNumQ + (C - L);
     uint64_t Q = Acc0.modulus(C);
     uint64_t *A0 = Acc0.component(C);
     uint64_t *A1 = Acc1.component(C);
     std::vector<uint64_t> Gather(Perm ? N : 0);
-    for (size_t Digit = 0; Digit < L; ++Digit) {
+    for (size_t Digit = 0; Digit < Dec.Digits.size(); ++Digit) {
       const uint64_t *X = Dec.Digits[Digit].component(C);
       const uint64_t *K0 = Key.Parts[Digit].first.component(KeyComp);
       const uint64_t *K1 = Key.Parts[Digit].second.component(KeyComp);
@@ -511,21 +615,35 @@ void Evaluator::hoistedInnerProduct(const HoistedDecomposition &Dec,
 }
 
 RnsPoly Evaluator::modDown(const RnsPoly &Acc) const {
-  // Divide by the special prime P: out = round(acc / P), computed as
-  // (acc - [acc]_P) * P^{-1} per chain prime, in parallel over chain
-  // primes (each writes only its own output limb).
+  // Divide by the special-prime product P: out = (acc - [acc]_P) * P^{-1}
+  // per chain prime, with [acc]_P carried out of the special limbs by the
+  // exact conversion. Centered (K > 1), that is round(acc / P); one
+  // special prime keeps the floor. Parallel over chain primes; each
+  // writes only its own output limb.
   size_t L = Acc.numQ();
+  size_t K = Ctx.numSpecial();
   size_t N = Ctx.degree();
-  std::vector<uint64_t> SpecialCoeffs(Acc.component(L),
-                                      Acc.component(L) + N);
-  Ctx.nttTable(Ctx.specialIndex()).inverse(SpecialCoeffs.data());
+  const BasisConversion &Conv = Ctx.modDownConversion();
+  std::vector<uint64_t> Special(Acc.component(L), Acc.component(L) + K * N);
+  const PolyBackend &B = activePolyBackend();
+  for (size_t I = 0; I < K; ++I) {
+    uint64_t *Limb = Special.data() + I * N;
+    Ctx.nttTable(Ctx.specialIndex(I)).inverse(Limb);
+    if (Conv.InvHat[I] != 1)
+      B.scalarMul(Limb, Conv.InvHat[I], Conv.InvHatShoup[I], N,
+                  Ctx.specialModulus(I));
+  }
+  std::vector<uint64_t> Centering(K > 1 ? N : 0);
+  if (K > 1)
+    centeringMultiples(Special.data(), Conv, Centering.data(), N);
 
   RnsPoly Out(Ctx, L, /*HasSpecial=*/false, /*NttForm=*/true);
   parallelFor(0, L, [&](size_t C) {
     uint64_t Q = Ctx.qModulus(C);
     std::vector<uint64_t> Tmp(N);
-    for (size_t J = 0; J < N; ++J)
-      Tmp[J] = SpecialCoeffs[J] % Q;
+    convertLimb(Special.data(), Conv.hatsFor(C), K, Ctx.barrett(C),
+                Tmp.data(), N, K > 1 ? Centering.data() : nullptr,
+                Conv.NegProductMod[C]);
     Ctx.nttTable(C).forward(Tmp.data());
     uint64_t InvP = Ctx.invSpecialModQ(C);
     uint64_t InvPShoup = shoupPrecompute(InvP, Q);
@@ -539,9 +657,9 @@ RnsPoly Evaluator::modDown(const RnsPoly &Acc) const {
 
 std::pair<RnsPoly, RnsPoly> Evaluator::switchKey(const RnsPoly &D,
                                                  const SwitchKey &Key) const {
-  assert(!D.isNtt() && !D.hasSpecial() &&
-         "switchKey input must be coeff-domain without special component");
-  assert(Key.Parts.size() >= D.numQ() &&
+  assert(D.isNtt() && !D.hasSpecial() &&
+         "switchKey input must be NTT-domain without special components");
+  assert(Key.covers(D.numQ()) &&
          "switch key truncated below this ciphertext's level");
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
@@ -562,9 +680,7 @@ Ciphertext Evaluator::relinearize(const Ciphertext &A) const {
     Span.begin(telemetry::Counter::Relinearize, A.numQ(), A.Scale,
                noiseBudgetBits(A));
 
-  RnsPoly D = A.Polys[2];
-  D.toCoeff();
-  auto [D0, D1] = switchKey(D, Keys.Relin);
+  auto [D0, D1] = switchKey(A.Polys[2], Keys.Relin);
 
   Ciphertext R;
   R.Scale = A.Scale;
@@ -598,7 +714,7 @@ Ciphertext Evaluator::applyGaloisHoisted(
 Ciphertext Evaluator::applyGalois(const Ciphertext &A, uint64_t Galois,
                                   const SwitchKey &Key) const {
   assert(A.size() == 2 && "relinearize before applying automorphisms");
-  assert(Key.Parts.size() >= A.numQ() &&
+  assert(Key.covers(A.numQ()) &&
          "switch key truncated below this ciphertext's level");
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
@@ -609,9 +725,7 @@ Ciphertext Evaluator::applyGalois(const Ciphertext &A, uint64_t Galois,
   // automorphism inside the decomposed digit domain. A hoisted batch of
   // one -- which is what makes rotate() bit-identical to rotateHoisted()
   // (both run exactly this arithmetic on the same decomposition).
-  RnsPoly C1 = A.Polys[1];
-  C1.toCoeff();
-  HoistedDecomposition Dec = decomposeNtt(C1);
+  HoistedDecomposition Dec = decomposeNtt(A.Polys[1]);
   return applyGaloisHoisted(A, Galois, Key, Dec);
 }
 
@@ -671,7 +785,7 @@ Evaluator::rotateHoisted(const Ciphertext &A,
       reportFatalError("rotateHoisted: " + WhyNot.message());
     if (Hold)
       Holds.push_back(std::move(Hold));
-    assert(Key->Parts.size() >= A.numQ() &&
+    assert(Key->covers(A.numQ()) &&
            "rotation key truncated below this ciphertext's level");
     Jobs.push_back({I, Galois, Key});
   }
@@ -692,9 +806,7 @@ Evaluator::rotateHoisted(const Ciphertext &A,
   }
 
   // ModUp once for the whole batch (N decompositions -> 1).
-  RnsPoly C1 = A.Polys[1];
-  C1.toCoeff();
-  HoistedDecomposition Dec = decomposeNtt(C1);
+  HoistedDecomposition Dec = decomposeNtt(A.Polys[1]);
 
   // Warm the lazy Galois permutation cache serially: the parallel loop
   // below should only read it.
@@ -759,12 +871,18 @@ void Evaluator::rescaleInPlace(Ciphertext &A) const {
     Ctx.nttTable(Last).inverse(LastCoeffs.data());
 
     // Parallel over the surviving limbs; each index owns its limb and a
-    // local reduction buffer.
+    // local reduction buffer. Residues of q_last reduce into q_c by one
+    // conditional subtraction when q_last < 2 q_c (neighbouring rescale
+    // primes), by Barrett otherwise.
     parallelFor(0, Last, [&](size_t C) {
       uint64_t Q = Ctx.qModulus(C);
+      const Barrett &Red = Ctx.barrett(C);
+      bool OneSubtraction = QLast < 2 * Q;
       std::vector<uint64_t> Tmp(N);
-      for (size_t J = 0; J < N; ++J)
-        Tmp[J] = LastCoeffs[J] % Q;
+      for (size_t J = 0; J < N; ++J) {
+        uint64_t V = LastCoeffs[J];
+        Tmp[J] = OneSubtraction ? (V >= Q ? V - Q : V) : Red.reduce(V);
+      }
       Ctx.nttTable(C).forward(Tmp.data());
       uint64_t Inv = Ctx.invQLastModQ(Last, C);
       uint64_t InvShoup = shoupPrecompute(Inv, Q);
@@ -912,12 +1030,11 @@ Status Evaluator::checkedRelinSupport(const char *What,
         std::string(What) +
         ": relinearization key not generated (call keygen with relin "
         "enabled)");
-  if (Keys.Relin.Parts.size() < NumQ)
+  if (!Keys.Relin.covers(NumQ))
     return Status::keyMissing(
         std::string(What) + ": relinearization key truncated to " +
-        std::to_string(Keys.Relin.Parts.size()) +
-        " digits but the ciphertext has " + std::to_string(NumQ) +
-        " active primes");
+        keyLevel(Keys.Relin) + " but the ciphertext has " +
+        std::to_string(NumQ) + " active primes");
   return Status::success();
 }
 
@@ -1054,12 +1171,11 @@ StatusOr<Ciphertext> Evaluator::checkedRotate(const Ciphertext &A,
         " (galois element " + std::to_string(Galois) +
         "); the key analysis did not request this step");
   }
-  if (Key->Parts.size() < A.numQ())
+  if (!Key->covers(A.numQ()))
     return Status::keyMissing(
         "rotate: rotation key for step " + std::to_string(Steps) +
-        " truncated to " + std::to_string(Key->Parts.size()) +
-        " digits but the ciphertext has " + std::to_string(A.numQ()) +
-        " active primes");
+        " truncated to " + keyLevel(*Key) + " but the ciphertext has " +
+        std::to_string(A.numQ()) + " active primes");
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Rotate, A.numQ(), A.Scale,
@@ -1101,12 +1217,11 @@ Evaluator::checkedRotateHoisted(const Ciphertext &A,
     }
     if (Hold)
       Holds.push_back(std::move(Hold));
-    if (Key->Parts.size() < A.numQ())
+    if (!Key->covers(A.numQ()))
       return Status::keyMissing(
           "rotate: rotation key for step " + std::to_string(Step) +
-          " truncated to " + std::to_string(Key->Parts.size()) +
-          " digits but the ciphertext has " + std::to_string(A.numQ()) +
-          " active primes");
+          " truncated to " + keyLevel(*Key) + " but the ciphertext has " +
+          std::to_string(A.numQ()) + " active primes");
   }
   return rotateHoisted(A, Steps);
 }
@@ -1119,12 +1234,11 @@ StatusOr<Ciphertext> Evaluator::checkedConjugate(const Ciphertext &A) const {
         std::to_string(A.size()) + " components)");
   if (!Keys.HasConjugate || keyDropped(FaultKind::DropGaloisKey))
     return Status::keyMissing("conjugate: conjugation key not generated");
-  if (Keys.Conjugate.Parts.size() < A.numQ())
+  if (!Keys.Conjugate.covers(A.numQ()))
     return Status::keyMissing(
         "conjugate: conjugation key truncated to " +
-        std::to_string(Keys.Conjugate.Parts.size()) +
-        " digits but the ciphertext has " + std::to_string(A.numQ()) +
-        " active primes");
+        keyLevel(Keys.Conjugate) + " but the ciphertext has " +
+        std::to_string(A.numQ()) + " active primes");
   return conjugate(A);
 }
 

@@ -9,11 +9,13 @@
 /// \file
 /// The homomorphic evaluator: every CKKS-IR operation of paper Table 6
 /// (add, sub, neg, mul, rotate, rescale, modswitch, upscale, downscale,
-/// relin) has a runtime counterpart here. Key switching uses the RNS
-/// digit-decomposition ("hybrid with one special prime") method: the input
-/// polynomial is decomposed per chain prime, multiplied against the
-/// matching switch-key parts over the extended basis, and divided by the
-/// special prime. Operation counters feed the benchmark harness.
+/// relin) has a runtime counterpart here. Key switching is hybrid (Han and
+/// Ki): the input polynomial is cut into a few digits of consecutive chain
+/// primes (Context::keySwitch()), each digit is raised to the other active
+/// primes and the special primes by fast basis conversion (ModUp),
+/// multiplied against the matching switch-key parts over that extended
+/// basis, and the sum is divided by the special-prime product P (ModDown).
+/// Operation counters feed the benchmark harness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,16 +33,16 @@
 namespace ace {
 namespace fhe {
 
-/// The shared ModUp product of a (possibly hoisted) key switch: the RNS
-/// digit decomposition of one polynomial, each digit lifted to the
-/// extended basis (all active chain primes plus the special prime) and
-/// transformed to NTT form. Hoisted rotations compute this once per batch
-/// and reuse it for every Galois automorphism, because the automorphism
-/// acts on each lifted digit as a pure NTT-domain permutation
+/// The shared ModUp product of a (possibly hoisted) key switch: the hybrid
+/// digit decomposition of one polynomial, each digit raised to the
+/// extended basis (all active chain primes plus the special primes) in
+/// NTT form. Hoisted rotations compute this once per batch and reuse it
+/// for every Galois automorphism, because the automorphism acts on each
+/// raised digit as a pure NTT-domain permutation
 /// (RnsPoly::automorphismNtt).
 struct HoistedDecomposition {
-  /// One lifted digit per active chain prime; each has NumQ chain
-  /// components plus the special component, in NTT form.
+  /// keySwitch().digits(NumQ) raised digits; each has NumQ chain
+  /// components plus the special components, in NTT form.
   std::vector<RnsPoly> Digits;
   /// Number of active chain primes of the decomposed polynomial.
   size_t NumQ = 0;
@@ -74,7 +76,7 @@ public:
   /// Materializes the switch key for \p Galois through the Status path
   /// (lazy keygen runs the governor's admit here, so budget refusals
   /// come back in-band as ResourceExhausted instead of aborting in the
-  /// hot tier) and verifies it covers \p MinNumQ decomposition digits.
+  /// hot tier) and verifies it covers \p MinNumQ chain primes.
   /// A cache-served key is appended to \p Pins; holding the pins keeps
   /// it resident (eviction skips held keys), so a caller about to run a
   /// long unchecked sequence — the bootstrapper — can guarantee every
@@ -230,17 +232,20 @@ public:
   double mulPlainScale(const Ciphertext &Ct) const;
   /// @}
 
-  /// Key switching primitive: switches \p D (coefficient domain, no
-  /// special component) from the key \p Key encodes to the canonical
-  /// secret. Returns the two result polynomials in NTT form. Exposed for
+  /// Key switching primitive: switches \p D (NTT domain, no special
+  /// components) from the key \p Key encodes to the canonical secret.
+  /// Returns the two result polynomials in NTT form. Exposed for
   /// hoisted-rotation style optimizations and white-box tests.
   std::pair<RnsPoly, RnsPoly> switchKey(const RnsPoly &D,
                                         const SwitchKey &Key) const;
 
-  /// ModUp: decomposes \p D (coefficient domain, no special component)
-  /// into one digit per active chain prime, lifts each digit to the
-  /// extended basis and transforms it to NTT form. This is the work a
-  /// hoisted rotation batch shares; exposed for white-box tests of the
+  /// ModUp: decomposes \p D (NTT domain, no special components) into
+  /// keySwitch().digits(numQ) digits of consecutive primes and raises each
+  /// to the extended basis in NTT form: the digit's own limbs are copied
+  /// from \p D, every other limb is an exact basis conversion of the
+  /// digit's centered representative plus one forward NTT. This is the
+  /// work a hoisted
+  /// rotation batch shares; exposed for white-box tests of the
   /// digit-domain automorphism invariant.
   HoistedDecomposition decomposeNtt(const RnsPoly &D) const;
 
@@ -279,15 +284,17 @@ private:
   const SwitchKey *galoisKeyFor(uint64_t Galois,
                                 std::shared_ptr<const SwitchKey> &Hold,
                                 Status *WhyNot = nullptr) const;
-  /// Inner product of the lifted digits against the switch-key parts,
+  /// Inner product of the raised digits against the switch-key parts,
   /// with the Galois automorphism applied to each digit on the fly as an
   /// NTT-domain gather (\p Galois == 1 reads the digits directly). Free
   /// of counters and spans so it can run inside parallelFor workers.
   void hoistedInnerProduct(const HoistedDecomposition &Dec,
                            const SwitchKey &Key, uint64_t Galois,
                            RnsPoly &Acc0, RnsPoly &Acc1) const;
-  /// Divides the extended-basis accumulator by the special prime P:
-  /// out = (acc - [acc]_P) * P^{-1} per chain prime. Counter-free.
+  /// Divides the extended-basis accumulator by the special-prime product
+  /// P: out = (acc - [acc]_P) * P^{-1} per chain prime, with [acc]_P
+  /// carried out of the special primes by an exact, centered basis
+  /// conversion. Counter-free.
   RnsPoly modDown(const RnsPoly &Acc) const;
   /// One rotation of a hoisted batch: inner product + ModDown for
   /// \p Galois against the shared decomposition of A's c1, then the

@@ -113,28 +113,31 @@ SwitchKey KeyGenerator::makeSwitchKey(const RnsPoly &Source) {
          "switch-key source must be NTT over the full basis");
   size_t L = Ctx.chainLength();
   size_t N = Ctx.degree();
-  uint64_t P = Ctx.specialModulus();
+  const KeySwitchShape &Shape = Ctx.keySwitch();
 
   SwitchKey Key;
-  Key.Parts.reserve(L);
-  for (size_t Digit = 0; Digit < L; ++Digit) {
+  Key.Parts.reserve(Shape.digits(L));
+  for (size_t Digit = 0; Digit < Shape.digits(L); ++Digit) {
     RnsPoly A = sampleUniform(L, /*HasSpecial=*/true);
     RnsPoly E = sampleNoise(L, /*HasSpecial=*/true);
     E.toNtt();
     // b = -(a*s + e) + P * g_digit * source; the gadget g_digit is 1 mod
-    // q_digit and 0 mod every other modulus, so only one component of the
-    // source term is nonzero.
+    // the digit's primes and 0 mod every other modulus, so only the
+    // digit's components of the source term are nonzero.
     RnsPoly B = A.mul(Secret.S);
     B.addInPlace(E);
     B.negateInPlace();
-    uint64_t QD = Ctx.qModulus(Digit);
-    uint64_t PModQ = P % QD;
-    uint64_t PModQShoup = shoupPrecompute(PModQ, QD);
-    uint64_t *BComp = B.component(Digit);
-    const uint64_t *SrcComp = Source.component(Digit);
-    for (size_t J = 0; J < N; ++J)
-      BComp[J] = addMod(
-          BComp[J], mulModShoup(SrcComp[J], PModQ, PModQShoup, QD), QD);
+    size_t First = Digit * Shape.DigitSize;
+    for (size_t I = First; I < std::min(First + Shape.DigitSize, L); ++I) {
+      uint64_t Q = Ctx.qModulus(I);
+      uint64_t PModQ = Ctx.specialProductModQ(I);
+      uint64_t PModQShoup = shoupPrecompute(PModQ, Q);
+      uint64_t *BComp = B.component(I);
+      const uint64_t *SrcComp = Source.component(I);
+      for (size_t J = 0; J < N; ++J)
+        BComp[J] = addMod(BComp[J],
+                          mulModShoup(SrcComp[J], PModQ, PModQShoup, Q), Q);
+    }
     Key.Parts.emplace_back(std::move(B), std::move(A));
   }
   return Key;
@@ -154,11 +157,13 @@ SwitchKey KeyGenerator::makeGaloisKey(uint64_t Galois) {
 }
 
 SwitchKey KeyGenerator::truncateKey(const SwitchKey &Key, size_t MaxNumQ) {
-  if (MaxNumQ == 0 || MaxNumQ >= Key.Parts.size())
+  if (MaxNumQ == 0 || MaxNumQ >= Key.numQ())
     return Key;
+  size_t Digits =
+      Key.Parts.front().first.context().keySwitch().digits(MaxNumQ);
   SwitchKey Out;
-  Out.Parts.reserve(MaxNumQ);
-  for (size_t I = 0; I < MaxNumQ; ++I)
+  Out.Parts.reserve(Digits);
+  for (size_t I = 0; I < Digits; ++I)
     Out.Parts.emplace_back(
         Key.Parts[I].first.restrictedCopy(MaxNumQ, /*KeepSpecial=*/true),
         Key.Parts[I].second.restrictedCopy(MaxNumQ, /*KeepSpecial=*/true));
@@ -283,9 +288,7 @@ bool RotationKeyCache::declared(uint64_t Galois) const {
 }
 
 size_t RotationKeyCache::estimateBytes(size_t MaxNumQ) const {
-  size_t NumQ = MaxNumQ == 0 ? Ctx.chainLength() : MaxNumQ;
-  // NumQ digit pairs, each polynomial over NumQ chain moduli + special.
-  return NumQ * 2 * (NumQ + 1) * Ctx.degree() * sizeof(uint64_t);
+  return Ctx.switchKeyBytes(MaxNumQ);
 }
 
 SwitchKey RotationKeyCache::generate(const Entry &E, uint64_t Galois) {

@@ -36,7 +36,7 @@ namespace ace {
 namespace fhe {
 
 /// The ternary secret key s, stored in NTT form over the full basis
-/// (all chain primes + the special prime).
+/// (all chain primes + the special primes).
 struct SecretKey {
   RnsPoly S;
   size_t byteSize() const { return S.byteSize(); }
@@ -49,12 +49,27 @@ struct PublicKey {
   size_t byteSize() const { return B.byteSize() + A.byteSize(); }
 };
 
-/// A key-switching key from some source key s' to s: one (b_i, a_i) pair
-/// per RNS decomposition digit, over the full basis extended by the special
-/// prime, in NTT form. b_i = -(a_i s + e_i) + P * g_i * s', where g_i is
-/// the RNS gadget (g_i = delta_ij mod q_j).
+/// A key-switching key from some source key s' to s: one (b_j, a_j) pair
+/// per hybrid decomposition digit j (Context::keySwitch()), over the chain
+/// primes the key covers plus the special primes, in NTT form.
+/// b_j = -(a_j s + e_j) + P * g_j * s', where P is the special-prime
+/// product and the gadget g_j is 1 mod the primes of digit j and 0 mod
+/// every other modulus.
 struct SwitchKey {
   std::vector<std::pair<RnsPoly, RnsPoly>> Parts;
+
+  /// Chain primes the key covers: its truncation level.
+  size_t numQ() const {
+    return Parts.empty() ? 0 : Parts.front().first.numQ();
+  }
+
+  /// True when the key can switch a ciphertext at \p NumQ active primes:
+  /// it covers that many chain primes and their digits.
+  bool covers(size_t NumQ) const {
+    return !Parts.empty() && numQ() >= NumQ &&
+           Parts.size() >=
+               Parts.front().first.context().keySwitch().digits(NumQ);
+  }
 
   size_t byteSize() const {
     size_t Sum = 0;
@@ -116,19 +131,21 @@ public:
   /// Generates the rotation key for a left rotation by \p Steps slots.
   /// \p MaxNumQ truncates the key to the deepest level the compiler's
   /// dataflow analysis saw the step used at (0 = full chain): a key used
-  /// only below level l needs only l decomposition digits over l+1
-  /// moduli, which is where most of the paper's Figure 7 key-memory
-  /// saving comes from.
+  /// only below level l needs only the digits covering l primes, over l
+  /// chain moduli plus the special primes, which is where the paper's
+  /// Figure 7 key-memory saving comes from.
   SwitchKey makeRotationKey(int64_t Steps, size_t MaxNumQ = 0);
 
-  /// Restricts \p Key to \p MaxNumQ chain digits/moduli (plus special).
+  /// Restricts \p Key to \p MaxNumQ chain primes: the first
+  /// keySwitch().digits(MaxNumQ) pairs over those primes plus the special
+  /// primes (0, or at least the key's level, returns the key unchanged).
   static SwitchKey truncateKey(const SwitchKey &Key, size_t MaxNumQ);
 
   /// Generates the conjugation key.
   SwitchKey makeConjugationKey();
 
   /// Generates a switch key from an arbitrary source key polynomial
-  /// \p Source (NTT form, full basis + special).
+  /// \p Source (NTT form, full basis + specials).
   SwitchKey makeSwitchKey(const RnsPoly &Source);
 
   /// Generates the key for a raw Galois automorphism X -> X^Galois. Used
@@ -233,8 +250,9 @@ private:
     uint64_t LastUse = 0;
   };
 
-  /// Worst-case byte estimate for a key at truncation \p MaxNumQ, used
-  /// for governor admission before generating.
+  /// Exact byte size of a key at truncation \p MaxNumQ
+  /// (Context::switchKeyBytes), used for governor admission before
+  /// generating.
   size_t estimateBytes(size_t MaxNumQ) const;
   /// Widens \p E to cover \p MaxNumQ moduli if that is wider than its
   /// current truncation (0 = full chain is widest; never narrows),

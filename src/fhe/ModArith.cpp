@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 
 using namespace ace;
@@ -27,6 +28,16 @@ uint64_t ace::fhe::powMod(uint64_t Base, uint64_t Exp, uint64_t P) {
     Exp >>= 1;
   }
   return Result;
+}
+
+Barrett::Barrett(uint64_t Modulus) : P(Modulus) {
+  assert(Modulus >= 3 && (Modulus & 1) && (Modulus >> 62) == 0 &&
+         "Barrett modulus must be odd and in [3, 2^62)");
+  // floor((2^128 - 1) / P) == floor(2^128 / P): an odd P does not divide
+  // 2^128.
+  unsigned __int128 Ratio = ~static_cast<unsigned __int128>(0) / Modulus;
+  RatioHi = static_cast<uint64_t>(Ratio >> 64);
+  RatioLo = static_cast<uint64_t>(Ratio);
 }
 
 uint64_t ace::fhe::invMod(uint64_t A, uint64_t P) {
@@ -70,21 +81,54 @@ bool ace::fhe::isPrime(uint64_t X) {
   return true;
 }
 
+/// A nontrivial factor of the odd composite \p N by Pollard's rho with
+/// Floyd cycle detection (retrying with the next constant when a cycle
+/// closes without one).
+static uint64_t pollardRho(uint64_t N) {
+  for (uint64_t C = 1;; ++C) {
+    auto Step = [&](uint64_t V) { return (mulMod(V, V, N) + C) % N; };
+    uint64_t X = 2, Y = 2, D = 1;
+    while (D == 1) {
+      X = Step(X);
+      Y = Step(Step(Y));
+      D = std::gcd(X > Y ? X - Y : Y - X, N);
+    }
+    if (D != N)
+      return D;
+  }
+}
+
+/// Appends the prime factors of \p N (with repetition) to \p Factors.
+static void factorInto(uint64_t N, std::vector<uint64_t> &Factors) {
+  if (N == 1)
+    return;
+  if (isPrime(N)) {
+    Factors.push_back(N);
+    return;
+  }
+  uint64_t D = pollardRho(N);
+  factorInto(D, Factors);
+  factorInto(N / D, Factors);
+}
+
 uint64_t ace::fhe::findGenerator(uint64_t P) {
-  // Factor P-1 by trial division (our primes have smooth-enough cofactors
-  // for this to be fast: P-1 = 2N * odd cofactor).
+  // The distinct prime factors of P-1: small ones by trial division, the
+  // cofactor (up to ~2^50 for the 60-bit primes P = 2N*k + 1) by
+  // Pollard's rho, whose cost does not depend on the cofactor's largest
+  // factor the way trial division's does.
   uint64_t Phi = P - 1;
   std::vector<uint64_t> Factors;
   uint64_t M = Phi;
-  for (uint64_t F = 2; F * F <= M; ++F) {
+  for (uint64_t F = 2; F < 1024 && F * F <= M; ++F) {
     if (M % F != 0)
       continue;
     Factors.push_back(F);
     while (M % F == 0)
       M /= F;
   }
-  if (M > 1)
-    Factors.push_back(M);
+  factorInto(M, Factors);
+  std::sort(Factors.begin(), Factors.end());
+  Factors.erase(std::unique(Factors.begin(), Factors.end()), Factors.end());
 
   for (uint64_t Candidate = 2; Candidate < P; ++Candidate) {
     bool IsGenerator = true;

@@ -69,6 +69,47 @@ inline uint64_t shoupPrecompute(uint64_t B, uint64_t P) {
       (static_cast<unsigned __int128>(B) << 64) / P);
 }
 
+/// Barrett reduction modulo a fixed \p P < 2^62 with the precomputed
+/// ratio floor(2^128 / P): the division-free replacement for a hardware
+/// `%` in per-coefficient loops (rescale, ModRaise, RNS basis
+/// conversion). Results equal `X % P` exactly.
+struct Barrett {
+  uint64_t P = 0;
+  uint64_t RatioHi = 0; ///< high word of floor(2^128 / P) = floor(2^64 / P)
+  uint64_t RatioLo = 0; ///< low word of floor(2^128 / P)
+
+  Barrett() = default;
+  explicit Barrett(uint64_t Modulus);
+
+  /// X mod P for any 64-bit \p X. The quotient estimate
+  /// floor(X * RatioHi / 2^64) is at most one short, so one conditional
+  /// subtraction finishes.
+  uint64_t reduce(uint64_t X) const {
+    uint64_t Q = static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(X) * RatioHi) >> 64);
+    uint64_t R = X - Q * P;
+    return R >= P ? R - P : R;
+  }
+
+  /// X mod P for \p X < 2^127 (e.g. a sum of up to 32 products of
+  /// residues below 2^61). The dropped low-order partial products and
+  /// the ratio's truncation together lose less than one quotient unit,
+  /// so one conditional subtraction finishes; the quotient is only
+  /// needed modulo 2^64 because the remainder is below 2^64.
+  uint64_t reduce128(unsigned __int128 X) const {
+    assert((X >> 127) == 0 && "reduce128 input must be below 2^127");
+    uint64_t X0 = static_cast<uint64_t>(X);
+    uint64_t X1 = static_cast<uint64_t>(X >> 64);
+    unsigned __int128 Mid =
+        ((static_cast<unsigned __int128>(X0) * RatioLo) >> 64) +
+        static_cast<unsigned __int128>(X0) * RatioHi +
+        static_cast<unsigned __int128>(X1) * RatioLo;
+    uint64_t Q = static_cast<uint64_t>(Mid >> 64) + X1 * RatioHi;
+    uint64_t R = X0 - Q * P;
+    return R >= P ? R - P : R;
+  }
+};
+
 /// Computes Base^Exp mod P by square-and-multiply.
 uint64_t powMod(uint64_t Base, uint64_t Exp, uint64_t P);
 

@@ -165,10 +165,9 @@ RnsPoly RnsPoly::restrictedCopy(size_t NewNumQ, bool KeepSpecial) const {
   assert((!KeepSpecial || HasSpecial) && "no special component to keep");
   RnsPoly Result(*Ctx, NewNumQ, KeepSpecial, NttForm);
   size_t N = Ctx->degree();
-  for (size_t I = 0; I < NewNumQ; ++I)
-    std::copy(component(I), component(I) + N, Result.component(I));
+  std::copy(component(0), component(0) + NewNumQ * N, Result.component(0));
   if (KeepSpecial)
-    std::copy(component(NumQ), component(NumQ) + N,
+    std::copy(component(NumQ), component(NumQ) + numSpecial() * N,
               Result.component(NewNumQ));
   return Result;
 }
@@ -177,11 +176,5 @@ void RnsPoly::dropLastQ() {
   assert(NumQ > 1 && "cannot drop the base modulus");
   assert(!HasSpecial && "drop the special prime first");
   --NumQ;
-  Data.shrinkTo(numComponents() * Ctx->degree());
-}
-
-void RnsPoly::dropSpecial() {
-  assert(HasSpecial && "no special component to drop");
-  HasSpecial = false;
   Data.shrinkTo(numComponents() * Ctx->degree());
 }

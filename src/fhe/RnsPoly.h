@@ -9,8 +9,8 @@
 /// \file
 /// A polynomial of Z[X]/(X^N + 1) stored in residue-number-system form:
 /// one length-N residue vector per active modulus. Components 0..NumQ-1
-/// correspond to the chain primes q_0..q_{NumQ-1}; an optional trailing
-/// component holds the key-switching special prime. Polynomials track
+/// correspond to the chain primes q_0..q_{NumQ-1}; optional trailing
+/// components hold the K key-switching special primes. Polynomials track
 /// whether they are in coefficient or NTT (evaluation) domain; arithmetic
 /// asserts domain compatibility. These are the values the POLY IR operates
 /// on (paper Table 7).
@@ -37,7 +37,7 @@ public:
   RnsPoly() = default;
 
   /// Creates a zero polynomial with \p NumQ chain components, optionally
-  /// extended by the special prime.
+  /// extended by the special primes.
   RnsPoly(const Context &Ctx, size_t NumQ, bool HasSpecial, bool NttForm);
 
   const Context &context() const {
@@ -53,11 +53,14 @@ public:
   /// Number of active chain primes.
   size_t numQ() const { return NumQ; }
 
-  /// True when the trailing component is the special prime.
+  /// True when the trailing components are the special primes.
   bool hasSpecial() const { return HasSpecial; }
 
-  /// Total number of RNS components (numQ + special).
-  size_t numComponents() const { return NumQ + (HasSpecial ? 1 : 0); }
+  /// Number of special-prime components (0 or Context::numSpecial()).
+  size_t numSpecial() const { return HasSpecial ? Ctx->numSpecial() : 0; }
+
+  /// Total number of RNS components (numQ + specials).
+  size_t numComponents() const { return NumQ + numSpecial(); }
 
   /// True when stored in the NTT (evaluation) domain.
   bool isNtt() const { return NttForm; }
@@ -65,14 +68,11 @@ public:
   /// Modulus index (into Context::nttTable numbering) of component \p I.
   size_t modIndex(size_t I) const {
     assert(I < numComponents() && "component out of range");
-    return (HasSpecial && I == NumQ) ? Ctx->specialIndex() : I;
+    return I < NumQ ? I : Ctx->specialIndex(I - NumQ);
   }
 
   /// The modulus of component \p I.
-  uint64_t modulus(size_t I) const {
-    return (HasSpecial && I == NumQ) ? Ctx->specialModulus()
-                                     : Ctx->qModulus(I);
-  }
+  uint64_t modulus(size_t I) const { return Ctx->modulus(modIndex(I)); }
 
   /// Mutable residues of component \p I (length N).
   uint64_t *component(size_t I) {
@@ -130,16 +130,13 @@ public:
   RnsPoly automorphismNtt(uint64_t Galois) const;
 
   /// Returns a copy restricted to the first \p NumQ chain components,
-  /// optionally keeping the special component. Valid in either domain
+  /// optionally keeping the special components. Valid in either domain
   /// (components are independent).
   RnsPoly restrictedCopy(size_t NumQ, bool KeepSpecial) const;
 
   /// Drops the last chain component (rescale/modswitch bookkeeping is
   /// handled by the Evaluator; this only shrinks storage).
   void dropLastQ();
-
-  /// Drops the special-prime component.
-  void dropSpecial();
 
   /// Bytes of residue storage held by this polynomial.
   size_t byteSize() const { return Data.size() * sizeof(uint64_t); }

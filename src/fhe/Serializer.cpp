@@ -67,15 +67,18 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 /// Serialized size bound of one polynomial: prime count (2) + flags (2) +
-/// residues over the whole chain plus the special prime.
+/// residues over the whole chain plus the special primes.
 uint64_t polyMaxBytes(const Context &Ctx) {
-  return 4 + static_cast<uint64_t>(Ctx.chainLength() + 1) * Ctx.degree() * 8;
+  return 4 + static_cast<uint64_t>(Ctx.chainLength() + Ctx.numSpecial()) *
+                 Ctx.degree() * 8;
 }
 
 /// Serialized size bound of one switch key: part count (4) + one
-/// polynomial pair per decomposition digit.
+/// polynomial pair per decomposition digit of the full chain.
 uint64_t switchKeyMaxBytes(const Context &Ctx) {
-  return 4 + static_cast<uint64_t>(Ctx.chainLength()) * 2 * polyMaxBytes(Ctx);
+  return 4 + static_cast<uint64_t>(
+                 Ctx.keySwitch().digits(Ctx.chainLength())) *
+                 2 * polyMaxBytes(Ctx);
 }
 
 } // namespace
@@ -113,7 +116,7 @@ namespace {
 void writePoly(ByteWriter &W, const RnsPoly &P) {
   const Context &Ctx = P.context();
   W.u16(static_cast<uint16_t>(P.numQ()));
-  W.u8(P.hasSpecial() ? 1 : 0);
+  W.u8(static_cast<uint8_t>(P.numSpecial()));
   W.u8(P.isNtt() ? 1 : 0);
   size_t N = Ctx.degree();
   for (size_t I = 0, E = P.numComponents(); I < E; ++I) {
@@ -296,20 +299,26 @@ Status parseHeader(ByteReader &R, ObjectTag Expected, const Context *Ctx,
 StatusOr<RnsPoly> parsePoly(const Context &Ctx, ByteReader &R,
                             const char *What) {
   uint16_t NumQ = 0;
-  uint8_t HasSpecial = 0, NttForm = 0;
+  uint8_t NumSpecial = 0, NttForm = 0;
   if (!R.u16(NumQ))
     return truncatedAt(R, "polynomial prime count");
-  if (!R.u8(HasSpecial) || !R.u8(NttForm))
+  if (!R.u8(NumSpecial) || !R.u8(NttForm))
     return truncatedAt(R, "polynomial flags");
   if (NumQ < 1 || NumQ > Ctx.chainLength())
     return Status::dataCorrupt(
         std::string(What) + ": polynomial declares " +
         std::to_string(NumQ) + " chain primes, context holds 1.." +
         std::to_string(Ctx.chainLength()));
-  if (HasSpecial > 1 || NttForm > 1)
+  if (NumSpecial != 0 && NumSpecial != Ctx.numSpecial())
+    return Status::dataCorrupt(
+        std::string(What) + ": polynomial declares " +
+        std::to_string(NumSpecial) +
+        " special-prime components, this context's key switching uses " +
+        std::to_string(Ctx.numSpecial()) + " (or 0)");
+  if (NttForm > 1)
     return Status::dataCorrupt(std::string(What) +
                                ": polynomial flag byte is not 0 or 1");
-  RnsPoly P(Ctx, NumQ, HasSpecial != 0, NttForm != 0);
+  RnsPoly P(Ctx, NumQ, NumSpecial != 0, NttForm != 0);
   size_t N = Ctx.degree();
   for (size_t I = 0, E = P.numComponents(); I < E; ++I) {
     uint64_t *Comp = P.component(I);
@@ -446,9 +455,9 @@ StatusOr<RnsPoly> parseKeyPoly(const Context &Ctx, ByteReader &R,
     return Status::dataCorrupt(std::string(What) +
                                (NeedSpecial
                                     ? ": key polynomial lacks the special "
-                                      "prime component"
+                                      "prime components"
                                     : ": key polynomial must not carry the "
-                                      "special prime"));
+                                      "special primes"));
   if (FullChain && P.numQ() != Ctx.chainLength())
     return Status::dataCorrupt(
         std::string(What) + ": key polynomial spans " +
@@ -462,11 +471,12 @@ Status parseSwitchKeyBody(const Context &Ctx, ByteReader &R,
   uint32_t NumParts = 0;
   if (!R.u32(NumParts))
     return truncatedAt(R, "switch-key part count");
-  if (NumParts < 1 || NumParts > Ctx.chainLength())
+  const KeySwitchShape &Shape = Ctx.keySwitch();
+  if (NumParts < 1 || NumParts > Shape.digits(Ctx.chainLength()))
     return Status::dataCorrupt(
         "switch key declares " + std::to_string(NumParts) +
         " decomposition digits, context allows 1.." +
-        std::to_string(Ctx.chainLength()));
+        std::to_string(Shape.digits(Ctx.chainLength())));
   Out.Parts.clear();
   Out.Parts.reserve(NumParts);
   for (uint32_t I = 0; I < NumParts; ++I) {
@@ -481,6 +491,11 @@ Status parseSwitchKeyBody(const Context &Ctx, ByteReader &R,
       return Status::dataCorrupt(
           "switch-key digit " + std::to_string(I) +
           " spans a different prime count than its siblings");
+    if (I == 0 && NumParts != Shape.digits(B.numQ()))
+      return Status::dataCorrupt(
+          "switch key declares " + std::to_string(NumParts) +
+          " decomposition digits, but its " + std::to_string(B.numQ()) +
+          " chain primes form " + std::to_string(Shape.digits(B.numQ())));
     Out.Parts.emplace_back(std::move(B), std::move(A));
   }
   return Status::success();

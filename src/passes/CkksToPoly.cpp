@@ -8,6 +8,7 @@
 
 #include "passes/CkksToPoly.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace ace;
@@ -21,6 +22,9 @@ struct PolyBuilder {
   IrFunction &Out;
   bool EnableFusion;
   PolyStats &Stats;
+  /// The runtime's hybrid key-switching shape for the selected
+  /// parameters.
+  fhe::KeySwitchShape Shape;
   IrNode *OpenLoop = nullptr;
   int64_t OpenTrip = -1;
 
@@ -73,8 +77,22 @@ struct PolyBuilder {
     return N;
   }
 
-  /// Key switching at \p L active primes: decomp, mod_up, inner products
-  /// against the key, mod_down (paper Table 7's coarse-grained ops).
+  /// \p Count limb multiply-accumulates: one fused kernel, or a
+  /// multiply and an add without fusion.
+  void mulAdd(IrNode *Loop, int64_t Count, OriginKind Origin) {
+    if (EnableFusion) {
+      hw(NodeKind::NK_HwModMulAdd, Loop, Count, Origin);
+    } else {
+      hw(NodeKind::NK_HwModMul, Loop, Count, Origin);
+      hw(NodeKind::NK_HwModAdd, Loop, Count, Origin);
+    }
+  }
+
+  /// Hybrid key switching at \p L active primes (paper Table 7's
+  /// coarse-grained ops, sized by fhe::keySwitchShape): decomp + mod_up
+  /// raises each of the ceil(L/alpha) digits to the other active primes
+  /// and the K special primes, inner products run against both key
+  /// polynomials of every digit, mod_down divides both results by P.
   void keySwitch(int64_t L, OriginKind Origin) {
     barrier();
     if (EnableFusion) {
@@ -91,21 +109,38 @@ struct PolyBuilder {
       ++Stats.Decomp;
       ++Stats.ModUp;
     }
-    // NTT each decomposed digit over L+1 moduli, multiply-accumulate
-    // against both key polynomials, INTT + mod-down the two results.
-    IrNode *Lp = loop(L, Origin);
-    hw(NodeKind::NK_HwNtt, Lp, L * (L + 1), Origin);
-    if (EnableFusion)
-      hw(NodeKind::NK_HwModMulAdd, Lp, 2 * L * (L + 1), Origin);
-    else {
-      hw(NodeKind::NK_HwModMul, Lp, 2 * L * (L + 1), Origin);
-      hw(NodeKind::NK_HwModAdd, Lp, 2 * L * (L + 1), Origin);
+    int64_t Alpha = static_cast<int64_t>(Shape.DigitSize);
+    int64_t K = static_cast<int64_t>(Shape.NumSpecial);
+    int64_t Digits = static_cast<int64_t>(Shape.digits(L));
+    // A digit of S primes converts into the other L - S active primes and
+    // the K special primes: one limb product per (source, target) pair,
+    // plus the centering multiple's when S > 1, then one NTT per target.
+    // Its own limbs are copied.
+    int64_t Raised = 0, Products = 0;
+    for (int64_t First = 0; First < L; First += Alpha) {
+      int64_t S = std::min(Alpha, L - First);
+      Raised += L - S + K;
+      Products += (S > 1 ? S + 1 : S) * (L - S + K);
     }
+    IrNode *Lp = loop(L, Origin);
+    hw(NodeKind::NK_HwIntt, Lp, L, Origin);
+    if (Alpha > 1)
+      hw(NodeKind::NK_HwModMul, Lp, L, Origin); // inverse digit hats
+    mulAdd(Lp, Products, Origin);
+    hw(NodeKind::NK_HwNtt, Lp, Raised, Origin);
+    mulAdd(Lp, 2 * Digits * (L + K), Origin);
     Out.create(NodeKind::NK_PolyModDown, TypeKind::TK_Poly, {}, Origin)
         ->Ints = {L};
     ++Stats.ModDown;
-    hw(NodeKind::NK_HwIntt, loop(L, Origin), 2, Origin);
-    hw(NodeKind::NK_HwNtt, OpenLoop, 2 * L, Origin);
+    // Both results: the K special limbs to coefficients, their exact
+    // conversion into the L chain primes, NTT, and (acc - t) * P^{-1}.
+    IrNode *Md = loop(L, Origin);
+    hw(NodeKind::NK_HwIntt, Md, 2 * K, Origin);
+    if (K > 1)
+      hw(NodeKind::NK_HwModMul, Md, 2 * K, Origin); // inverse special hats
+    mulAdd(Md, 2 * (K > 1 ? K + 1 : K) * L, Origin);
+    hw(NodeKind::NK_HwNtt, Md, 2 * L, Origin);
+    hw(NodeKind::NK_HwModMul, Md, 2 * L, Origin);
     barrier();
   }
 };
@@ -118,7 +153,8 @@ Status ace::passes::lowerToPoly(const IrFunction &F,
                                 PolyStats *StatsOut) {
   Poly.clear();
   PolyStats Stats;
-  PolyBuilder B{Poly, EnableFusion, Stats};
+  PolyBuilder B{Poly, EnableFusion, Stats,
+                fhe::keySwitchShape(State.SelectedParams)};
 
   auto NumQOf = [](const IrNode *N) -> int64_t {
     return N->CkksLevel >= 0 ? N->CkksLevel + 1 : 1;
@@ -150,9 +186,10 @@ Status ace::passes::lowerToPoly(const IrFunction &F,
       B.hw(NodeKind::NK_HwModMul, B.loop(NumQOf(N), O), 2 * NumQOf(N), O);
       break;
     case NodeKind::NK_CkksRotate: {
+      // The automorphism is an NTT-domain permutation (c0 directly, c1's
+      // raised digits inside the key switch).
       int64_t L = NumQOf(N);
       B.barrier();
-      B.hw(NodeKind::NK_HwIntt, B.loop(L, O), 2 * L, O);
       Poly.create(NodeKind::NK_PolyAutomorphism, TypeKind::TK_Poly, {}, O)
           ->Ints = {L};
       B.keySwitch(L, O);

@@ -473,8 +473,14 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
             static_cast<size_t>(MaxBootTarget + State.BootstrapDepth),
             InputNumQ);
       }
-      int LogQP = P.LogFirstModulus +
-                  static_cast<int>(ChainNumQ - 1) * P.LogScale + 60;
+      // log QP counts the hybrid key switch's special primes, whose
+      // number grows with the chain (fhe::keySwitchShape).
+      fhe::CkksParams Chain = P;
+      Chain.NumRescaleModuli = static_cast<int>(ChainNumQ) - 1;
+      int LogQP =
+          P.LogFirstModulus + Chain.NumRescaleModuli * P.LogScale +
+          static_cast<int>(fhe::keySwitchShape(Chain).NumSpecial) *
+              P.LogSpecialModulus;
       size_t NSec = fhe::minRingDegreeFor(
           LogQP, fhe::SecurityLevelKind::SL_128);
       if (NSec == 0)

@@ -105,9 +105,9 @@ private:
 
 /// Owning handle for one limb buffer, the storage behind RnsPoly::Data.
 /// Vector-like surface restricted to what RnsPoly needs: zero-fill
-/// construction, copy/move, and size-only shrinking (dropLastQ /
-/// dropSpecial keep the block and its bin capacity). Destruction returns
-/// the block to the pool.
+/// construction, copy/move, and size-only shrinking (dropLastQ keeps the
+/// block and its bin capacity). Destruction returns the block to the
+/// pool.
 class LimbStorage {
 public:
   LimbStorage() = default;

@@ -66,7 +66,7 @@ enum class Counter : unsigned {
   Rescale,         ///< rescales (scale-dividing prime drops)
   ModSwitch,       ///< mod-switches (scale-preserving prime drops)
   KeySwitch,       ///< key-switch invocations
-  KeySwitchDigit,  ///< per-chain-prime digits processed by key switches
+  KeySwitchDigit,  ///< hybrid digits decomposed, ceil(l/alpha) per ModUp
   ModUp,           ///< digit decompositions lifted to the extended basis
   HoistedKeySwitch, ///< rotations served from a shared (hoisted) ModUp
   Bootstrap,       ///< full bootstrap invocations

@@ -162,14 +162,17 @@ TEST_F(KeyCacheTest, RedeclarationWidensTruncation) {
   uint64_t G = Cache->declareRotation(6, /*MaxNumQ=*/3);
   auto Narrow = Cache->get(G);
   ASSERT_TRUE(Narrow.ok());
-  EXPECT_EQ((*Narrow)->Parts.size(), 3u);
+  EXPECT_EQ((*Narrow)->numQ(), 3u);
+  EXPECT_EQ((*Narrow)->Parts.size(), Ctx->keySwitch().digits(3));
 
   // Widening to the full chain drops the narrower cached key; the next
   // get() builds the wide one.
   Cache->declareRotation(6, /*MaxNumQ=*/0);
   auto Wide = Cache->get(G);
   ASSERT_TRUE(Wide.ok());
-  EXPECT_EQ((*Wide)->Parts.size(), Ctx->chainLength());
+  EXPECT_EQ((*Wide)->numQ(), Ctx->chainLength());
+  EXPECT_EQ((*Wide)->Parts.size(),
+            Ctx->keySwitch().digits(Ctx->chainLength()));
 }
 
 TEST_F(KeyCacheTest, GaloisRedeclarationWidensAndNeverNarrows) {
@@ -181,20 +184,23 @@ TEST_F(KeyCacheTest, GaloisRedeclarationWidensAndNeverNarrows) {
   Cache->declareGalois(G, /*MaxNumQ=*/3);
   auto Narrow = Cache->get(G);
   ASSERT_TRUE(Narrow.ok());
-  EXPECT_EQ((*Narrow)->Parts.size(), 3u);
+  EXPECT_EQ((*Narrow)->numQ(), 3u);
+  EXPECT_EQ((*Narrow)->Parts.size(), Ctx->keySwitch().digits(3));
   *Narrow = nullptr; // unpin so the widening can drop it
 
   Cache->declareGalois(G, /*MaxNumQ=*/0);
   auto Wide = Cache->get(G);
   ASSERT_TRUE(Wide.ok());
-  EXPECT_EQ((*Wide)->Parts.size(), Ctx->chainLength());
+  EXPECT_EQ((*Wide)->numQ(), Ctx->chainLength());
   *Wide = nullptr;
 
   // A later narrower declaration keeps the full-depth key resident.
   Cache->declareGalois(G, /*MaxNumQ=*/2);
   auto Kept = Cache->get(G);
   ASSERT_TRUE(Kept.ok());
-  EXPECT_EQ((*Kept)->Parts.size(), Ctx->chainLength());
+  EXPECT_EQ((*Kept)->numQ(), Ctx->chainLength());
+  EXPECT_EQ((*Kept)->Parts.size(),
+            Ctx->keySwitch().digits(Ctx->chainLength()));
 }
 
 TEST_F(KeyCacheTest, BudgetRefusalIsResourceExhaustedNotACrash) {

@@ -1,7 +1,8 @@
 //===----------------------------------------------------------------------===//
 // Level-aware key truncation tests (the Figure 7 memory mechanism): a
 // rotation key truncated to level l works for every ciphertext at or
-// below l, shrinks quadratically, and matches the full key's results.
+// below l, shrinks in both its digit count and its moduli, and matches
+// the full key's results.
 //===----------------------------------------------------------------------===//
 
 #include "fhe/Encryptor.h"
@@ -45,13 +46,21 @@ struct Fixture : ::testing::Test {
 };
 
 TEST_F(Fixture, TruncatedKeyShrinksQuadratically) {
+  // The 12-prime chain splits into digits of 4 primes under 4 special
+  // primes (keySwitchShape); a key holds ceil(l/4) pairs over l + 4
+  // moduli, so truncation still shrinks both factors.
+  ASSERT_EQ(Ctx->keySwitch().DigitSize, 4u);
+  ASSERT_EQ(Ctx->numSpecial(), 4u);
   SwitchKey Full = Gen->makeRotationKey(1);
   SwitchKey Half = Gen->makeRotationKey(1, /*MaxNumQ=*/6);
-  EXPECT_EQ(Full.Parts.size(), 12u);
-  EXPECT_EQ(Half.Parts.size(), 6u);
-  // 6 digits over 7 moduli vs 12 digits over 13 moduli.
-  double Ratio = static_cast<double>(Half.byteSize()) / Full.byteSize();
-  EXPECT_NEAR(Ratio, 6.0 * 7 / (12.0 * 13), 0.01);
+  EXPECT_EQ(Full.Parts.size(), 3u);
+  EXPECT_EQ(Half.Parts.size(), 2u);
+  size_t LimbBytes = Ctx->degree() * sizeof(uint64_t);
+  // 3 digits over 12 + 4 moduli vs 2 digits over 6 + 4 moduli.
+  EXPECT_EQ(Full.byteSize(), 3 * 2 * (12 + 4) * LimbBytes);
+  EXPECT_EQ(Half.byteSize(), 2 * 2 * (6 + 4) * LimbBytes);
+  EXPECT_EQ(Full.byteSize(), Ctx->switchKeyBytes(12));
+  EXPECT_EQ(Half.byteSize(), Ctx->switchKeyBytes(6));
 }
 
 TEST_F(Fixture, TruncatedKeyRotatesCorrectlyBelowItsLevel) {

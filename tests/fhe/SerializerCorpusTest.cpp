@@ -51,6 +51,17 @@ const Context &corpusContext() {
   return *Ctx;
 }
 
+/// The corpus parameters with 5 rescale primes: a chain whose hybrid key
+/// switching uses 2 special primes (the "hybrid-switchkey" loader).
+const Context &hybridCorpusContext() {
+  static Context *Ctx = [] {
+    CkksParams P = corpusContext().params();
+    P.NumRescaleModuli = 5;
+    return new Context(P);
+  }();
+  return *Ctx;
+}
+
 std::vector<uint8_t> readHex(const std::string &Path, bool &Ok) {
   std::ifstream IS(Path);
   Ok = static_cast<bool>(IS);
@@ -97,6 +108,8 @@ Status runLoader(const std::string &Loader,
     return wire::loadSwitchKey(Ctx, D, N).status();
   if (Loader == "evalkeys")
     return wire::loadEvalKeys(Ctx, D, N).status();
+  if (Loader == "hybrid-switchkey")
+    return wire::loadSwitchKey(hybridCorpusContext(), D, N).status();
   return Status::internal("corpus MANIFEST names unknown loader '" +
                           Loader + "'");
 }

@@ -19,6 +19,7 @@
 #include "fhe/Encryptor.h"
 #include "fhe/Evaluator.h"
 #include "fhe/Serializer.h"
+#include "support/Crc32c.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -124,6 +125,56 @@ TEST_F(SerializerTest, KeyRoundTrips) {
   expectBitIdenticalRoundTrip(Relin, [&](const uint8_t *D, size_t N) {
     return wire::loadSwitchKey(*Ctx, D, N);
   });
+}
+
+/// Under a chain with several special primes (7 primes: digits of 3
+/// under 2 special primes), secret and switch keys carry K special
+/// components, and a switch key truncated to any level round-trips with
+/// its digit count.
+TEST(SerializerHybridTest, KeysRoundTripAtEveryTruncation) {
+  CkksParams P;
+  P.RingDegree = 64;
+  P.Slots = 16;
+  P.LogScale = 30;
+  P.LogFirstModulus = 40;
+  P.NumRescaleModuli = 6;
+  P.LogSpecialModulus = 45;
+  P.Seed = 11;
+  Context Ctx(P);
+  ASSERT_EQ(Ctx.keySwitch().DigitSize, 3u);
+  ASSERT_EQ(Ctx.numSpecial(), 3u);
+  KeyGenerator Gen(Ctx);
+  expectBitIdenticalRoundTrip(Gen.secretKey(),
+                              [&](const uint8_t *D, size_t N) {
+                                return wire::loadSecretKey(Ctx, D, N);
+                              });
+  SwitchKey Full = Gen.makeRotationKey(1);
+  for (size_t NumQ = 1; NumQ <= Ctx.chainLength(); ++NumQ) {
+    SwitchKey Key = KeyGenerator::truncateKey(Full, NumQ);
+    expectBitIdenticalRoundTrip(Key, [&](const uint8_t *D, size_t N) {
+      return wire::loadSwitchKey(Ctx, D, N);
+    });
+    std::vector<uint8_t> Bytes;
+    ASSERT_TRUE(wire::save(Key, Bytes).ok());
+    EXPECT_LE(Bytes.size() - wire::kHeaderBytes,
+              wire::maxPayloadBytes(wire::ObjectTag::SwitchKey, &Ctx));
+  }
+
+  // A part count that disagrees with the parts' level is rejected: the
+  // full 7-prime key (3 digits) relabelled as 2 digits.
+  std::vector<uint8_t> Bytes;
+  ASSERT_TRUE(wire::save(Full, Bytes).ok());
+  Bytes[wire::kHeaderBytes] = 2;
+  uint32_t Crc = crc32c(Bytes.data() + wire::kHeaderBytes,
+                        Bytes.size() - wire::kHeaderBytes);
+  for (int I = 0; I < 4; ++I) // the header's CRC field sits at offset 16
+    Bytes[16 + I] = static_cast<uint8_t>(Crc >> (8 * I));
+  auto Relabelled = wire::loadSwitchKey(Ctx, Bytes.data(), Bytes.size());
+  ASSERT_FALSE(Relabelled.ok());
+  EXPECT_EQ(Relabelled.status().code(), ErrorCode::DataCorrupt);
+  EXPECT_NE(Relabelled.status().message().find("chain primes form 3"),
+            std::string::npos)
+      << Relabelled.status().message();
 }
 
 TEST_F(SerializerTest, EvalKeysRoundTrip) {

@@ -269,6 +269,40 @@ int main(int argc, char **argv) {
         B);
   }
 
+  // --- Key shape. A switch key in the one-prime-per-digit layout (special
+  // byte 1, one part per prime; here truncated to 2 primes, residues
+  // zero) fed to a chain whose hybrid key switching uses 2 special
+  // primes. The "hybrid-switchkey" loader reads it under that chain: the
+  // corpus parameters with 5 rescale primes (SerializerCorpusTest).
+  {
+    CkksParams HP = P;
+    HP.NumRescaleModuli = 5;
+    Context HCtx(HP);
+    if (HCtx.numSpecial() != 2) {
+      std::fprintf(stderr, "hybrid corpus chain uses %zu special primes\n",
+                   HCtx.numSpecial());
+      return 1;
+    }
+    const uint16_t NumQ = 2;
+    std::vector<uint8_t> B(SwBlob.begin(), SwBlob.begin() + kOffPayload);
+    auto Put = [&](uint64_t V, int Bytes) {
+      for (int I = 0; I < Bytes; ++I)
+        B.push_back(static_cast<uint8_t>(V >> (8 * I)));
+    };
+    Put(NumQ, 4); // one part per prime
+    for (int Poly = 0; Poly < 2 * NumQ; ++Poly) {
+      Put(NumQ, 2);
+      Put(1, 1); // one special prime
+      Put(1, 1); // NTT form
+      for (size_t I = 0; I < (NumQ + 1u) * HCtx.degree(); ++I)
+        Put(0, 8);
+    }
+    pokeU64(B, kOffLen, B.size() - kOffPayload);
+    refixCrc(B);
+    Add("swk-one-special", "hybrid-switchkey", "data-corrupt",
+        "key switching uses 2", B);
+  }
+
   std::ofstream Manifest(Dir + "/MANIFEST");
   if (!Manifest) {
     std::fprintf(stderr, "cannot write %s/MANIFEST\n", Dir.c_str());
