@@ -7,6 +7,7 @@
 
 #include "BenchUtil.h"
 
+#include "support/MemTrack.h"
 #include "support/Telemetry.h"
 
 #include <cstdio>
@@ -38,8 +39,8 @@ Sample runOne(const BenchModel &M, const air::CompileOptions &Opt) {
     std::exit(1);
   Sample Out;
   Out.Seconds = Clock.seconds();
-  Out.KeyBytes = Exec.memory().evaluationKeyBytes();
-  Out.KeyCount = Exec.evalKeys().rotationKeyCount();
+  Out.KeyBytes = Exec.evalKeyBytes();
+  Out.KeyCount = Exec.rotationKeyCount();
   Out.Rotations =
       Tel.counters().deltaSince(Before).get(telemetry::Counter::Rotate);
   return Out;

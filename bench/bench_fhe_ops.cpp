@@ -29,6 +29,7 @@ struct Fixture {
   std::unique_ptr<Context> Ctx;
   std::unique_ptr<Encoder> Enc;
   std::unique_ptr<KeyGenerator> Gen;
+  std::unique_ptr<RotationKeyCache> Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;
@@ -58,13 +59,21 @@ struct Fixture {
     Enc = std::make_unique<Encoder>(*Ctx);
     Gen = std::make_unique<KeyGenerator>(*Ctx);
     Pub = Gen->makePublicKey();
-    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys);
+    Cache = std::make_unique<RotationKeyCache>(*Ctx, *Gen);
+    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys, *Cache);
+    Keys.Relin = Gen->makeRelinKey();
+    Keys.HasRelin = true;
     if (WithBootstrap) {
       Boot = std::make_unique<Bootstrapper>(*Eval);
-      Gen->fillEvalKeys(Keys, Boot->requiredRotations(), true, true);
-      Gen->fillGaloisKeys(Keys, Boot->requiredGaloisElements());
+      Keys.Conjugate = Gen->makeConjugationKey();
+      Keys.HasConjugate = true;
+      makeRotationKeys(Boot->requiredRotations());
+      for (uint64_t Galois : Boot->requiredGaloisElements()) {
+        Cache->declareGalois(Galois);
+        (void)Cache->get(Galois);
+      }
     } else {
-      Gen->fillEvalKeys(Keys, {1}, true, false);
+      makeRotationKeys({1});
     }
     Encrypt = std::make_unique<Encryptor>(*Ctx, Pub);
 
@@ -75,6 +84,13 @@ struct Fixture {
     CtA = Encrypt->encryptValues(*Enc, X, Ctx->chainLength());
     CtB = Encrypt->encryptValues(*Enc, X, Ctx->chainLength());
     Pt = Eval->encodeForMul(CtA, X);
+  }
+
+  /// Declares each step and generates its key now, so the benchmark
+  /// loops measure rotations, not keygen.
+  void makeRotationKeys(const std::vector<int64_t> &Steps) {
+    for (int64_t Step : Steps)
+      (void)Cache->get(Cache->declareRotation(Step));
   }
 };
 
@@ -124,8 +140,7 @@ Fixture &batchFixture(size_t N) {
   auto It = Cache.find(N);
   if (It == Cache.end()) {
     auto F = std::make_unique<Fixture>(N);
-    F->Gen->fillEvalKeys(F->Keys, batchSteps(), /*NeedRelin=*/false,
-                         /*NeedConjugate=*/false);
+    F->makeRotationKeys(batchSteps());
     It = Cache.emplace(N, std::move(F)).first;
   }
   return *It->second;
@@ -176,10 +191,7 @@ void BM_KeySwitchByLevel(benchmark::State &State) {
     P.LogSpecialModulus = 60;
     P.SparseSecret = true;
     P.Seed = 5;
-    auto Fix = std::make_unique<Fixture>(P);
-    Fix->Gen->fillEvalKeys(Fix->Keys, {1}, /*NeedRelin=*/false,
-                           /*NeedConjugate=*/false);
-    return Fix;
+    return std::make_unique<Fixture>(P);
   }();
   Ciphertext Ct = F->CtA;
   F->Eval->modSwitchTo(Ct, static_cast<size_t>(State.range(0)));

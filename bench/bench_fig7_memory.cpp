@@ -11,6 +11,7 @@
 #include "BenchUtil.h"
 
 #include "support/LimbPool.h"
+#include "support/MemTrack.h"
 #include "support/Telemetry.h"
 
 #include <cstdio>
@@ -22,7 +23,6 @@ namespace {
 
 struct MemResult {
   size_t RotationKeys = 0;
-  size_t RelinBytes = 0;
   size_t KeyBytes = 0;
   size_t TotalBytes = 0;
   size_t ChainLen = 0;
@@ -38,10 +38,9 @@ MemResult runOne(const BenchModel &M, const air::CompileOptions &Opt) {
     std::exit(1);
   }
   MemResult Out;
-  Out.RotationKeys = Exec.evalKeys().rotationKeyCount();
-  Out.RelinBytes = Exec.evalKeys().relinByteSize();
-  Out.KeyBytes = Exec.memory().evaluationKeyBytes();
-  Out.TotalBytes = Exec.memory().total();
+  Out.RotationKeys = Exec.rotationKeyCount();
+  Out.KeyBytes = Exec.evalKeyBytes();
+  Out.TotalBytes = Exec.keyBytes();
   Out.ChainLen =
       static_cast<size_t>(R->State.SelectedParams.NumRescaleModuli) + 1;
   Out.RingDegree = R->State.SelectedParams.RingDegree;

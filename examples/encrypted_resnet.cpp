@@ -20,6 +20,7 @@
 #include "codegen/CkksExecutor.h"
 #include "driver/AceCompiler.h"
 #include "nn/ModelZoo.h"
+#include "support/MemTrack.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
@@ -80,8 +81,8 @@ int main(int argc, char **argv) {
     return 1;
   }
   std::printf("keys: %zu rotation keys, %s evaluation-key memory\n",
-              Exec.evalKeys().rotationKeyCount(),
-              formatBytes(Exec.memory().evaluationKeyBytes()).c_str());
+              Exec.rotationKeyCount(),
+              formatBytes(Exec.evalKeyBytes()).c_str());
 
   const nn::Tensor &Image = Data.Images[0];
   auto Clear = nn::executeSingle(Model.MainGraph, Image);

@@ -32,6 +32,7 @@
 #include "driver/AceCompiler.h"
 #include "fhe/Serializer.h"
 #include "nn/ModelZoo.h"
+#include "support/MemTrack.h"
 #include "support/MetricsRegistry.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
@@ -133,8 +134,8 @@ int main(int argc, char **argv) {
     return 1;
   }
   std::printf("key setup: %.3f s, rotation keys: %zu, key memory: %s\n",
-              Exec.setupSeconds(), Exec.evalKeys().rotationKeyCount(),
-              formatBytes(Exec.memory().evaluationKeyBytes()).c_str());
+              Exec.setupSeconds(), Exec.rotationKeyCount(),
+              formatBytes(Exec.evalKeyBytes()).c_str());
 
   const nn::Tensor &Image = Calibration[0];
   auto Clear = nn::executeSingle(Loaded->MainGraph, Image);

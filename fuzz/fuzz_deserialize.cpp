@@ -97,8 +97,16 @@ int main(int argc, char **argv) {
   PublicKey Pub = Gen.makePublicKey();
   Encryptor Encrypt(Ctx, Pub);
 
+  // The evaluation-key seed is ace_key_save's wire form: relin and
+  // conjugation keys plus the key cache's rotation keys.
   EvalKeys Keys;
-  Gen.fillEvalKeys(Keys, {1, 2}, /*NeedRelin=*/true, /*NeedConjugate=*/true);
+  Keys.Relin = Gen.makeRelinKey();
+  Keys.HasRelin = true;
+  Keys.Conjugate = Gen.makeConjugationKey();
+  Keys.HasConjugate = true;
+  RotationKeyCache Cache(Ctx, Gen);
+  Cache.declareRotation(1);
+  Cache.declareRotation(2);
 
   Plaintext Pt = Enc.encodeReal({0.5, -1.25, 3.0}, Ctx.scale(), 2);
   Ciphertext Ct = Encrypt.encrypt(Pt);
@@ -116,6 +124,7 @@ int main(int argc, char **argv) {
   Add(wire::save(Pub, Seeds[3]));
   Add(wire::save(Gen.secretKey(), Seeds[4]));
   Add(wire::save(Keys.Relin, Seeds[5]));
+  Add(Cache.exportKeys(Keys.Rotations));
   Add(wire::save(Keys, Seeds[6]));
   if (!S.ok()) {
     std::fprintf(stderr, "seed generation failed: %s\n",

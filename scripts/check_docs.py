@@ -14,8 +14,9 @@ Invariants:
      the interface.
   4. Same for the memory-governance contract: every public entry point
      of src/support/ResourceGovernor.h (governor methods, GovernorStats
-     helpers, the free parsing/naming functions) is mentioned by name
-     in docs/memory.md.
+     helpers, the free parsing/naming functions) and of the rotation-key
+     store (the public methods of RotationKeyCache in src/fhe/Keys.h) is
+     mentioned by name in docs/memory.md.
   5. Same for the compiler pipeline-policy contract: every public entry
      point of src/support/PipelineConfig.h (the packing enum values,
      the parse/print functions, the ACE_PACKING environment variable)
@@ -90,11 +91,9 @@ def check_backend_doc():
             for name in backend_entry_points() if name not in text]
 
 
-def governor_entry_points():
-    """Public names of the memory-governance contract: ResourceGovernor's
-    public methods, the GovernorStats helpers, and the namespace-scope
-    free functions in src/support/ResourceGovernor.h."""
-    header = (ROOT / "src/support/ResourceGovernor.h").read_text()
+def public_entry_points(header):
+    """Public function and method names declared in \p header: members
+    up to a class's `private:` and namespace-scope free functions."""
     names = set()
     access_public = True  # namespace scope; class bodies toggle it
     for line in header.splitlines():
@@ -102,7 +101,9 @@ def governor_entry_points():
         if stripped == "private:":
             access_public = False
             continue
-        if stripped == "public:" or stripped.startswith("};"):
+        # A class body ends at an unindented "};"; nested structs close
+        # indented and keep the enclosing access.
+        if stripped == "public:" or line.startswith("};"):
             access_public = True
             continue
         if not access_public:
@@ -121,15 +122,34 @@ def governor_entry_points():
     return sorted(names - GENERIC_NAMES)
 
 
+def governor_entry_points():
+    """Public names of the memory-governance contract: ResourceGovernor's
+    public methods, the GovernorStats helpers, and the namespace-scope
+    free functions in src/support/ResourceGovernor.h."""
+    return public_entry_points(
+        (ROOT / "src/support/ResourceGovernor.h").read_text())
+
+
+def key_cache_entry_points():
+    """Public names of the rotation-key store: the public methods of
+    RotationKeyCache in src/fhe/Keys.h."""
+    header = (ROOT / "src/fhe/Keys.h").read_text()
+    body = header.split("class RotationKeyCache {", 1)[1].split("\n};", 1)[0]
+    return public_entry_points(body)
+
+
 def check_governor_doc():
     doc = ROOT / "docs/memory.md"
     if not doc.exists():
         return ["docs/memory.md: missing (the memory-governance contract "
                 "must be documented)"]
     text = doc.read_text()
-    return [f"docs/memory.md: governance entry point '{name}' from "
-            "src/support/ResourceGovernor.h is not documented"
-            for name in governor_entry_points() if name not in text]
+    return ([f"docs/memory.md: governance entry point '{name}' from "
+             "src/support/ResourceGovernor.h is not documented"
+             for name in governor_entry_points() if name not in text] +
+            [f"docs/memory.md: key-store entry point '{name}' from "
+             "RotationKeyCache (src/fhe/Keys.h) is not documented"
+             for name in key_cache_entry_points() if name not in text])
 
 
 def pipeline_entry_points():
@@ -195,7 +215,8 @@ def main():
         return 1
     count = len(markdown_files())
     entry_points = len(backend_entry_points())
-    governor_points = len(governor_entry_points())
+    governor_points = (len(governor_entry_points()) +
+                       len(key_cache_entry_points()))
     pipeline_points = len(pipeline_entry_points())
     print(f"docs check OK: {count} markdown files, all docs/ pages "
           "indexed, all relative links resolve, all "

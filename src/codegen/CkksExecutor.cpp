@@ -38,25 +38,57 @@ Status CkksExecutor::setup(uint64_t SeedOverride) {
     P.Seed = SeedOverride;
   if (!P.valid())
     return Status::error("invalid selected parameters");
-  // The old cache (a re-setup) references the old Ctx/Gen; drop it
-  // before they are replaced.
-  KeyCache.reset();
+  teardown();
   Ctx = std::make_unique<fhe::Context>(P);
   Enc = std::make_unique<fhe::Encoder>(*Ctx);
   Gen = std::make_unique<fhe::KeyGenerator>(*Ctx);
   Pub = Gen->makePublicKey();
-  if (LazyRotationKeys) {
-    KeyCache = std::make_unique<fhe::RotationKeyCache>(*Ctx, *Gen);
-    KeyCache->setCapacityBytes(KeyCacheCapacity);
+  KeyCache = std::make_unique<fhe::RotationKeyCache>(*Ctx, *Gen);
+  KeyCache->setCapacityBytes(KeyCacheCapacity);
+  Eval = std::make_unique<fhe::Evaluator>(*Ctx, *Enc, Keys, *KeyCache);
+  if (Status S = makeKeys(); !S.ok()) {
+    teardown();
+    return S;
   }
-  Eval = std::make_unique<fhe::Evaluator>(*Ctx, *Enc, Keys, KeyCache.get());
+  Encrypt = std::make_unique<fhe::Encryptor>(*Ctx, Pub);
+  Decrypt = std::make_unique<fhe::Decryptor>(*Ctx, Gen->secretKey());
+
+  SetupSeconds = Clock.seconds();
+  if (telemetry::enabled()) {
+    telemetry::Telemetry::instance().recordSnapshot("executor:setup");
+    telemetry::Telemetry::instance().sampleRss("rss");
+  }
+  return Status::success();
+}
+
+void CkksExecutor::teardown() {
+  Boot.reset();
+  Eval.reset();
+  Encrypt.reset();
+  Decrypt.reset();
+  KeyCache.reset();
+  Keys = fhe::EvalKeys();
+  PlainCache.clear();
+}
+
+Status CkksExecutor::makeKeys() {
+  // Eager executors generate each key as it is declared, so its material
+  // depends only on the seed and this order. The pins hold every key
+  // until setup returns: a key set over budget fails instead of evicting
+  // its own keys to fit.
+  std::vector<std::shared_ptr<const fhe::SwitchKey>> Pins;
+  auto Declared = [&](uint64_t Galois) {
+    return LazyRotationKeys ? Status::success()
+                            : Eval->materializeGaloisKey(Galois, 0, Pins);
+  };
 
   // Key generation restricted to the analyzed requirements (paper RQ2's
   // memory win over generating every power-of-two key). The Expert
   // baseline instead generates the full power-of-two key set, as hand
   // implementations and FHE libraries do by default.
   // Bootstrap keys first: its rotations run at the raised levels and need
-  // full-depth keys, even when the same step also appears in the program.
+  // full-depth keys, even when the same step also appears in the program
+  // (declareRotation keeps the widest truncation when they overlap).
   std::vector<int64_t> FullSteps;
   if (State.BootstrapCount > 0) {
     fhe::BootstrapConfig Cfg;
@@ -65,11 +97,18 @@ Status CkksExecutor::setup(uint64_t SeedOverride) {
     Cfg.ChebyshevDegree = State.Options.BootstrapChebDegree;
     Boot = std::make_unique<fhe::Bootstrapper>(*Eval, Cfg);
     FullSteps = Boot->requiredRotations();
-    if (KeyCache)
-      for (uint64_t Galois : Boot->requiredGaloisElements())
-        KeyCache->declareGalois(Galois);
-    else
-      Gen->fillGaloisKeys(Keys, Boot->requiredGaloisElements());
+    for (uint64_t Galois : Boot->requiredGaloisElements()) {
+      KeyCache->declareGalois(Galois);
+      ACE_RETURN_IF_ERROR(Declared(Galois));
+    }
+  }
+  if (State.NeedsRelin) {
+    Keys.Relin = Gen->makeRelinKey();
+    Keys.HasRelin = true;
+  }
+  if (State.NeedsConjugation) {
+    Keys.Conjugate = Gen->makeConjugationKey();
+    Keys.HasConjugate = true;
   }
   if (!State.Options.EnableRotationKeyAnalysis) {
     // Hand implementations generate every key their rotations might use -
@@ -78,57 +117,42 @@ Status CkksExecutor::setup(uint64_t SeedOverride) {
     // bigger.
     FullSteps.insert(FullSteps.end(), State.RotationSteps.begin(),
                      State.RotationSteps.end());
-    for (size_t S = 1; S < P.Slots; S <<= 1) {
+    for (size_t S = 1; S < Ctx->slots(); S <<= 1) {
       FullSteps.push_back(static_cast<int64_t>(S));
-      FullSteps.push_back(static_cast<int64_t>(P.Slots - S));
+      FullSteps.push_back(static_cast<int64_t>(Ctx->slots() - S));
     }
   }
-  // In lazy mode only relin/conjugation are generated here; rotations
-  // are declared on the cache (bootstrap steps at full depth, analyzed
-  // steps at their truncation level — declareRotation keeps the widest
-  // when they overlap) and materialize on first use.
-  Gen->fillEvalKeys(Keys, KeyCache ? std::vector<int64_t>() : FullSteps,
-                    State.NeedsRelin, State.NeedsConjugation);
-  if (KeyCache)
-    for (int64_t Step : FullSteps)
-      KeyCache->declareRotation(Step);
-  if (State.Options.EnableRotationKeyAnalysis) {
-    // Level-aware key generation: each step's key truncates to the
-    // deepest level the dataflow analysis saw it used at. Compute
-    // rotations sit far below the bootstrap's raised levels, so their
-    // keys shrink quadratically.
-    for (int64_t Step : State.RotationSteps) {
-      uint64_t Galois =
-          fhe::galoisForRotation(Ctx->degree(), Ctx->slots(), Step);
-      auto It = State.RotationStepMaxNumQ.find(Step);
-      size_t MaxNumQ = It != State.RotationStepMaxNumQ.end()
-                           ? It->second
-                           : Ctx->chainLength();
-      if (KeyCache) {
-        KeyCache->declareRotation(Step, MaxNumQ);
-        continue;
-      }
-      if (Keys.Rotations.count(Galois))
-        continue;
-      Keys.Rotations.emplace(Galois,
-                             Gen->makeRotationKey(Step, MaxNumQ));
-    }
-  }
-  Encrypt = std::make_unique<fhe::Encryptor>(*Ctx, Pub);
-  Decrypt = std::make_unique<fhe::Decryptor>(*Ctx, Gen->secretKey());
-
-  Memory.clear();
-  Memory.add(MemCategoryKind::MC_SecretKey, Gen->secretKey().byteSize());
-  Memory.add(MemCategoryKind::MC_PublicKey, Pub.byteSize());
-  Memory.add(MemCategoryKind::MC_RelinKey, Keys.relinByteSize());
-  Memory.add(MemCategoryKind::MC_RotationKeys, Keys.rotationByteSize());
-
-  SetupSeconds = Clock.seconds();
-  if (telemetry::enabled()) {
-    telemetry::Telemetry::instance().recordSnapshot("executor:setup");
-    telemetry::Telemetry::instance().sampleRss("rss");
+  for (int64_t Step : FullSteps)
+    ACE_RETURN_IF_ERROR(Declared(KeyCache->declareRotation(Step)));
+  if (!State.Options.EnableRotationKeyAnalysis)
+    return Status::success();
+  // Level-aware key generation: each step's key truncates to the deepest
+  // level the dataflow analysis saw it used at. Compute rotations sit far
+  // below the bootstrap's raised levels, so their keys shrink
+  // quadratically.
+  for (int64_t Step : State.RotationSteps) {
+    auto It = State.RotationStepMaxNumQ.find(Step);
+    size_t MaxNumQ = It != State.RotationStepMaxNumQ.end()
+                         ? It->second
+                         : Ctx->chainLength();
+    ACE_RETURN_IF_ERROR(Declared(KeyCache->declareRotation(Step, MaxNumQ)));
   }
   return Status::success();
+}
+
+size_t CkksExecutor::evalKeyBytes() const {
+  return Keys.byteSize() + (KeyCache ? KeyCache->stats().ResidentBytes : 0);
+}
+
+size_t CkksExecutor::keyBytes() const {
+  if (!Gen)
+    return 0;
+  return Gen->secretKey().byteSize() + Pub.byteSize() + evalKeyBytes();
+}
+
+size_t CkksExecutor::rotationKeyCount() const {
+  return (KeyCache ? KeyCache->stats().DeclaredCount : 0) +
+         (Keys.HasConjugate ? 1 : 0);
 }
 
 StatusOr<fhe::Ciphertext>
@@ -173,7 +197,6 @@ const Plaintext &CkksExecutor::encodedConst(const IrNode *ConstNode,
   if (It != PlainCache.end())
     return It->second;
   Plaintext P = Enc->encodeReal(ConstNode->Data, Scale, For.numQ());
-  Memory.add(MemCategoryKind::MC_Plaintexts, P.byteSize());
   return PlainCache.emplace(Key, std::move(P)).first->second;
 }
 
@@ -372,7 +395,6 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
   }
   if (!HaveResult)
     return Status::error("executor: program produced no result");
-  Memory.add(MemCategoryKind::MC_Ciphertexts, Result.byteSize());
   if (telemetry::enabled()) {
     telemetry::Telemetry::instance().recordSnapshot("executor:run");
     telemetry::Telemetry::instance().sampleRss("rss");

@@ -9,12 +9,12 @@
 /// \file
 /// In-process execution of a compiled CKKS-IR program against the ACEfhe
 /// runtime - the role the generated C program plays in the real ANT-ACE
-/// deployment (paper Fig. 2): setup generates exactly the keys the
-/// compiler's analysis requested; the encryptor packs and normalizes a
-/// tensor per the selected layout; run() interprets the CKKS IR; the
-/// decryptor unpacks the logits. Telemetry region spans by origin
-/// operator feed the paper's Figure 6 breakdown, and key-material byte
-/// counts feed Figure 7.
+/// deployment (paper Fig. 2): setup declares exactly the keys the
+/// compiler's analysis requested in the executor's RotationKeyCache; the
+/// encryptor packs and normalizes a tensor per the selected layout; run()
+/// interprets the CKKS IR; the decryptor unpacks the logits. Telemetry
+/// region spans by origin operator feed the paper's Figure 6 breakdown,
+/// and key-material byte counts feed Figure 7.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,6 @@
 #include "fhe/Encryptor.h"
 #include "nn/Executor.h"
 #include "support/Cancellation.h"
-#include "support/MemTrack.h"
 #include "support/Timer.h"
 
 #include <memory>
@@ -43,28 +42,31 @@ public:
   ~CkksExecutor();
 
   /// Builds the context, generates keys (secret, public, relin,
-  /// rotation set from the key analysis, bootstrap Galois set), and
-  /// instantiates evaluator + bootstrapper. \p SeedOverride = 0 keeps
-  /// the compiled parameters' deterministic seed; a nonzero value
-  /// reseeds the context so this executor draws INDEPENDENT key
-  /// material from every other executor over the same program (the
-  /// per-session isolation the inference service relies on).
+  /// conjugation), declares the bootstrap Galois set and the analyzed
+  /// rotation set in the key cache, and instantiates evaluator +
+  /// bootstrapper. An eager executor (the default) generates each
+  /// declared key at once, in a fixed order: SubSum elements, relin,
+  /// conjugation, bootstrap steps, analyzed steps. Every rotation/Galois
+  /// key is charged to the ResourceGovernor; a key set that does not fit
+  /// the budget fails with ResourceExhausted and leaves the executor not
+  /// set up. A second call starts from an empty key set and plaintext
+  /// cache. \p SeedOverride = 0 keeps the compiled parameters'
+  /// deterministic seed; a nonzero value reseeds the context so this
+  /// executor draws INDEPENDENT key material from every other executor
+  /// over the same program (the per-session isolation the inference
+  /// service relies on).
   Status setup(uint64_t SeedOverride = 0);
 
-  /// Pre-setup() policy switch: generate rotation/Galois keys lazily
-  /// through a RotationKeyCache instead of eagerly at setup. The
-  /// compiler's analyzed step set (with truncation levels) and the
-  /// bootstrap Galois set are *declared*; each key materializes on first
-  /// use, charged to the ResourceGovernor, and cold keys are evicted
-  /// under budget pressure (regenerating transparently on next use).
-  /// Relinearization and conjugation keys stay eager — every program
-  /// needs them throughout. \p CapacityBytes bounds the per-executor LRU
-  /// (0 = only the process budget limits it). The long-running inference
-  /// service turns this on per session; one-shot runs keep the eager
-  /// default, whose setup cost and key-byte reporting are unchanged.
+  /// Pre-setup() policy switch: setup only *declares* the rotation and
+  /// Galois keys; each materializes on first use, and cold keys are
+  /// evicted under budget pressure (regenerating transparently on next
+  /// use). Relinearization and conjugation keys stay eager — every
+  /// program needs them throughout. \p CapacityBytes bounds the
+  /// per-executor LRU (0 = only the process budget limits it). The
+  /// long-running inference service turns this on per session.
   void enableLazyRotationKeys(size_t CapacityBytes = 0);
 
-  /// The lazy key cache, or nullptr in eager mode / before setup().
+  /// The store of every rotation/Galois key, or nullptr before setup().
   fhe::RotationKeyCache *keyCache() const { return KeyCache.get(); }
 
   /// Client-side: packs, normalizes, encodes and encrypts a tensor.
@@ -93,8 +95,14 @@ public:
   /// Convenience: encrypt, run, decrypt.
   StatusOr<std::vector<double>> infer(const nn::Tensor &Input);
 
-  /// Key/ciphertext memory by category (Fig. 7).
-  const MemTracker &memory() const { return Memory; }
+  /// Evaluation-key bytes (Fig. 7's CKKS-Keys share): the relin and
+  /// conjugation keys plus the key cache's resident rotation/Galois keys.
+  size_t evalKeyBytes() const;
+  /// Every key this executor holds: secret, public and evalKeyBytes().
+  size_t keyBytes() const;
+  /// Rotation/Galois keys declared in the key cache, plus the
+  /// conjugation key.
+  size_t rotationKeyCount() const;
 
   /// Seconds spent in setup (key generation dominates).
   double setupSeconds() const { return SetupSeconds; }
@@ -113,6 +121,8 @@ private:
   std::unique_ptr<fhe::Encoder> Enc;
   std::unique_ptr<fhe::KeyGenerator> Gen;
   /// Declared after Gen/Ctx (it references both) so it destructs first.
+  /// Always present after setup(); lazy mode only changes when its keys
+  /// are generated.
   std::unique_ptr<fhe::RotationKeyCache> KeyCache;
   bool LazyRotationKeys = false;
   size_t KeyCacheCapacity = 0;
@@ -123,7 +133,6 @@ private:
   std::unique_ptr<fhe::Encryptor> Encrypt;
   std::unique_ptr<fhe::Decryptor> Decrypt;
 
-  MemTracker Memory;
   double SetupSeconds = 0.0;
 
   /// Encoded-plaintext cache: (node id, numQ, log2 scale bucket).
@@ -132,6 +141,12 @@ private:
   const fhe::Plaintext &encodedConst(const air::IrNode *ConstNode,
                                      const fhe::Ciphertext &For,
                                      bool ForMul);
+  /// Declares and (unless lazy) generates the rotation/Galois keys, plus
+  /// the relin and conjugation keys.
+  Status makeKeys();
+  /// Drops every key, runtime object and encoded plaintext of a previous
+  /// setup(), users before what they reference.
+  void teardown();
 };
 
 } // namespace codegen

@@ -338,10 +338,10 @@ StatusOr<Ciphertext> Bootstrapper::checkedBootstrap(const Ciphertext &Ct,
   if (!Keys.HasConjugate)
     return Status::keyMissing("bootstrap: conjugation key not generated");
   // Materialize and pin every rotation/Galois key the refresh will use
-  // BEFORE entering the unchecked hot tier. Lazy (cache-backed) keygen
-  // goes through the governor here, so under budget pressure the refusal
-  // comes back in-band as ResourceExhausted instead of hitting
-  // reportFatalError mid-bootstrap; the pins keep cache-served keys
+  // BEFORE entering the unchecked hot tier. A key generated here (first
+  // use, or after an eviction) goes through the governor, so under budget
+  // pressure the refusal comes back in-band as ResourceExhausted instead
+  // of hitting reportFatalError mid-bootstrap; the pins keep the keys
   // resident for the whole refresh (eviction skips held keys), so every
   // hot-tier lookup below is a guaranteed hit. SubSum and CoeffToSlot
   // run at the raised level, so each key must cover Raised digits.

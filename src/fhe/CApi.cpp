@@ -119,6 +119,9 @@ struct AceFheContext {
   std::unique_ptr<Context> Ctx;
   std::unique_ptr<Encoder> Enc;
   std::unique_ptr<KeyGenerator> Gen;
+  /// Every rotation/Galois key: declared by ace_keygen, adopted by
+  /// ace_key_load.
+  std::unique_ptr<RotationKeyCache> Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;
@@ -195,7 +198,8 @@ AceFheContext *ace_create(size_t RingDegree, size_t Slots, int LogScale,
   C->Enc = std::make_unique<Encoder>(*C->Ctx);
   C->Gen = std::make_unique<KeyGenerator>(*C->Ctx);
   C->Pub = C->Gen->makePublicKey();
-  C->Eval = std::make_unique<Evaluator>(*C->Ctx, *C->Enc, C->Keys);
+  C->Cache = std::make_unique<RotationKeyCache>(*C->Ctx, *C->Gen);
+  C->Eval = std::make_unique<Evaluator>(*C->Ctx, *C->Enc, C->Keys, *C->Cache);
   C->Encrypt = std::make_unique<Encryptor>(*C->Ctx, C->Pub);
   C->Decrypt = std::make_unique<Decryptor>(*C->Ctx, C->Gen->secretKey());
   return C;
@@ -221,40 +225,54 @@ int ace_keygen(AceFheContext *C, const int64_t *Steps,
                      "NULL");
     return ACE_ERR_INVALID_ARGUMENT;
   }
-  if (Bootstrap) {
-    if (BootK < 1 || BootDa < 0 || BootDeg < 3) {
-      setLastError(ACE_ERR_INVALID_ARGUMENT,
-                   "keygen: invalid bootstrap configuration: range K " +
-                       std::to_string(BootK) + ", double angles " +
-                       std::to_string(BootDa) + ", chebyshev degree " +
-                       std::to_string(BootDeg));
-      return ACE_ERR_INVALID_ARGUMENT;
+  if (Bootstrap && (BootK < 1 || BootDa < 0 || BootDeg < 3)) {
+    setLastError(ACE_ERR_INVALID_ARGUMENT,
+                 "keygen: invalid bootstrap configuration: range K " +
+                     std::to_string(BootK) + ", double angles " +
+                     std::to_string(BootDa) + ", chebyshev degree " +
+                     std::to_string(BootDeg));
+    return ACE_ERR_INVALID_ARGUMENT;
+  }
+  auto MakeRelinConj = [&](bool Relin, bool Conj) {
+    if (Relin && !C->Keys.HasRelin) {
+      C->Keys.Relin = C->Gen->makeRelinKey();
+      C->Keys.HasRelin = true;
     }
-    BootstrapConfig Cfg;
-    Cfg.RangeK = BootK;
-    Cfg.DoubleAngleCount = BootDa;
-    Cfg.ChebyshevDegree = BootDeg;
-    C->Boot = std::make_unique<Bootstrapper>(*C->Eval, Cfg);
-    C->Gen->fillEvalKeys(C->Keys, C->Boot->requiredRotations(),
-                         NeedRelin != 0, /*NeedConjugate=*/true);
-    C->Gen->fillGaloisKeys(C->Keys, C->Boot->requiredGaloisElements());
-  }
-  for (size_t I = 0; I < NSteps; ++I) {
-    uint64_t Galois =
-        galoisForRotation(C->Ctx->degree(), C->Ctx->slots(), Steps[I]);
-    if (Galois == 1 || C->Keys.Rotations.count(Galois))
-      continue;
-    size_t MaxQ = StepMaxQ ? StepMaxQ[I] : 0;
-    C->Keys.Rotations.emplace(Galois,
-                              C->Gen->makeRotationKey(Steps[I], MaxQ));
-  }
-  if (NeedRelin && !C->Keys.HasRelin) {
-    C->Keys.Relin = C->Gen->makeRelinKey();
-    C->Keys.HasRelin = true;
-  }
-  if (NeedConj && !C->Keys.HasConjugate) {
-    C->Keys.Conjugate = C->Gen->makeConjugationKey();
-    C->Keys.HasConjugate = true;
+    if (Conj && !C->Keys.HasConjugate) {
+      C->Keys.Conjugate = C->Gen->makeConjugationKey();
+      C->Keys.HasConjugate = true;
+    }
+  };
+  // Each key is generated as it is declared, and held until keygen
+  // returns: a key set over the memory budget fails here instead of
+  // evicting this call's own keys.
+  std::vector<std::shared_ptr<const SwitchKey>> Pins;
+  Status S = [&]() -> Status {
+    if (Bootstrap) {
+      BootstrapConfig Cfg;
+      Cfg.RangeK = BootK;
+      Cfg.DoubleAngleCount = BootDa;
+      Cfg.ChebyshevDegree = BootDeg;
+      C->Boot = std::make_unique<Bootstrapper>(*C->Eval, Cfg);
+      MakeRelinConj(NeedRelin != 0, /*Conj=*/true);
+      for (int64_t Step : C->Boot->requiredRotations())
+        ACE_RETURN_IF_ERROR(C->Eval->materializeGaloisKey(
+            C->Cache->declareRotation(Step), 0, Pins));
+      for (uint64_t Galois : C->Boot->requiredGaloisElements()) {
+        C->Cache->declareGalois(Galois);
+        ACE_RETURN_IF_ERROR(C->Eval->materializeGaloisKey(Galois, 0, Pins));
+      }
+    }
+    for (size_t I = 0; I < NSteps; ++I)
+      ACE_RETURN_IF_ERROR(C->Eval->materializeGaloisKey(
+          C->Cache->declareRotation(Steps[I], StepMaxQ ? StepMaxQ[I] : 0), 0,
+          Pins));
+    MakeRelinConj(NeedRelin != 0, NeedConj != 0);
+    return Status::success();
+  }();
+  if (!S.ok()) {
+    setLastError(S);
+    return toCCode(S.code());
   }
   return ACE_OK;
 }
@@ -537,9 +555,14 @@ int ace_key_save(AceFheContext *C, const char *Path) {
   std::ofstream OS;
   if (!openForWrite(Path, "key_save", OS))
     return ace_last_error();
-  Status S = wire::save(C->Pub, OS);
+  // The wire form carries every declared rotation key in the Rotations
+  // map, which the context's own key set otherwise leaves empty.
+  Status S = C->Cache->exportKeys(C->Keys.Rotations);
+  if (S.ok())
+    S = wire::save(C->Pub, OS);
   if (S.ok())
     S = wire::save(C->Keys, OS);
+  C->Keys.Rotations.clear();
   if (!S.ok()) {
     setLastError(S);
     return toCCode(S.code());
@@ -565,9 +588,11 @@ int ace_key_load(AceFheContext *C, const char *Path) {
   }
   // Both objects parsed: only now mutate the context. Encryptor holds a
   // reference to Pub and Evaluator to Keys, so in-place assignment
-  // retargets them.
+  // retargets them; the loaded rotation keys replace every declaration.
   C->Pub = Pub.take();
   C->Keys = Keys.take();
+  C->Cache->adoptKeys(std::move(C->Keys.Rotations));
+  C->Keys.Rotations.clear();
   return ACE_OK;
 }
 

@@ -73,7 +73,10 @@ void ace_destroy(AceFheContext *ctx);
 /// Generates keys: rotation steps (with optional per-step level caps via
 /// step_maxq, may be NULL), relinearization/conjugation, and - when
 /// bootstrap is nonzero - the bootstrapping key material with the given
-/// configuration. Returns ACE_OK or an error code.
+/// configuration. A step declared again at a deeper level than an earlier
+/// call gave it gets a wider key. Rotation keys count against the memory
+/// budget: ACE_ERR_RESOURCE_EXHAUSTED when they do not fit. Returns
+/// ACE_OK or an error code.
 int ace_keygen(AceFheContext *ctx, const int64_t *steps,
                const size_t *step_maxq, size_t nsteps, int need_relin,
                int need_conj, int bootstrap, int boot_k, int boot_da,
@@ -142,7 +145,9 @@ AceFheCiphertext *ace_ct_load(AceFheContext *ctx, const char *path);
 /// (two concatenated framed objects) to path.
 int ace_key_save(AceFheContext *ctx, const char *path);
 /// Replaces the context's public key and evaluation-key set with the
-/// contents of a file written by ace_key_save.
+/// contents of a file written by ace_key_save. The loaded rotation keys
+/// may belong to another context's secret, so they are never evicted
+/// under memory pressure.
 int ace_key_load(AceFheContext *ctx, const char *path);
 
 /// @}

@@ -118,56 +118,24 @@ static std::string keyLevel(const SwitchKey &Key) {
 }
 
 Evaluator::Evaluator(const Context &Ctx, const Encoder &Enc,
-                     const EvalKeys &Keys, RotationKeyCache *KeyCache)
+                     const EvalKeys &Keys, RotationKeyCache &KeyCache)
     : Ctx(Ctx), Enc(Enc), Keys(Keys), KeyCache(KeyCache) {
   MonomialNtt.resize(Ctx.chainLength() + Ctx.numSpecial());
-}
-
-bool Evaluator::hasGaloisKey(uint64_t Galois) const {
-  if (Keys.Rotations.count(Galois))
-    return true;
-  return KeyCache && KeyCache->declared(Galois);
-}
-
-const SwitchKey *
-Evaluator::galoisKeyFor(uint64_t Galois,
-                        std::shared_ptr<const SwitchKey> &Hold,
-                        Status *WhyNot) const {
-  auto It = Keys.Rotations.find(Galois);
-  if (It != Keys.Rotations.end())
-    return &It->second;
-  if (KeyCache) {
-    auto KeyOr = KeyCache->get(Galois);
-    if (KeyOr.ok()) {
-      Hold = KeyOr.take();
-      return Hold.get();
-    }
-    if (WhyNot)
-      *WhyNot = KeyOr.status();
-    return nullptr;
-  }
-  if (WhyNot)
-    *WhyNot = Status::keyMissing(
-        "no switch key for Galois element " + std::to_string(Galois) +
-        "; the key analysis did not request it");
-  return nullptr;
 }
 
 Status Evaluator::materializeGaloisKey(
     uint64_t Galois, size_t MinNumQ,
     std::vector<std::shared_ptr<const SwitchKey>> &Pins) const {
-  std::shared_ptr<const SwitchKey> Hold;
-  Status WhyNot;
-  const SwitchKey *Key = galoisKeyFor(Galois, Hold, &WhyNot);
-  if (!Key)
-    return WhyNot; // KeyMissing, or ResourceExhausted from lazy keygen
+  if (Galois == 1)
+    return Status::success(); // the identity needs no key
+  ACE_ASSIGN_OR_RETURN(std::shared_ptr<const SwitchKey> Key,
+                       KeyCache.get(Galois));
   if (!Key->covers(MinNumQ))
     return Status::keyMissing(
         "switch key for Galois element " + std::to_string(Galois) +
         " truncated to " + keyLevel(*Key) + " but " +
         std::to_string(MinNumQ) + " primes are required");
-  if (Hold)
-    Pins.push_back(std::move(Hold));
+  Pins.push_back(std::move(Key));
   return Status::success();
 }
 
@@ -741,15 +709,13 @@ Ciphertext Evaluator::rotate(const Ciphertext &A, int64_t Steps) const {
     Span.begin(telemetry::Counter::Rotate, A.numQ(), A.Scale,
                noiseBudgetBits(A));
   uint64_t Galois = galoisForRotation(Ctx.degree(), Slots, K);
-  std::shared_ptr<const SwitchKey> Hold;
-  Status WhyNot;
-  const SwitchKey *Key = galoisKeyFor(Galois, Hold, &WhyNot);
-  // The hot tier has no error channel; a lazy-keygen failure here is a
-  // caller bug (use checkedRotate under budget pressure), surfaced as a
-  // clean abort rather than UB.
-  if (!Key)
-    reportFatalError("rotate: " + WhyNot.message());
-  return applyGalois(A, Galois, *Key);
+  // The hot tier has no error channel; a keygen failure here is a caller
+  // bug (use checkedRotate under budget pressure), surfaced as a clean
+  // abort rather than UB. The handle pins the key for the switch.
+  auto Key = KeyCache.get(Galois);
+  if (!Key.ok())
+    reportFatalError("rotate: " + Key.status().message());
+  return applyGalois(A, Galois, **Key);
 }
 
 std::vector<Ciphertext>
@@ -760,17 +726,15 @@ Evaluator::rotateHoisted(const Ciphertext &A,
   std::vector<Ciphertext> Out(Steps.size());
 
   // Resolve keys up front; zero steps are plain copies and join neither
-  // the counters nor the batch. Cache-served keys are pinned for the
+  // the counters nor the batch. Each job's handle pins its key for the
   // whole batch so a concurrent eviction cannot free one mid-rotation.
   struct Job {
     size_t Index;
     uint64_t Galois;
-    const SwitchKey *Key;
+    std::shared_ptr<const SwitchKey> Key;
   };
   std::vector<Job> Jobs;
-  std::vector<std::shared_ptr<const SwitchKey>> Holds;
   Jobs.reserve(Steps.size());
-  Holds.reserve(Steps.size());
   for (size_t I = 0; I < Steps.size(); ++I) {
     int64_t K = ((Steps[I] % Slots) + Slots) % Slots;
     if (K == 0) {
@@ -778,16 +742,12 @@ Evaluator::rotateHoisted(const Ciphertext &A,
       continue;
     }
     uint64_t Galois = galoisForRotation(Ctx.degree(), A.Slots, K);
-    std::shared_ptr<const SwitchKey> Hold;
-    Status WhyNot;
-    const SwitchKey *Key = galoisKeyFor(Galois, Hold, &WhyNot);
-    if (!Key)
-      reportFatalError("rotateHoisted: " + WhyNot.message());
-    if (Hold)
-      Holds.push_back(std::move(Hold));
-    assert(Key->covers(A.numQ()) &&
+    auto Key = KeyCache.get(Galois);
+    if (!Key.ok())
+      reportFatalError("rotateHoisted: " + Key.status().message());
+    assert((*Key)->covers(A.numQ()) &&
            "rotation key truncated below this ciphertext's level");
-    Jobs.push_back({I, Galois, Key});
+    Jobs.push_back({I, Galois, Key.take()});
   }
   if (Jobs.empty())
     return Out;
@@ -832,12 +792,10 @@ Ciphertext Evaluator::rotateGalois(const Ciphertext &A,
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Rotate, A.numQ(), A.Scale,
                noiseBudgetBits(A));
-  std::shared_ptr<const SwitchKey> Hold;
-  Status WhyNot;
-  const SwitchKey *Key = galoisKeyFor(Galois, Hold, &WhyNot);
-  if (!Key)
-    reportFatalError("rotateGalois: " + WhyNot.message());
-  return applyGalois(A, Galois, *Key);
+  auto Key = KeyCache.get(Galois);
+  if (!Key.ok())
+    reportFatalError("rotateGalois: " + Key.status().message());
+  return applyGalois(A, Galois, **Key);
 }
 
 Ciphertext Evaluator::conjugate(const Ciphertext &A) const {
@@ -1158,29 +1116,32 @@ StatusOr<Ciphertext> Evaluator::checkedRotate(const Ciphertext &A,
   if (K == 0)
     return A;
   uint64_t Galois = galoisForRotation(Ctx.degree(), A.Slots, K);
-  std::shared_ptr<const SwitchKey> Hold;
-  Status WhyNot;
-  const SwitchKey *Key = galoisKeyFor(Galois, Hold, &WhyNot);
-  if (Key && keyDropped(FaultKind::DropGaloisKey))
-    Key = nullptr;
-  if (!Key) {
-    if (!WhyNot.ok() && WhyNot.code() != ErrorCode::KeyMissing)
-      return WhyNot; // budget refusal from lazy keygen: ResourceExhausted
-    return Status::keyMissing(
-        "rotate: no rotation key for step " + std::to_string(Steps) +
-        " (galois element " + std::to_string(Galois) +
-        "); the key analysis did not request this step");
-  }
-  if (!Key->covers(A.numQ()))
-    return Status::keyMissing(
-        "rotate: rotation key for step " + std::to_string(Steps) +
-        " truncated to " + keyLevel(*Key) + " but the ciphertext has " +
-        std::to_string(A.numQ()) + " active primes");
+  ACE_ASSIGN_OR_RETURN(std::shared_ptr<const SwitchKey> Key,
+                       checkedRotationKey(Steps, Galois, A.numQ()));
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Rotate, A.numQ(), A.Scale,
                noiseBudgetBits(A));
   return applyGalois(A, Galois, *Key);
+}
+
+StatusOr<std::shared_ptr<const SwitchKey>>
+Evaluator::checkedRotationKey(int64_t Steps, uint64_t Galois,
+                              size_t NumQ) const {
+  auto Key = KeyCache.get(Galois);
+  if (!Key.ok() && Key.status().code() != ErrorCode::KeyMissing)
+    return Key.status(); // budget refusal from keygen: ResourceExhausted
+  if (!Key.ok() || keyDropped(FaultKind::DropGaloisKey))
+    return Status::keyMissing(
+        "rotate: no rotation key for step " + std::to_string(Steps) +
+        " (galois element " + std::to_string(Galois) +
+        "); the key analysis did not request this step");
+  if (!(*Key)->covers(NumQ))
+    return Status::keyMissing(
+        "rotate: rotation key for step " + std::to_string(Steps) +
+        " truncated to " + keyLevel(**Key) + " but the ciphertext has " +
+        std::to_string(NumQ) + " active primes");
+  return Key;
 }
 
 StatusOr<std::vector<Ciphertext>>
@@ -1192,36 +1153,19 @@ Evaluator::checkedRotateHoisted(const Ciphertext &A,
         "rotate: relinearize before rotating (ciphertext has " +
         std::to_string(A.size()) + " components)");
   int64_t Slots = static_cast<int64_t>(A.Slots);
-  // Pin every cache-served key across the validation AND the rotation:
-  // the Holds vector outlives the rotateHoisted call below, so a
-  // concurrent eviction between check and use cannot free a key (the
-  // batch re-resolves each key from the still-live cache entry).
-  std::vector<std::shared_ptr<const SwitchKey>> Holds;
+  // Pin every key across the validation AND the rotation: the Pins
+  // vector outlives the rotateHoisted call below, so a concurrent
+  // eviction between check and use cannot free a key (the batch
+  // re-resolves each key from the still-live cache entry).
+  std::vector<std::shared_ptr<const SwitchKey>> Pins;
   for (int64_t Step : Steps) {
     int64_t K = ((Step % Slots) + Slots) % Slots;
     if (K == 0)
       continue;
     uint64_t Galois = galoisForRotation(Ctx.degree(), A.Slots, K);
-    std::shared_ptr<const SwitchKey> Hold;
-    Status WhyNot;
-    const SwitchKey *Key = galoisKeyFor(Galois, Hold, &WhyNot);
-    if (Key && keyDropped(FaultKind::DropGaloisKey))
-      Key = nullptr;
-    if (!Key) {
-      if (!WhyNot.ok() && WhyNot.code() != ErrorCode::KeyMissing)
-        return WhyNot; // budget refusal from lazy keygen
-      return Status::keyMissing(
-          "rotate: no rotation key for step " + std::to_string(Step) +
-          " (galois element " + std::to_string(Galois) +
-          "); the key analysis did not request this step");
-    }
-    if (Hold)
-      Holds.push_back(std::move(Hold));
-    if (!Key->covers(A.numQ()))
-      return Status::keyMissing(
-          "rotate: rotation key for step " + std::to_string(Step) +
-          " truncated to " + keyLevel(*Key) + " but the ciphertext has " +
-          std::to_string(A.numQ()) + " active primes");
+    ACE_ASSIGN_OR_RETURN(std::shared_ptr<const SwitchKey> Key,
+                         checkedRotationKey(Step, Galois, A.numQ()));
+    Pins.push_back(std::move(Key));
   }
   return rotateHoisted(A, Steps);
 }

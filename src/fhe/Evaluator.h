@@ -58,29 +58,25 @@ struct HoistedDecomposition {
 /// executor route through the checked tier; see docs/error-handling.md.
 class Evaluator {
 public:
-  /// \p KeyCache optionally backs rotation/Galois key lookups with LRU
-  /// on-demand generation: eager keys in \p Keys win, the cache serves
-  /// the rest (see docs/memory.md). Must outlive the evaluator.
+  /// \p Keys holds the relinearization and conjugation keys; every
+  /// rotation/Galois key comes from \p KeyCache (see docs/memory.md).
+  /// Both must outlive the evaluator.
   Evaluator(const Context &Ctx, const Encoder &Enc, const EvalKeys &Keys,
-            RotationKeyCache *KeyCache = nullptr);
+            RotationKeyCache &KeyCache);
 
   const Context &context() const { return Ctx; }
   const Encoder &encoder() const { return Enc; }
   const EvalKeys &keys() const { return Keys; }
 
-  /// True when a switch key for \p Galois is available — eagerly in
-  /// keys(), or declared in the key cache (where it materializes on
-  /// first use).
-  bool hasGaloisKey(uint64_t Galois) const;
-
   /// Materializes the switch key for \p Galois through the Status path
-  /// (lazy keygen runs the governor's admit here, so budget refusals
+  /// (a key generated here runs the governor's admit, so budget refusals
   /// come back in-band as ResourceExhausted instead of aborting in the
-  /// hot tier) and verifies it covers \p MinNumQ chain primes.
-  /// A cache-served key is appended to \p Pins; holding the pins keeps
-  /// it resident (eviction skips held keys), so a caller about to run a
-  /// long unchecked sequence — the bootstrapper — can guarantee every
-  /// hot-tier lookup hits. Eager keys pin nothing (they never move).
+  /// hot tier) and verifies it covers \p MinNumQ chain primes. The key
+  /// is appended to \p Pins; holding the pins keeps it resident
+  /// (eviction skips held keys), so a caller about to run a long
+  /// unchecked sequence — the bootstrapper — can guarantee every
+  /// hot-tier lookup hits. Eager setup calls it with \p MinNumQ = 0 right
+  /// after each declaration. The identity element 1 needs no key.
   Status materializeGaloisKey(
       uint64_t Galois, size_t MinNumQ,
       std::vector<std::shared_ptr<const SwitchKey>> &Pins) const;
@@ -266,9 +262,8 @@ private:
   const Context &Ctx;
   const Encoder &Enc;
   const EvalKeys &Keys;
-  /// Optional lazy key source consulted when Keys.Rotations lacks an
-  /// element; not owned.
-  RotationKeyCache *KeyCache = nullptr;
+  /// The source of every rotation/Galois key; not owned.
+  RotationKeyCache &KeyCache;
   /// NTT form of the monomial X^{N/2} per modulus, built lazily.
   mutable std::vector<std::vector<uint64_t>> MonomialNtt;
   /// LogQPrefix[I] = sum of log2(q_j) for j < I, built lazily for
@@ -276,14 +271,12 @@ private:
   mutable std::vector<double> LogQPrefix;
 
   const std::vector<uint64_t> &monomialNtt(size_t ModIndex) const;
-  /// Resolves the switch key for \p Galois: eager Keys.Rotations first,
-  /// then the key cache (generating on demand). A cache-served key is
-  /// pinned in \p Hold so eviction cannot free it mid-operation. Returns
-  /// nullptr on failure with the reason in \p WhyNot (KeyMissing, or
-  /// ResourceExhausted when the governor refused the generation).
-  const SwitchKey *galoisKeyFor(uint64_t Galois,
-                                std::shared_ptr<const SwitchKey> &Hold,
-                                Status *WhyNot = nullptr) const;
+  /// The checked tier's rotation-key lookup for \p Steps (Galois element
+  /// \p Galois): KeyMissing names the step when the key analysis did not
+  /// declare it or its key does not cover \p NumQ primes; a budget
+  /// refusal of its generation comes back as ResourceExhausted.
+  StatusOr<std::shared_ptr<const SwitchKey>>
+  checkedRotationKey(int64_t Steps, uint64_t Galois, size_t NumQ) const;
   /// Inner product of the raised digits against the switch-key parts,
   /// with the Galois automorphism applied to each digit on the fly as an
   /// NTT-domain gather (\p Galois == 1 reads the digits directly). Free

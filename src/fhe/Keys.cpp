@@ -176,36 +176,8 @@ SwitchKey KeyGenerator::makeRotationKey(int64_t Steps, size_t MaxNumQ) {
       MaxNumQ);
 }
 
-void KeyGenerator::fillGaloisKeys(EvalKeys &Keys,
-                                  const std::vector<uint64_t> &Elements) {
-  for (uint64_t Galois : Elements) {
-    if (Galois == 1 || Keys.Rotations.count(Galois))
-      continue;
-    Keys.Rotations.emplace(Galois, makeGaloisKey(Galois));
-  }
-}
-
 SwitchKey KeyGenerator::makeConjugationKey() {
   return makeGaloisKey(galoisForConjugation(Ctx.degree()));
-}
-
-void KeyGenerator::fillEvalKeys(EvalKeys &Keys,
-                                const std::vector<int64_t> &Steps,
-                                bool NeedRelin, bool NeedConjugate) {
-  if (NeedRelin && !Keys.HasRelin) {
-    Keys.Relin = makeRelinKey();
-    Keys.HasRelin = true;
-  }
-  if (NeedConjugate && !Keys.HasConjugate) {
-    Keys.Conjugate = makeConjugationKey();
-    Keys.HasConjugate = true;
-  }
-  for (int64_t Step : Steps) {
-    uint64_t Galois = galoisForRotation(Ctx.degree(), Ctx.slots(), Step);
-    if (Galois == 1 || Keys.Rotations.count(Galois))
-      continue;
-    Keys.Rotations.emplace(Galois, makeRotationKey(Step));
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -223,7 +195,9 @@ RotationKeyCache::RotationKeyCache(const Context &Ctx, KeyGenerator &Gen)
 
 RotationKeyCache::~RotationKeyCache() {
   ResourceGovernor::instance().removeReclaimer(ReclaimerId);
-  releaseAll();
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (auto &Item : Entries)
+    dropLocked(Item.second);
 }
 
 uint64_t RotationKeyCache::declareRotation(int64_t Steps, size_t MaxNumQ) {
@@ -268,18 +242,26 @@ void RotationKeyCache::declareGalois(uint64_t Galois, size_t MaxNumQ) {
 }
 
 void RotationKeyCache::widenLocked(Entry &E, size_t MaxNumQ) {
+  if (E.Adopted)
+    return; // another secret's key cannot be regenerated wider
   // 0 = full chain is widest.
   size_t Widened =
       (MaxNumQ == 0 || E.MaxNumQ == 0) ? 0 : std::max(E.MaxNumQ, MaxNumQ);
   if (Widened == E.MaxNumQ)
     return;
-  if (E.Key) {
-    ResidentBytes -= E.Bytes;
-    ResourceGovernor::instance().release(MemCategory::EvalKeys, E.Bytes);
-    E.Key.reset();
-    E.Bytes = 0;
-  }
+  dropLocked(E);
   E.MaxNumQ = Widened;
+}
+
+size_t RotationKeyCache::dropLocked(Entry &E) {
+  if (!E.Key)
+    return 0;
+  size_t Bytes = E.Bytes;
+  ResidentBytes -= Bytes;
+  ResourceGovernor::instance().release(MemCategory::EvalKeys, Bytes);
+  E.Key.reset();
+  E.Bytes = 0;
+  return Bytes;
 }
 
 bool RotationKeyCache::declared(uint64_t Galois) const {
@@ -364,25 +346,18 @@ size_t RotationKeyCache::evictColdestLocked(size_t WantBytes) {
     Entry *Coldest = nullptr;
     for (auto &[Galois, E] : Entries) {
       (void)Galois;
-      if (!E.Key)
-        continue;
       // A key another thread still holds a handle to cannot actually be
       // freed by evicting it; skip so the accounting stays honest.
-      if (E.Key.use_count() > 1)
+      if (!E.Key || E.Adopted || E.Key.use_count() > 1)
         continue;
       if (!Coldest || E.LastUse < Coldest->LastUse)
         Coldest = &E;
     }
     if (!Coldest)
       break;
-    Released += Coldest->Bytes;
-    ResidentBytes -= Coldest->Bytes;
-    ResourceGovernor::instance().release(MemCategory::EvalKeys,
-                                         Coldest->Bytes);
+    Released += dropLocked(*Coldest);
     ResourceGovernor::instance().noteKeyCacheEviction();
     Evictions.fetch_add(1, std::memory_order_relaxed);
-    Coldest->Key.reset();
-    Coldest->Bytes = 0;
   }
   return Released;
 }
@@ -390,17 +365,41 @@ size_t RotationKeyCache::evictColdestLocked(size_t WantBytes) {
 size_t RotationKeyCache::releaseAll() {
   std::lock_guard<std::mutex> Lock(Mutex);
   size_t Released = 0;
-  for (auto &[Galois, E] : Entries) {
-    (void)Galois;
-    if (!E.Key)
-      continue;
-    Released += E.Bytes;
-    ResidentBytes -= E.Bytes;
-    ResourceGovernor::instance().release(MemCategory::EvalKeys, E.Bytes);
-    E.Key.reset();
-    E.Bytes = 0;
-  }
+  for (auto &Item : Entries)
+    if (!Item.second.Adopted)
+      Released += dropLocked(Item.second);
   return Released;
+}
+
+Status RotationKeyCache::exportKeys(std::map<uint64_t, SwitchKey> &Out) {
+  std::vector<uint64_t> Elements;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    for (const auto &Item : Entries)
+      Elements.push_back(Item.first);
+  }
+  for (uint64_t Galois : Elements) {
+    ACE_ASSIGN_OR_RETURN(std::shared_ptr<const SwitchKey> Key, get(Galois));
+    Out.emplace(Galois, *Key);
+  }
+  return Status::success();
+}
+
+void RotationKeyCache::adoptKeys(std::map<uint64_t, SwitchKey> Keys) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (auto &Item : Entries)
+    dropLocked(Item.second);
+  Entries.clear();
+  for (auto &[Galois, Key] : Keys) {
+    Entry E;
+    E.Bytes = Key.byteSize();
+    E.Key = std::make_shared<const SwitchKey>(std::move(Key));
+    E.LastUse = ++UseClock;
+    E.Adopted = true;
+    ResidentBytes += E.Bytes;
+    ResourceGovernor::instance().charge(MemCategory::EvalKeys, E.Bytes);
+    Entries.emplace(Galois, std::move(E));
+  }
 }
 
 RotationKeyCache::Stats RotationKeyCache::stats() const {

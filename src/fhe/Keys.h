@@ -9,10 +9,10 @@
 /// \file
 /// CKKS key material. Evaluation keys (relinearization and rotation) are
 /// the dominant memory consumer at production parameters (paper RQ2: over
-/// 1 GB each, tens of GB per model); KeyGenerator therefore generates
-/// rotation keys on demand from the exact step set the compiler's key
-/// analysis derives, and every key reports its byte size for the Figure 7
-/// memory study.
+/// 1 GB each, tens of GB per model). Rotation and Galois keys live only in
+/// a RotationKeyCache, which holds exactly the keys the compiler's key
+/// analysis declares and charges their bytes to the ResourceGovernor;
+/// every key reports its byte size for the Figure 7 memory study.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,27 +79,21 @@ struct SwitchKey {
   }
 };
 
-/// The evaluation-key set a compiled program needs: relinearization key,
-/// conjugation key, and rotation keys for exactly the slot steps the
-/// compiler's rotation-key analysis found (paper Sec. 4.4).
+/// The relinearization and conjugation keys a compiled program needs.
+/// Rotation keys live in a RotationKeyCache; \c Rotations is only the
+/// wire form of a saved key set (wire::save/loadEvalKeys, ace_key_save
+/// and ace_key_load), keyed by Galois element.
 struct EvalKeys {
   SwitchKey Relin;
   bool HasRelin = false;
   SwitchKey Conjugate;
   bool HasConjugate = false;
-  /// Keyed by Galois element.
   std::map<uint64_t, SwitchKey> Rotations;
 
-  size_t relinByteSize() const { return HasRelin ? Relin.byteSize() : 0; }
-  size_t rotationByteSize() const {
-    size_t Sum = HasConjugate ? Conjugate.byteSize() : 0;
-    for (const auto &[Galois, Key] : Rotations)
-      Sum += Key.byteSize();
-    return Sum;
-  }
-  size_t byteSize() const { return relinByteSize() + rotationByteSize(); }
-  size_t rotationKeyCount() const {
-    return Rotations.size() + (HasConjugate ? 1 : 0);
+  /// Bytes of the relinearization and conjugation keys.
+  size_t byteSize() const {
+    return (HasRelin ? Relin.byteSize() : 0) +
+           (HasConjugate ? Conjugate.byteSize() : 0);
   }
 };
 
@@ -153,15 +147,6 @@ public:
   /// subring and therefore are not slot rotations.
   SwitchKey makeGaloisKey(uint64_t Galois);
 
-  /// Populates \p Keys with switch keys for raw Galois elements.
-  void fillGaloisKeys(EvalKeys &Keys, const std::vector<uint64_t> &Elements);
-
-  /// Populates \p Keys with relin + conjugation + the given rotation
-  /// steps. This is the entry point the compiled program's key-generation
-  /// preamble calls with the analyzed step set.
-  void fillEvalKeys(EvalKeys &Keys, const std::vector<int64_t> &Steps,
-                    bool NeedRelin, bool NeedConjugate);
-
 private:
   const Context &Ctx;
   Rng Rand;
@@ -173,18 +158,22 @@ private:
   RnsPoly sampleUniform(size_t NumQ, bool HasSpecial);
 };
 
-/// An LRU cache of rotation/Galois switch keys with on-demand generation,
-/// replacing the keep-everything-forever EvalKeys::Rotations map for
-/// long-running servers (ROADMAP item 4; see docs/memory.md).
+/// The one store of rotation and Galois switch keys: an LRU cache with
+/// on-demand generation, and the Evaluator's only source for them (see
+/// docs/memory.md).
 ///
 /// The compiler's key analysis *declares* the Galois elements a program
-/// may use (with their truncation levels); keys are generated only when an
-/// op first asks for them, their bytes charged to the ResourceGovernor
-/// under MemCategory::EvalKeys, and cold keys are evicted — by the LRU
-/// capacity bound, or by the governor's reclaim pass under budget
-/// pressure. An evicted key regenerates transparently on next use (new
-/// randomness, equally valid key material; ciphertext results are
-/// unaffected because key switching is correct under any valid key).
+/// may use (with their truncation levels). A key is generated when get()
+/// first asks for it: eager executors and ace_keygen call get() for each
+/// declaration at setup, in a fixed order; lazy executors (service
+/// sessions) leave it to the first op that rotates. Every resident key is
+/// charged to the ResourceGovernor under MemCategory::EvalKeys, and cold
+/// keys are evicted by the LRU capacity bound or by the governor's
+/// reclaim pass under budget pressure. An evicted key regenerates
+/// transparently on next use (new randomness, equally valid key material;
+/// ciphertext results are unaffected because key switching is correct
+/// under any valid key). Keys adopted from a saved key set may belong to
+/// another secret: they are never evicted, regenerated or widened.
 ///
 /// get() hands out shared_ptr handles so an eviction can never free a key
 /// another thread is mid-way through using. Thread-safe; generation is
@@ -194,7 +183,7 @@ public:
   /// Binds the cache to a generator and registers it as a governor
   /// reclaimer (priority 0: cold keys are reclaimed before pool trim).
   RotationKeyCache(const Context &Ctx, KeyGenerator &Gen);
-  /// Releases all cached keys (and their governor charges) and
+  /// Releases all resident keys (and their governor charges) and
   /// unregisters the reclaimer.
   ~RotationKeyCache();
 
@@ -226,9 +215,19 @@ public:
   /// the governor reclaim callback.
   size_t evictColdest(size_t WantBytes);
 
-  /// Drops every cached key (declarations survive). Returns bytes
-  /// released.
+  /// Drops every cached key that can regenerate (declarations and
+  /// adopted keys survive). Returns bytes released.
   size_t releaseAll();
+
+  /// Generates every declared key that is not resident and copies each
+  /// into \p Out under its Galois element: the wire form ace_key_save
+  /// writes. Errors as get().
+  Status exportKeys(std::map<uint64_t, SwitchKey> &Out);
+
+  /// Replaces every declaration with \p Keys, charged to the governor.
+  /// Adopted keys may come from another secret, so eviction never drops
+  /// them and a re-declaration never regenerates or widens them.
+  void adoptKeys(std::map<uint64_t, SwitchKey> Keys);
 
   struct Stats {
     uint64_t Hits = 0;
@@ -248,6 +247,7 @@ private:
     std::shared_ptr<const SwitchKey> Key; ///< null until generated
     size_t Bytes = 0;
     uint64_t LastUse = 0;
+    bool Adopted = false; ///< loaded, not generated: never dropped
   };
 
   /// Exact byte size of a key at truncation \p MaxNumQ
@@ -261,6 +261,8 @@ private:
   void widenLocked(Entry &E, size_t MaxNumQ);
   SwitchKey generate(const Entry &E, uint64_t Galois);
   size_t evictColdestLocked(size_t WantBytes);
+  /// Drops \p E's key and its governor charge. Caller holds Mutex.
+  size_t dropLocked(Entry &E);
 
   const Context &Ctx;
   KeyGenerator &Gen;

@@ -191,8 +191,8 @@ StatusOr<uint64_t> InferenceService::openSession() {
   }
   S->Exec = std::make_unique<codegen::CkksExecutor>(F, State);
   // Resident-server key discipline: rotation keys materialize on first
-  // use and stay evictable instead of being generated eagerly and held
-  // forever (docs/memory.md). Relin/conjugation keys stay eager.
+  // use instead of all at setup (docs/memory.md). Relin/conjugation keys
+  // stay eager.
   S->Exec->enableLazyRotationKeys(Config.KeyCacheBytesPerSession);
   S->LastUsedUs.store(steadyNowUs(), std::memory_order_relaxed);
   // Reseed key generation per session: the compiled parameters carry one

@@ -13,28 +13,6 @@
 
 using namespace ace;
 
-const char *ace::memCategoryName(MemCategoryKind Kind) {
-  switch (Kind) {
-  case MemCategoryKind::MC_SecretKey:
-    return "secret-key";
-  case MemCategoryKind::MC_PublicKey:
-    return "public-key";
-  case MemCategoryKind::MC_RelinKey:
-    return "relin-key";
-  case MemCategoryKind::MC_RotationKeys:
-    return "rotation-keys";
-  case MemCategoryKind::MC_BootstrapKeys:
-    return "bootstrap-keys";
-  case MemCategoryKind::MC_Ciphertexts:
-    return "ciphertexts";
-  case MemCategoryKind::MC_Plaintexts:
-    return "plaintexts";
-  case MemCategoryKind::MC_Other:
-    return "other";
-  }
-  return "unknown";
-}
-
 std::string ace::formatBytes(size_t Bytes) {
   const char *Units[] = {"B", "KB", "MB", "GB", "TB"};
   double Value = static_cast<double>(Bytes);

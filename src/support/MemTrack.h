@@ -7,75 +7,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Byte accounting for FHE materials. CKKS evaluation keys dominate memory
-/// (paper Figure 7: tens of GB at production parameters); the runtime
-/// reports exact byte counts per category so the Figure 7 bench can compare
-/// ANT-ACE's pruned key set against the Expert baseline's full set.
+/// Byte formatting and process resident-set readers for the memory
+/// benches. Key-material bytes come from the executor's key store
+/// (codegen::CkksExecutor::evalKeyBytes) and resident charges from the
+/// ResourceGovernor.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACE_SUPPORT_MEMTRACK_H
 #define ACE_SUPPORT_MEMTRACK_H
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace ace {
-
-/// Categories of FHE memory the Figure 7 bench reports.
-enum class MemCategoryKind {
-  MC_SecretKey,
-  MC_PublicKey,
-  MC_RelinKey,
-  MC_RotationKeys,
-  MC_BootstrapKeys,
-  MC_Ciphertexts,
-  MC_Plaintexts,
-  MC_Other,
-};
-
-/// Human-readable name for a memory category.
-const char *memCategoryName(MemCategoryKind Kind);
-
-/// Accumulates byte counts per category.
-class MemTracker {
-public:
-  /// Records \p Bytes under \p Kind.
-  void add(MemCategoryKind Kind, size_t Bytes) {
-    Totals[static_cast<size_t>(Kind)] += Bytes;
-  }
-
-  /// Bytes recorded under \p Kind.
-  size_t get(MemCategoryKind Kind) const {
-    return Totals[static_cast<size_t>(Kind)];
-  }
-
-  /// Sum across all categories.
-  size_t total() const {
-    size_t Sum = 0;
-    for (size_t V : Totals)
-      Sum += V;
-    return Sum;
-  }
-
-  /// Bytes across the evaluation-key categories (relin + rotation +
-  /// bootstrap) — the "CKKS-Keys" share in Figure 7.
-  size_t evaluationKeyBytes() const {
-    return get(MemCategoryKind::MC_RelinKey) +
-           get(MemCategoryKind::MC_RotationKeys) +
-           get(MemCategoryKind::MC_BootstrapKeys);
-  }
-
-  /// Clears all counters.
-  void clear() { Totals = {}; }
-
-private:
-  std::array<size_t, 8> Totals{};
-};
 
 /// Formats a byte count as a human-friendly string ("12.3 MB").
 std::string formatBytes(size_t Bytes);

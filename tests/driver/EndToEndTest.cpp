@@ -174,4 +174,30 @@ TEST(EndToEndTest, ExecutorPropagatesInjectedFaults) {
   expectLogitsClose(*Logits, *Clear, 0.02);
 }
 
+/// A second setup() builds a new context and secret, so nothing of the
+/// first may survive it: every key and every encoded plaintext the first
+/// call made refers to the old context.
+TEST(EndToEndTest, SecondSetupStartsFromFreshKeysAndPlaintexts) {
+  onnx::Model Model = nn::buildMlp({16, 12, 8}, 5);
+  auto Inputs = randomInputs({1, 16}, 2, 19);
+
+  driver::AceCompiler Compiler(toyOptions());
+  auto Result = Compiler.compile(Model, Inputs);
+  ASSERT_TRUE(Result.ok()) << Result.status().message();
+  auto &R = **Result;
+
+  codegen::CkksExecutor Exec(R.Program, R.State);
+  ASSERT_FALSE(Exec.setup());
+  // Fill the plaintext cache under the first context.
+  ASSERT_TRUE(Exec.infer(Inputs[0]).ok());
+  ASSERT_FALSE(Exec.setup(/*SeedOverride=*/977));
+  for (const auto &In : Inputs) {
+    auto Clear = nn::executeSingle(Model.MainGraph, In);
+    ASSERT_TRUE(Clear.ok());
+    auto Logits = Exec.infer(In);
+    ASSERT_TRUE(Logits.ok()) << Logits.status().message();
+    expectLogitsClose(*Logits, *Clear, 0.25);
+  }
+}
+
 } // namespace

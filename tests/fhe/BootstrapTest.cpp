@@ -10,6 +10,8 @@
 #include "support/FaultInjector.h"
 #include "support/Rng.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 using namespace ace;
@@ -44,16 +46,17 @@ protected:
     Enc = std::make_unique<Encoder>(*Ctx);
     Gen = std::make_unique<KeyGenerator>(*Ctx);
     Pub = Gen->makePublicKey();
-    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys);
+    Cache = std::make_unique<RotationKeyCache>(*Ctx, *Gen);
+    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys, *Cache);
     Boot = std::make_unique<Bootstrapper>(*Eval, BootstrapConfig{
                                                      /*RangeK=*/12,
                                                      /*DoubleAngleCount=*/2,
                                                      /*ChebyshevDegree=*/39,
                                                      /*ArcsineCorrection=*/true,
                                                  });
-    Gen->fillEvalKeys(Keys, Boot->requiredRotations(), /*NeedRelin=*/true,
-                      Boot->needsConjugation());
-    Gen->fillGaloisKeys(Keys, Boot->requiredGaloisElements());
+    makeTestKeys(*Gen, Keys, *Cache, Boot->requiredRotations(),
+                 /*NeedRelin=*/true, Boot->needsConjugation(),
+                 Boot->requiredGaloisElements());
     Encrypt = std::make_unique<Encryptor>(*Ctx, Pub);
     Decrypt = std::make_unique<Decryptor>(*Ctx, Gen->secretKey());
   }
@@ -61,6 +64,7 @@ protected:
   std::unique_ptr<Context> Ctx;
   std::unique_ptr<Encoder> Enc;
   std::unique_ptr<KeyGenerator> Gen;
+  std::unique_ptr<RotationKeyCache> Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;
@@ -155,11 +159,11 @@ TEST_F(BootstrapFixture, LazyKeyBudgetRefusalShedsInBandBeforeBootstrap) {
   // Cache-backed twin of the fixture's evaluator: relin + conjugation
   // stay eager, every rotation/Galois key is declared only and
   // materializes through the governor on first use.
-  RotationKeyCache Cache(*Ctx, *Gen);
+  RotationKeyCache LazyCache(*Ctx, *Gen);
   EvalKeys LazyKeys;
-  Gen->fillEvalKeys(LazyKeys, {}, /*NeedRelin=*/true,
-                    /*NeedConjugate=*/true);
-  Evaluator LazyEval(*Ctx, *Enc, LazyKeys, &Cache);
+  makeTestKeys(*Gen, LazyKeys, LazyCache, {}, /*NeedRelin=*/true,
+               /*NeedConjugate=*/true);
+  Evaluator LazyEval(*Ctx, *Enc, LazyKeys, LazyCache);
   Bootstrapper LazyBoot(LazyEval, BootstrapConfig{
                                       /*RangeK=*/12,
                                       /*DoubleAngleCount=*/2,
@@ -167,9 +171,9 @@ TEST_F(BootstrapFixture, LazyKeyBudgetRefusalShedsInBandBeforeBootstrap) {
                                       /*ArcsineCorrection=*/true,
                                   });
   for (uint64_t G : LazyBoot.requiredGaloisElements())
-    Cache.declareGalois(G);
+    LazyCache.declareGalois(G);
   for (int64_t S : LazyBoot.requiredRotations())
-    Cache.declareRotation(S);
+    LazyCache.declareRotation(S);
 
   std::vector<double> X(Ctx->slots(), 0.3);
   Ciphertext Ct = Encrypt->encryptValues(*Enc, X, 1);

@@ -4,6 +4,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "fhe/CApi.h"
+#include "support/FaultInjector.h"
+#include "support/ResourceGovernor.h"
 
 #include <gtest/gtest.h>
 
@@ -369,6 +371,81 @@ TEST_F(CApiFixture, SerializationErrorPaths) {
   ace_clear_error();
   ace_ct_free(Ct);
   std::remove(Path);
+}
+
+/// Loaded rotation keys may come from another context's secret, so the
+/// key store adopts them as keys it can never regenerate: a reclaim pass
+/// must leave them resident, and a rotation in the loading context must
+/// still decrypt under the saving context's secret.
+TEST(CApiTest, LoadedKeysSurviveReclaimUnderTheirOwnSecret) {
+  const char *KeysPath = "/tmp/ace_capi_adopted_keys.bin";
+  const char *CtPath = "/tmp/ace_capi_adopted_ct.bin";
+  AceFheContext *A = ace_create(1024, 64, 45, 55, 8, 60, 0, /*seed=*/9);
+  AceFheContext *B = ace_create(1024, 64, 45, 55, 8, 60, 0, /*seed=*/4242);
+  ASSERT_NE(A, nullptr);
+  ASSERT_NE(B, nullptr);
+  int64_t Steps[] = {1};
+  ASSERT_EQ(ace_keygen(A, Steps, nullptr, 1, 1, 0, 0, 12, 2, 39), ACE_OK);
+  ASSERT_EQ(ace_key_save(A, KeysPath), ACE_OK) << ace_last_error_message();
+  ASSERT_EQ(ace_key_load(B, KeysPath), ACE_OK) << ace_last_error_message();
+
+  // One forced over-budget admission asks every reclaimer for all it can
+  // give back, B's key store included.
+  ace::FaultInjector::instance().arm(ace::FaultKind::BudgetExceeded, 1);
+  EXPECT_FALSE(
+      ace::ResourceGovernor::instance().admit(SIZE_MAX, "reclaim pass").ok());
+  ace::FaultInjector::instance().reset();
+
+  std::vector<double> X(64);
+  for (size_t I = 0; I < X.size(); ++I)
+    X[I] = 0.01 * static_cast<double>(I);
+  AceFheCiphertext *Ct = ace_encrypt(B, X.data(), 64, 9);
+  ASSERT_NE(Ct, nullptr) << ace_last_error_message();
+  AceFheCiphertext *Rot = ace_rotate(B, Ct, 1);
+  ASSERT_NE(Rot, nullptr) << ace_last_error_message();
+  // Back to A over the wire, where its secret decrypts.
+  ASSERT_EQ(ace_ct_save(B, Rot, CtPath), ACE_OK) << ace_last_error_message();
+  AceFheCiphertext *AtA = ace_ct_load(A, CtPath);
+  ASSERT_NE(AtA, nullptr) << ace_last_error_message();
+  std::vector<double> Out(64);
+  ASSERT_EQ(ace_decrypt(A, AtA, Out.data(), 64), ACE_OK);
+  for (size_t I = 0; I < 63; ++I)
+    EXPECT_NEAR(Out[I], X[I + 1], 1e-6) << "slot " << I;
+  ace_ct_free(AtA);
+  ace_ct_free(Rot);
+  ace_ct_free(Ct);
+  ace_destroy(B);
+  ace_destroy(A);
+  std::remove(KeysPath);
+  std::remove(CtPath);
+}
+
+/// A second keygen call that needs a step at a deeper level than the
+/// first gave it widens that key: the bootstrap's rotation by 1 runs at
+/// the raised level, far above the 2 primes step 1 was first declared at.
+TEST(CApiTest, KeygenWidensATruncatedStepForBootstrap) {
+  AceFheContext *Ctx = ace_create(1024, 16, 48, 57, 24, 60,
+                                  /*sparse_secret=*/1, /*seed=*/31);
+  ASSERT_NE(Ctx, nullptr);
+  int64_t Steps[] = {1};
+  size_t MaxQ[] = {2};
+  ASSERT_EQ(ace_keygen(Ctx, Steps, MaxQ, 1, 1, 0, 0, 12, 2, 39), ACE_OK);
+  ASSERT_EQ(ace_keygen(Ctx, nullptr, nullptr, 0, 1, 1, /*bootstrap=*/1, 12,
+                       2, 39),
+            ACE_OK)
+      << ace_last_error_message();
+  std::vector<double> X(16, 0.3);
+  AceFheCiphertext *Ct = ace_encrypt(Ctx, X.data(), 16, 1);
+  ASSERT_NE(Ct, nullptr) << ace_last_error_message();
+  AceFheCiphertext *Fresh = ace_bootstrap(Ctx, Ct, 3);
+  ASSERT_NE(Fresh, nullptr) << ace_last_error_message();
+  std::vector<double> Out(16);
+  ASSERT_EQ(ace_decrypt(Ctx, Fresh, Out.data(), 16), ACE_OK);
+  for (double V : Out)
+    EXPECT_NEAR(V, 0.3, 2e-2);
+  ace_ct_free(Fresh);
+  ace_ct_free(Ct);
+  ace_destroy(Ctx);
 }
 
 } // namespace

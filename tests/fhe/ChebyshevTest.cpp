@@ -7,6 +7,8 @@
 #include "fhe/Encryptor.h"
 #include "support/Rng.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -77,8 +79,10 @@ protected:
     Enc = std::make_unique<Encoder>(*Ctx);
     Gen = std::make_unique<KeyGenerator>(*Ctx);
     Pub = Gen->makePublicKey();
-    Gen->fillEvalKeys(Keys, {}, /*NeedRelin=*/true, /*NeedConjugate=*/false);
-    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys);
+    Cache = std::make_unique<RotationKeyCache>(*Ctx, *Gen);
+    makeTestKeys(*Gen, Keys, *Cache, {}, /*NeedRelin=*/true,
+                 /*NeedConjugate=*/false);
+    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys, *Cache);
     Encrypt = std::make_unique<Encryptor>(*Ctx, Pub);
     Decrypt = std::make_unique<Decryptor>(*Ctx, Gen->secretKey());
   }
@@ -107,6 +111,7 @@ protected:
   std::unique_ptr<Context> Ctx;
   std::unique_ptr<Encoder> Enc;
   std::unique_ptr<KeyGenerator> Gen;
+  std::unique_ptr<RotationKeyCache> Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;

@@ -10,6 +10,8 @@
 #include "support/Rng.h"
 #include "support/Telemetry.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 using namespace ace;
@@ -40,10 +42,11 @@ std::vector<double> randomReals(size_t N, uint64_t Seed) {
 class EvaluatorFixture : public ::testing::Test {
 protected:
   EvaluatorFixture()
-      : Ctx(testParams()), Enc(Ctx), Gen(Ctx), Pub(Gen.makePublicKey()) {
-    Gen.fillEvalKeys(Keys, {1, 2, 3, 7, -1}, /*NeedRelin=*/true,
-                     /*NeedConjugate=*/true);
-    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys);
+      : Ctx(testParams()), Enc(Ctx), Gen(Ctx), Cache(Ctx, Gen),
+        Pub(Gen.makePublicKey()) {
+    makeTestKeys(Gen, Keys, Cache, {1, 2, 3, 7, -1}, /*NeedRelin=*/true,
+                 /*NeedConjugate=*/true);
+    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys, Cache);
     Encrypt = std::make_unique<Encryptor>(Ctx, Pub);
     Decrypt = std::make_unique<Decryptor>(Ctx, Gen.secretKey());
   }
@@ -62,6 +65,7 @@ protected:
   Context Ctx;
   Encoder Enc;
   KeyGenerator Gen;
+  RotationKeyCache Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;

@@ -12,6 +12,8 @@
 #include "fhe/Encryptor.h"
 #include "support/FaultInjector.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <string>
@@ -238,8 +240,10 @@ TEST_F(FaultInjectionTest, CheckedCxxTierReportsTheSameFaults) {
   KeyGenerator Gen(Local);
   PublicKey Pub = Gen.makePublicKey();
   EvalKeys Keys;
-  Gen.fillEvalKeys(Keys, {1}, /*NeedRelin=*/true, /*NeedConjugate=*/false);
-  Evaluator Eval(Local, Enc, Keys);
+  RotationKeyCache Cache(Local, Gen);
+  makeTestKeys(Gen, Keys, Cache, {1}, /*NeedRelin=*/true,
+               /*NeedConjugate=*/false);
+  Evaluator Eval(Local, Enc, Keys, Cache);
   Encryptor Encrypt(Local, Pub);
 
   std::vector<double> X(64, 0.25);

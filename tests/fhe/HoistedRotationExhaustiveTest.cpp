@@ -12,6 +12,8 @@
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -68,9 +70,10 @@ TEST(HoistedRotationExhaustive, AllLevelsStepsAndThreadCounts) {
     for (int64_t S = 1; S < static_cast<int64_t>(Ctx.slots()); S <<= 1)
       Steps.push_back(S);
     Steps.insert(Steps.end(), {3, 5, 7, 11, 127, -1, -5});
-    Gen.fillEvalKeys(Keys, Steps, /*NeedRelin=*/false,
-                     /*NeedConjugate=*/false);
-    Evaluator Eval(Ctx, Enc, Keys);
+    RotationKeyCache Cache(Ctx, Gen);
+    makeTestKeys(Gen, Keys, Cache, Steps, /*NeedRelin=*/false,
+                 /*NeedConjugate=*/false);
+    Evaluator Eval(Ctx, Enc, Keys, Cache);
     Encryptor Encrypt(Ctx, Pub);
 
     Rng R(Seed * 7 + 1);

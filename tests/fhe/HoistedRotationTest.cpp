@@ -14,6 +14,8 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,10 +76,12 @@ const int64_t KeyedSteps[] = {1, 2, 3, 5, 7, 17, 31, 64, 127, -1, -3};
 class HoistedRotationTest : public ::testing::Test {
 protected:
   HoistedRotationTest()
-      : Ctx(testParams()), Enc(Ctx), Gen(Ctx), Pub(Gen.makePublicKey()) {
+      : Ctx(testParams()), Enc(Ctx), Gen(Ctx), Cache(Ctx, Gen),
+        Pub(Gen.makePublicKey()) {
     std::vector<int64_t> Steps(std::begin(KeyedSteps), std::end(KeyedSteps));
-    Gen.fillEvalKeys(Keys, Steps, /*NeedRelin=*/true, /*NeedConjugate=*/true);
-    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys);
+    makeTestKeys(Gen, Keys, Cache, Steps, /*NeedRelin=*/true,
+                 /*NeedConjugate=*/true);
+    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys, Cache);
     Encrypt = std::make_unique<Encryptor>(Ctx, Pub);
   }
   void TearDown() override {
@@ -96,6 +100,7 @@ protected:
   Context Ctx;
   Encoder Enc;
   KeyGenerator Gen;
+  RotationKeyCache Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;
@@ -267,14 +272,15 @@ TEST(HoistedRotationBootstrap, BabyStepsShareOneModUpPerBatch) {
   KeyGenerator Gen(Ctx);
   PublicKey Pub = Gen.makePublicKey();
   EvalKeys Keys;
-  Evaluator Eval(Ctx, Enc, Keys);
+  RotationKeyCache Cache(Ctx, Gen);
+  Evaluator Eval(Ctx, Enc, Keys, Cache);
   Bootstrapper Boot(Eval, BootstrapConfig{/*RangeK=*/12,
                                           /*DoubleAngleCount=*/2,
                                           /*ChebyshevDegree=*/39,
                                           /*ArcsineCorrection=*/true});
-  Gen.fillEvalKeys(Keys, Boot.requiredRotations(), /*NeedRelin=*/true,
-                   Boot.needsConjugation());
-  Gen.fillGaloisKeys(Keys, Boot.requiredGaloisElements());
+  makeTestKeys(Gen, Keys, Cache, Boot.requiredRotations(),
+               /*NeedRelin=*/true, Boot.needsConjugation(),
+               Boot.requiredGaloisElements());
   Encryptor Encrypt(Ctx, Pub);
 
   Rng R(5);

@@ -1,8 +1,9 @@
 //===----------------------------------------------------------------------===//
 // Rotation-key cache tests: declare/generate-on-first-use semantics, LRU
 // and capacity eviction, transparent regeneration, truncation widening,
-// pinning via shared_ptr handles, and budget refusals propagating as
-// clean ResourceExhausted through the checked evaluator tier.
+// pinning via shared_ptr handles, adopted keys, concurrent lookups racing
+// the reclaim pass, and budget refusals propagating as clean
+// ResourceExhausted through the checked evaluator tier.
 //===----------------------------------------------------------------------===//
 
 #include "fhe/Encryptor.h"
@@ -12,6 +13,10 @@
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <map>
+#include <thread>
 
 using namespace ace;
 using namespace ace::fhe;
@@ -33,7 +38,7 @@ struct KeyCacheTest : ::testing::Test {
     Gen = std::make_unique<KeyGenerator>(*Ctx);
     Pub = Gen->makePublicKey();
     Cache = std::make_unique<RotationKeyCache>(*Ctx, *Gen);
-    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys, Cache.get());
+    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys, *Cache);
     Encrypt = std::make_unique<Encryptor>(*Ctx, Pub);
     Decrypt = std::make_unique<Decryptor>(*Ctx, Gen->secretKey());
   }
@@ -88,18 +93,18 @@ TEST_F(KeyCacheTest, UndeclaredGaloisIsKeyMissing) {
 }
 
 TEST_F(KeyCacheTest, CachedRotationMatchesEagerKey) {
-  // The cache draws fresh key material (different RNG order than an
-  // eager fill), so compare decrypted values, not ciphertext bits.
+  // A key the generator makes up front, applied directly, against the
+  // cache's on-demand key for the same step. The two draw different key
+  // material, so compare decrypted values, not ciphertext bits.
   uint64_t G5 = galoisForRotation(Ctx->degree(), Ctx->slots(), 5);
-  EvalKeys EagerKeys;
-  EagerKeys.Rotations.emplace(G5, Gen->makeRotationKey(5));
-  Evaluator EagerEval(*Ctx, *Enc, EagerKeys);
+  SwitchKey EagerKey = Gen->makeRotationKey(5);
   Cache->declareRotation(5);
 
   std::vector<double> X = randomSlots(3);
   Ciphertext Ct = Encrypt->encryptValues(*Enc, X, 3);
   auto Cached = Decrypt->decryptRealValues(*Enc, Eval->rotate(Ct, 5));
-  auto Eager = Decrypt->decryptRealValues(*Enc, EagerEval.rotate(Ct, 5));
+  auto Eager = Decrypt->decryptRealValues(
+      *Enc, Eval->applyGalois(Ct, G5, EagerKey));
   for (size_t I = 0; I < X.size(); ++I) {
     EXPECT_NEAR(Cached[I], X[(I + 5) % Ctx->slots()], 1e-5);
     EXPECT_NEAR(Cached[I], Eager[I], 1e-5);
@@ -234,6 +239,95 @@ TEST_F(KeyCacheTest, ReleaseAllKeepsDeclarations) {
   EXPECT_EQ(Cache->stats().ResidentBytes, 0u);
   EXPECT_EQ(Cache->stats().DeclaredCount, 2u);
   EXPECT_TRUE(Cache->get(G1).ok());
+}
+
+/// Keys adopted from a saved set may belong to another secret: neither
+/// the reclaim pass, releaseAll nor a wider re-declaration may drop them,
+/// because they cannot be regenerated.
+TEST_F(KeyCacheTest, AdoptedKeysSurviveEvictionAndRedeclaration) {
+  uint64_t G = galoisForRotation(Ctx->degree(), Ctx->slots(), 3);
+  std::map<uint64_t, SwitchKey> Loaded;
+  Loaded.emplace(G, Gen->makeRotationKey(3, /*MaxNumQ=*/4));
+  size_t Bytes = Loaded.at(G).byteSize();
+  Cache->declareRotation(9); // replaced by the adoption
+  Cache->adoptKeys(std::move(Loaded));
+  EXPECT_EQ(Cache->stats().DeclaredCount, 1u);
+  EXPECT_EQ(Cache->stats().ResidentBytes, Bytes);
+
+  EXPECT_EQ(Cache->evictColdest(SIZE_MAX), 0u);
+  EXPECT_EQ(Cache->releaseAll(), 0u);
+  Cache->declareRotation(3, /*MaxNumQ=*/0);
+  auto Key = Cache->get(G);
+  ASSERT_TRUE(Key.ok()) << Key.status().message();
+  EXPECT_EQ((*Key)->numQ(), 4u);
+  EXPECT_EQ(Cache->stats().Misses, 0u);
+  EXPECT_EQ(Cache->stats().ResidentBytes, Bytes);
+}
+
+/// Four threads look keys up while a fifth evicts everything it can in a
+/// loop: a handle must never dangle or come back narrower than its
+/// declaration, however the lookups and reclaim passes interleave.
+TEST_F(KeyCacheTest, ConcurrentGetAndReclaim) {
+  CkksParams P;
+  P.RingDegree = 256;
+  P.Slots = 64;
+  P.LogScale = 45;
+  P.LogFirstModulus = 55;
+  P.NumRescaleModuli = 11;
+  P.LogSpecialModulus = 60;
+  P.Seed = 23;
+  // A small ring keeps the regenerations the evictor forces cheap.
+  Context Ctx256(P);
+  KeyGenerator Gen256(Ctx256);
+  RotationKeyCache Cache256(Ctx256, Gen256);
+  const std::vector<std::pair<int64_t, size_t>> Declared = {
+      {1, 3}, {2, 6}, {5, 0}, {7, 9}};
+  std::vector<std::pair<uint64_t, size_t>> Levels;
+  for (const auto &[Step, MaxNumQ] : Declared)
+    Levels.emplace_back(Cache256.declareRotation(Step, MaxNumQ),
+                        MaxNumQ ? MaxNumQ : Ctx256.chainLength());
+
+  std::atomic<bool> Evicting{false}, Done{false};
+  std::atomic<size_t> Failures{0};
+  std::thread Evictor([&] {
+    while (!Done.load()) {
+      Cache256.evictColdest(SIZE_MAX);
+      Evicting = true;
+    }
+  });
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < 4; ++T)
+    Workers.emplace_back([&, T] {
+      while (!Evicting.load())
+        std::this_thread::yield();
+      std::vector<std::shared_ptr<const SwitchKey>> Held;
+      for (int I = 0; I < 25; ++I)
+        for (size_t K = 0; K < Levels.size(); ++K) {
+          const auto &[Galois, NumQ] = Levels[(K + T) % Levels.size()];
+          auto Key = Cache256.get(Galois);
+          if (!Key.ok() || !(*Key)->covers(NumQ) ||
+              (*Key)->numQ() != NumQ ||
+              (*Key)->byteSize() != Ctx256.switchKeyBytes(NumQ)) {
+            ++Failures;
+            continue;
+          }
+          Held.push_back(Key.take());
+          if (Held.size() > 2)
+            Held.erase(Held.begin());
+        }
+      // Every handle still held reads as the key it was handed out as.
+      for (const auto &Key : Held)
+        if (Key->Parts.front().first.numQ() != Key->numQ())
+          ++Failures;
+    });
+  for (auto &W : Workers)
+    W.join();
+  Done = true;
+  Evictor.join();
+  EXPECT_EQ(Failures.load(), 0u);
+  RotationKeyCache::Stats S = Cache256.stats();
+  EXPECT_EQ(S.DeclaredCount, Levels.size());
+  EXPECT_EQ(S.Hits + S.Misses, 4u * 25u * Levels.size());
 }
 
 } // namespace

@@ -15,6 +15,8 @@
 #include "support/Rng.h"
 #include "support/Telemetry.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,7 +117,7 @@ TEST(KeySwitchShapeTest, EstimateMatchesKeyAndTruncationServesItsLevels) {
     size_t L = Ctx.chainLength();
     for (size_t Trunc = 1; Trunc <= L; ++Trunc) {
       RotationKeyCache Cache(Ctx, Gen);
-      Evaluator Eval(Ctx, Enc, NoKeys, &Cache);
+      Evaluator Eval(Ctx, Enc, NoKeys, Cache);
       uint64_t Galois = Cache.declareRotation(3, Trunc);
       size_t Estimate = Ctx.switchKeyBytes(Trunc);
       Gov.setBudgetBytes(Gov.stats().totalChargedBytes() + Estimate);
@@ -154,11 +156,12 @@ TEST(KeySwitchShapeTest, EstimateMatchesKeyAndTruncationServesItsLevels) {
 class KeySwitchTest : public ::testing::Test {
 protected:
   KeySwitchTest()
-      : Ctx(mlpParams(36)), Enc(Ctx), Gen(Ctx), Pub(Gen.makePublicKey()),
-        Encrypt(Ctx, Pub), Decrypt(Ctx, Gen.secretKey()) {
-    Gen.fillEvalKeys(Keys, {1, 5, -3}, /*NeedRelin=*/true,
-                     /*NeedConjugate=*/true);
-    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys);
+      : Ctx(mlpParams(36)), Enc(Ctx), Gen(Ctx), Cache(Ctx, Gen),
+        Pub(Gen.makePublicKey()), Encrypt(Ctx, Pub),
+        Decrypt(Ctx, Gen.secretKey()) {
+    makeTestKeys(Gen, Keys, Cache, {1, 5, -3}, /*NeedRelin=*/true,
+                 /*NeedConjugate=*/true);
+    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys, Cache);
   }
   void TearDown() override {
     Telemetry::instance().setEnabled(false);
@@ -181,6 +184,7 @@ protected:
   Context Ctx;
   Encoder Enc;
   KeyGenerator Gen;
+  RotationKeyCache Cache;
   PublicKey Pub;
   Encryptor Encrypt;
   Decryptor Decrypt;

@@ -30,7 +30,8 @@ struct Fixture : ::testing::Test {
     Enc = std::make_unique<Encoder>(*Ctx);
     Gen = std::make_unique<KeyGenerator>(*Ctx);
     Pub = Gen->makePublicKey();
-    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys);
+    Cache = std::make_unique<RotationKeyCache>(*Ctx, *Gen);
+    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys, *Cache);
     Encrypt = std::make_unique<Encryptor>(*Ctx, Pub);
     Decrypt = std::make_unique<Decryptor>(*Ctx, Gen->secretKey());
   }
@@ -38,6 +39,7 @@ struct Fixture : ::testing::Test {
   std::unique_ptr<Context> Ctx;
   std::unique_ptr<Encoder> Enc;
   std::unique_ptr<KeyGenerator> Gen;
+  std::unique_ptr<RotationKeyCache> Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;
@@ -64,8 +66,7 @@ TEST_F(Fixture, TruncatedKeyShrinksQuadratically) {
 }
 
 TEST_F(Fixture, TruncatedKeyRotatesCorrectlyBelowItsLevel) {
-  uint64_t Galois = galoisForRotation(Ctx->degree(), Ctx->slots(), 5);
-  Keys.Rotations.emplace(Galois, Gen->makeRotationKey(5, /*MaxNumQ=*/4));
+  Cache->declareRotation(5, /*MaxNumQ=*/4);
 
   Rng R(3);
   std::vector<double> X(Ctx->slots());
@@ -81,11 +82,10 @@ TEST_F(Fixture, TruncatedKeyRotatesCorrectlyBelowItsLevel) {
 }
 
 TEST_F(Fixture, TruncatedAndFullKeysAgree) {
-  uint64_t G2 = galoisForRotation(Ctx->degree(), Ctx->slots(), 2);
-  EvalKeys FullKeys;
-  FullKeys.Rotations.emplace(G2, Gen->makeRotationKey(2));
-  Evaluator FullEval(*Ctx, *Enc, FullKeys);
-  Keys.Rotations.emplace(G2, Gen->makeRotationKey(2, /*MaxNumQ=*/3));
+  RotationKeyCache FullCache(*Ctx, *Gen);
+  Evaluator FullEval(*Ctx, *Enc, Keys, FullCache);
+  ASSERT_TRUE(FullCache.get(FullCache.declareRotation(2)).ok());
+  ASSERT_TRUE(Cache->get(Cache->declareRotation(2, /*MaxNumQ=*/3)).ok());
 
   Rng R(5);
   std::vector<double> X(Ctx->slots());

@@ -12,6 +12,8 @@
 #include "fhe/Encryptor.h"
 #include "support/Rng.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -44,9 +46,11 @@ std::vector<double> randomReals(size_t N, uint64_t Seed) {
 class NoiseBudgetFixture : public ::testing::Test {
 protected:
   NoiseBudgetFixture()
-      : Ctx(testParams()), Enc(Ctx), Gen(Ctx), Pub(Gen.makePublicKey()) {
-    Gen.fillEvalKeys(Keys, {}, /*NeedRelin=*/true, /*NeedConjugate=*/false);
-    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys);
+      : Ctx(testParams()), Enc(Ctx), Gen(Ctx), Cache(Ctx, Gen),
+        Pub(Gen.makePublicKey()) {
+    makeTestKeys(Gen, Keys, Cache, {}, /*NeedRelin=*/true,
+                 /*NeedConjugate=*/false);
+    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys, Cache);
     Encrypt = std::make_unique<Encryptor>(Ctx, Pub);
     Decrypt = std::make_unique<Decryptor>(Ctx, Gen.secretKey());
   }
@@ -54,6 +58,7 @@ protected:
   Context Ctx;
   Encoder Enc;
   KeyGenerator Gen;
+  RotationKeyCache Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;

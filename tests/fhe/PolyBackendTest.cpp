@@ -19,6 +19,8 @@
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -176,11 +178,11 @@ CkksParams pipelineParams() {
 class PolyBackendPipelineTest : public ::testing::Test {
 protected:
   PolyBackendPipelineTest()
-      : Ctx(pipelineParams()), Enc(Ctx), Gen(Ctx),
+      : Ctx(pipelineParams()), Enc(Ctx), Gen(Ctx), Cache(Ctx, Gen),
         Pub(Gen.makePublicKey()) {
-    Gen.fillEvalKeys(Keys, {1, 3}, /*NeedRelin=*/true,
-                     /*NeedConjugate=*/true);
-    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys);
+    makeTestKeys(Gen, Keys, Cache, {1, 3}, /*NeedRelin=*/true,
+                 /*NeedConjugate=*/true);
+    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys, Cache);
     Encrypt = std::make_unique<Encryptor>(Ctx, Pub);
   }
   void TearDown() override {
@@ -191,6 +193,7 @@ protected:
   Context Ctx;
   Encoder Enc;
   KeyGenerator Gen;
+  RotationKeyCache Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;

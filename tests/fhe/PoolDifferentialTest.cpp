@@ -11,6 +11,8 @@
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -57,9 +59,10 @@ struct PoolDifferentialTest : ::testing::Test {
     Enc = std::make_unique<Encoder>(*Ctx);
     Gen = std::make_unique<KeyGenerator>(*Ctx);
     Pub = Gen->makePublicKey();
-    Gen->fillEvalKeys(Keys, {1, 3, -1}, /*NeedRelin=*/true,
-                      /*NeedConjugate=*/true);
-    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys);
+    Cache = std::make_unique<RotationKeyCache>(*Ctx, *Gen);
+    makeTestKeys(*Gen, Keys, *Cache, {1, 3, -1}, /*NeedRelin=*/true,
+                 /*NeedConjugate=*/true);
+    Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys, *Cache);
     Encrypt = std::make_unique<Encryptor>(*Ctx, Pub);
   }
   ~PoolDifferentialTest() override {
@@ -89,6 +92,7 @@ struct PoolDifferentialTest : ::testing::Test {
   std::unique_ptr<Context> Ctx;
   std::unique_ptr<Encoder> Enc;
   std::unique_ptr<KeyGenerator> Gen;
+  std::unique_ptr<RotationKeyCache> Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;

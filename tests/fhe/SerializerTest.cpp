@@ -22,6 +22,8 @@
 #include "support/Crc32c.h"
 #include "support/Telemetry.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -179,8 +181,10 @@ TEST(SerializerHybridTest, KeysRoundTripAtEveryTruncation) {
 
 TEST_F(SerializerTest, EvalKeysRoundTrip) {
   EvalKeys Keys;
-  Gen->fillEvalKeys(Keys, {1, 2, -1}, /*NeedRelin=*/true,
-                    /*NeedConjugate=*/true);
+  RotationKeyCache Cache(*Ctx, *Gen);
+  makeTestKeys(*Gen, Keys, Cache, {1, 2, -1}, /*NeedRelin=*/true,
+               /*NeedConjugate=*/true);
+  ASSERT_TRUE(Cache.exportKeys(Keys.Rotations).ok());
   expectBitIdenticalRoundTrip(Keys, [&](const uint8_t *D, size_t N) {
     return wire::loadEvalKeys(*Ctx, D, N);
   });
@@ -205,16 +209,21 @@ TEST_F(SerializerTest, ReloadedKeysEvaluate) {
   // The real acceptance bar: keys that crossed the wire must drive actual
   // homomorphic evaluation to the same result as the originals.
   EvalKeys Keys;
-  Gen->fillEvalKeys(Keys, {1}, /*NeedRelin=*/true, /*NeedConjugate=*/false);
+  RotationKeyCache Cache(*Ctx, *Gen);
+  makeTestKeys(*Gen, Keys, Cache, {1}, /*NeedRelin=*/true,
+               /*NeedConjugate=*/false);
+  ASSERT_TRUE(Cache.exportKeys(Keys.Rotations).ok());
   std::vector<uint8_t> Bytes;
   ASSERT_TRUE(wire::save(Keys, Bytes).ok());
   auto Reloaded = wire::loadEvalKeys(*Ctx, Bytes.data(), Bytes.size());
   ASSERT_TRUE(Reloaded.ok());
+  RotationKeyCache WireCache(*Ctx, *Gen);
+  WireCache.adoptKeys(std::move(Reloaded->Rotations));
 
   Ciphertext Ct = Encrypt->encryptValues(*Enc, {1.0, 2.0, 3.0, 4.0},
                                          Ctx->chainLength());
-  Evaluator EvalOrig(*Ctx, *Enc, Keys);
-  Evaluator EvalWire(*Ctx, *Enc, *Reloaded);
+  Evaluator EvalOrig(*Ctx, *Enc, Keys, Cache);
+  Evaluator EvalWire(*Ctx, *Enc, *Reloaded, WireCache);
   auto A = EvalOrig.checkedRotate(Ct, 1);
   auto B = EvalWire.checkedRotate(Ct, 1);
   ASSERT_TRUE(A.ok());

@@ -12,6 +12,8 @@
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 
+#include "TestKeys.h"
+
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -59,10 +61,11 @@ CkksParams testParams() {
 class ThreadDeterminismTest : public ::testing::Test {
 protected:
   ThreadDeterminismTest()
-      : Ctx(testParams()), Enc(Ctx), Gen(Ctx), Pub(Gen.makePublicKey()) {
-    Gen.fillEvalKeys(Keys, {1, 3, -1}, /*NeedRelin=*/true,
-                     /*NeedConjugate=*/true);
-    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys);
+      : Ctx(testParams()), Enc(Ctx), Gen(Ctx), Cache(Ctx, Gen),
+        Pub(Gen.makePublicKey()) {
+    makeTestKeys(Gen, Keys, Cache, {1, 3, -1}, /*NeedRelin=*/true,
+                 /*NeedConjugate=*/true);
+    Eval = std::make_unique<Evaluator>(Ctx, Enc, Keys, Cache);
     Encrypt = std::make_unique<Encryptor>(Ctx, Pub);
   }
   void TearDown() override {
@@ -73,6 +76,7 @@ protected:
   Context Ctx;
   Encoder Enc;
   KeyGenerator Gen;
+  RotationKeyCache Cache;
   PublicKey Pub;
   EvalKeys Keys;
   std::unique_ptr<Evaluator> Eval;
@@ -163,14 +167,15 @@ TEST(ThreadDeterminismBootstrap, BootstrapBitIdentical) {
   KeyGenerator Gen(Ctx);
   PublicKey Pub = Gen.makePublicKey();
   EvalKeys Keys;
-  Evaluator Eval(Ctx, Enc, Keys);
+  RotationKeyCache Cache(Ctx, Gen);
+  Evaluator Eval(Ctx, Enc, Keys, Cache);
   Bootstrapper Boot(Eval, BootstrapConfig{/*RangeK=*/12,
                                           /*DoubleAngleCount=*/2,
                                           /*ChebyshevDegree=*/39,
                                           /*ArcsineCorrection=*/true});
-  Gen.fillEvalKeys(Keys, Boot.requiredRotations(), /*NeedRelin=*/true,
-                   Boot.needsConjugation());
-  Gen.fillGaloisKeys(Keys, Boot.requiredGaloisElements());
+  makeTestKeys(Gen, Keys, Cache, Boot.requiredRotations(),
+               /*NeedRelin=*/true, Boot.needsConjugation(),
+               Boot.requiredGaloisElements());
   Encryptor Encrypt(Ctx, Pub);
 
   Rng R(3);

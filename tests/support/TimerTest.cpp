@@ -1,5 +1,5 @@
 //===----------------------------------------------------------------------===//
-// Unit tests for timing utilities and memory accounting.
+// Unit tests for timing utilities and byte formatting.
 //===----------------------------------------------------------------------===//
 
 #include "support/MemTrack.h"
@@ -38,26 +38,8 @@ TEST(TimerTest, WallTimerAdvances) {
   EXPECT_GT(T.seconds(), 0.0);
 }
 
-TEST(MemTrackTest, Categories) {
-  MemTracker M;
-  M.add(MemCategoryKind::MC_RelinKey, 1000);
-  M.add(MemCategoryKind::MC_RotationKeys, 2000);
-  M.add(MemCategoryKind::MC_Ciphertexts, 500);
-  EXPECT_EQ(M.get(MemCategoryKind::MC_RelinKey), 1000u);
-  EXPECT_EQ(M.evaluationKeyBytes(), 3000u);
-  EXPECT_EQ(M.total(), 3500u);
-  M.clear();
-  EXPECT_EQ(M.total(), 0u);
-}
-
 TEST(MemTrackTest, FormatBytes) {
   EXPECT_EQ(formatBytes(512), "512.0 B");
   EXPECT_EQ(formatBytes(2048), "2.0 KB");
   EXPECT_EQ(formatBytes(3 * 1024 * 1024), "3.0 MB");
-}
-
-TEST(MemTrackTest, CategoryNames) {
-  EXPECT_STREQ(memCategoryName(MemCategoryKind::MC_SecretKey), "secret-key");
-  EXPECT_STREQ(memCategoryName(MemCategoryKind::MC_RotationKeys),
-               "rotation-keys");
 }
