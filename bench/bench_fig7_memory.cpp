@@ -15,6 +15,7 @@
 #include "support/Telemetry.h"
 
 #include <cstdio>
+#include <malloc.h>
 
 using namespace ace;
 using namespace ace::bench;
@@ -27,16 +28,24 @@ struct MemResult {
   size_t TotalBytes = 0;
   size_t ChainLen = 0;
   size_t RingDegree = 0;
-  size_t PeakRssBytes = 0;
+  size_t SetupRssBytes = 0;
 };
 
 MemResult runOne(const BenchModel &M, const air::CompileOptions &Opt) {
   auto R = compileOrDie(M.Model, M.Data, Opt);
+  // The row's own RSS growth over setup. Limbs parked by earlier rows and
+  // the heap's free pages go back first, so setup cannot reuse them and
+  // read low; a process high-water mark would read the largest earlier
+  // row instead.
+  LimbPool::instance().trim();
+  malloc_trim(0);
+  size_t RssBefore = currentRssBytes();
   codegen::CkksExecutor Exec(R->Program, R->State);
   if (Status S = Exec.setup()) {
     std::fprintf(stderr, "setup failed: %s\n", S.message().c_str());
     std::exit(1);
   }
+  size_t RssAfter = currentRssBytes();
   MemResult Out;
   Out.RotationKeys = Exec.rotationKeyCount();
   Out.KeyBytes = Exec.evalKeyBytes();
@@ -44,9 +53,7 @@ MemResult runOne(const BenchModel &M, const air::CompileOptions &Opt) {
   Out.ChainLen =
       static_cast<size_t>(R->State.SelectedParams.NumRescaleModuli) + 1;
   Out.RingDegree = R->State.SelectedParams.RingDegree;
-  // Setup sampled RSS into telemetry — the same source of truth the
-  // --telemetry-report summaries print.
-  Out.PeakRssBytes = telemetry::Telemetry::instance().peakRssBytes();
+  Out.SetupRssBytes = RssAfter > RssBefore ? RssAfter - RssBefore : 0;
   return Out;
 }
 
@@ -106,7 +113,7 @@ int main(int argc, char **argv) {
 
   std::printf("=== Figure 7: key memory, ACE vs Expert ===\n");
   std::printf("%-18s %-7s | %8s %12s %12s %10s | %14s\n", "model", "impl",
-              "rotkeys", "eval-keys", "total-mem", "peak-rss",
+              "rotkeys", "eval-keys", "total-mem", "setup-rss",
               "prod-scale-keys");
   std::string Rows;
   for (auto &M : Models) {
@@ -122,7 +129,7 @@ int main(int argc, char **argv) {
                   M.Spec.Name.c_str(), Impl, R.RotationKeys,
                   formatBytes(R.KeyBytes).c_str(),
                   formatBytes(R.TotalBytes).c_str(),
-                  formatBytes(R.PeakRssBytes).c_str(), ProjGiB);
+                  formatBytes(R.SetupRssBytes).c_str(), ProjGiB);
     };
     Print("ace", Ace, Ace.RingDegree);
     Print("expert", Exp, Exp.RingDegree);

@@ -20,6 +20,7 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -145,12 +146,30 @@ bool validContext(const AceFheContext *Ctx, const char *What) {
   return false;
 }
 
-bool validCipher(const AceFheCiphertext *Ct, const char *What) {
-  if (Ct && Ct->Magic == kCipherMagic)
+/// A ciphertext operand must be a live handle whose polynomials are
+/// bound to \p C: the evaluator would otherwise run on another Context's
+/// polynomials. \p C must already be a valid context.
+bool validCipher(const AceFheContext *C, const AceFheCiphertext *Ct,
+                 const char *What) {
+  if (!Ct || Ct->Magic != kCipherMagic) {
+    setLastError(ACE_ERR_INVALID_ARGUMENT,
+                 std::string(What) +
+                     ": null, freed, or corrupted ciphertext handle");
+    return false;
+  }
+  const std::vector<RnsPoly> &Polys = Ct->Ct.Polys;
+  if (!Polys.empty() &&
+      std::all_of(Polys.begin(), Polys.end(), [&](const RnsPoly &P) {
+        return P.bound() && &P.context() == C->Ctx.get();
+      }))
     return true;
-  setLastError(ACE_ERR_INVALID_ARGUMENT,
-               std::string(What) +
-                   ": null, freed, or corrupted ciphertext handle");
+  std::string Message =
+      std::string(What) + ": ciphertext does not belong to this context";
+  if (Ct->Ct.Slots != C->Ctx->slots())
+    Message += " (" + std::to_string(Ct->Ct.Slots) +
+               " slots; this context has " +
+               std::to_string(C->Ctx->slots()) + ")";
+  setLastError(ACE_ERR_INVALID_ARGUMENT, Message);
   return false;
 }
 
@@ -310,7 +329,7 @@ AceFheCiphertext *ace_encrypt(AceFheContext *C, const double *Slots,
 
 int ace_decrypt(AceFheContext *C, const AceFheCiphertext *Ct, double *Out,
                 size_t N) {
-  if (!validContext(C, "decrypt") || !validCipher(Ct, "decrypt"))
+  if (!validContext(C, "decrypt") || !validCipher(C, Ct, "decrypt"))
     return ACE_ERR_INVALID_ARGUMENT;
   if (N > 0 && !Out) {
     setLastError(ACE_ERR_INVALID_ARGUMENT,
@@ -341,38 +360,38 @@ void ace_ct_free(AceFheCiphertext *Ct) {
 
 AceFheCiphertext *ace_rotate(AceFheContext *C, const AceFheCiphertext *A,
                              int64_t Steps) {
-  if (!validContext(C, "rotate") || !validCipher(A, "rotate"))
+  if (!validContext(C, "rotate") || !validCipher(C, A, "rotate"))
     return nullptr;
   return wrapResult(C->Eval->checkedRotate(A->Ct, Steps));
 }
 
 AceFheCiphertext *ace_add(AceFheContext *C, const AceFheCiphertext *A,
                           const AceFheCiphertext *B) {
-  if (!validContext(C, "add") || !validCipher(A, "add") ||
-      !validCipher(B, "add"))
+  if (!validContext(C, "add") || !validCipher(C, A, "add") ||
+      !validCipher(C, B, "add"))
     return nullptr;
   return wrapResult(C->Eval->checkedAdd(A->Ct, B->Ct));
 }
 
 AceFheCiphertext *ace_sub(AceFheContext *C, const AceFheCiphertext *A,
                           const AceFheCiphertext *B) {
-  if (!validContext(C, "sub") || !validCipher(A, "sub") ||
-      !validCipher(B, "sub"))
+  if (!validContext(C, "sub") || !validCipher(C, A, "sub") ||
+      !validCipher(C, B, "sub"))
     return nullptr;
   return wrapResult(C->Eval->checkedSub(A->Ct, B->Ct));
 }
 
 AceFheCiphertext *ace_mul(AceFheContext *C, const AceFheCiphertext *A,
                           const AceFheCiphertext *B) {
-  if (!validContext(C, "mul") || !validCipher(A, "mul") ||
-      !validCipher(B, "mul"))
+  if (!validContext(C, "mul") || !validCipher(C, A, "mul") ||
+      !validCipher(C, B, "mul"))
     return nullptr;
   return wrapResult(C->Eval->checkedMul(A->Ct, B->Ct));
 }
 
 AceFheCiphertext *ace_mul_plain(AceFheContext *C, const AceFheCiphertext *A,
                                 const double *Vec, size_t N) {
-  if (!validContext(C, "mul_plain") || !validCipher(A, "mul_plain"))
+  if (!validContext(C, "mul_plain") || !validCipher(C, A, "mul_plain"))
     return nullptr;
   if (N > 0 && !Vec) {
     setLastError(ACE_ERR_INVALID_ARGUMENT,
@@ -386,7 +405,7 @@ AceFheCiphertext *ace_mul_plain(AceFheContext *C, const AceFheCiphertext *A,
 
 AceFheCiphertext *ace_add_plain(AceFheContext *C, const AceFheCiphertext *A,
                                 const double *Vec, size_t N) {
-  if (!validContext(C, "add_plain") || !validCipher(A, "add_plain"))
+  if (!validContext(C, "add_plain") || !validCipher(C, A, "add_plain"))
     return nullptr;
   if (N > 0 && !Vec) {
     setLastError(ACE_ERR_INVALID_ARGUMENT,
@@ -400,7 +419,7 @@ AceFheCiphertext *ace_add_plain(AceFheContext *C, const AceFheCiphertext *A,
 
 AceFheCiphertext *ace_mul_const(AceFheContext *C, const AceFheCiphertext *A,
                                 double Value) {
-  if (!validContext(C, "mul_const") || !validCipher(A, "mul_const"))
+  if (!validContext(C, "mul_const") || !validCipher(C, A, "mul_const"))
     return nullptr;
   return wrapResult(
       C->Eval->checkedMulScalar(A->Ct, Value, A->Ct.Scale));
@@ -408,27 +427,27 @@ AceFheCiphertext *ace_mul_const(AceFheContext *C, const AceFheCiphertext *A,
 
 AceFheCiphertext *ace_add_const(AceFheContext *C, const AceFheCiphertext *A,
                                 double Value) {
-  if (!validContext(C, "add_const") || !validCipher(A, "add_const"))
+  if (!validContext(C, "add_const") || !validCipher(C, A, "add_const"))
     return nullptr;
   return wrapResult(C->Eval->checkedAddConst(A->Ct, Value));
 }
 
 AceFheCiphertext *ace_rescale(AceFheContext *C, const AceFheCiphertext *A) {
-  if (!validContext(C, "rescale") || !validCipher(A, "rescale"))
+  if (!validContext(C, "rescale") || !validCipher(C, A, "rescale"))
     return nullptr;
   return wrapResult(C->Eval->checkedRescale(A->Ct));
 }
 
 AceFheCiphertext *ace_modswitch_to(AceFheContext *C,
                                    const AceFheCiphertext *A, size_t NumQ) {
-  if (!validContext(C, "modswitch") || !validCipher(A, "modswitch"))
+  if (!validContext(C, "modswitch") || !validCipher(C, A, "modswitch"))
     return nullptr;
   return wrapResult(C->Eval->checkedModSwitchTo(A->Ct, NumQ));
 }
 
 AceFheCiphertext *ace_bootstrap(AceFheContext *C, const AceFheCiphertext *A,
                                 size_t Target) {
-  if (!validContext(C, "bootstrap") || !validCipher(A, "bootstrap"))
+  if (!validContext(C, "bootstrap") || !validCipher(C, A, "bootstrap"))
     return nullptr;
   if (!C->Boot) {
     setLastError(ACE_ERR_KEY_MISSING,
@@ -474,20 +493,6 @@ bool openForRead(const char *Path, const char *What, std::ifstream &IS) {
   return true;
 }
 
-/// A ciphertext handle passed to save must actually belong to the context
-/// it is saved under, otherwise the validation baked into the wire format
-/// would certify it against the wrong parameters.
-bool cipherBelongsTo(const AceFheContext *C, const AceFheCiphertext *Ct,
-                     const char *What) {
-  if (Ct->Ct.Polys.empty() || !Ct->Ct.Polys[0].bound() ||
-      &Ct->Ct.Polys[0].context() != C->Ctx.get()) {
-    setLastError(ACE_ERR_INVALID_ARGUMENT,
-                 std::string(What) +
-                     ": ciphertext does not belong to this context");
-    return false;
-  }
-  return true;
-}
 } // namespace
 
 int ace_params_save(AceFheContext *C, const char *Path) {
@@ -520,9 +525,9 @@ AceFheContext *ace_params_load(const char *Path) {
 
 int ace_ct_save(AceFheContext *C, const AceFheCiphertext *Ct,
                 const char *Path) {
-  if (!validContext(C, "ct_save") || !validCipher(Ct, "ct_save"))
-    return ACE_ERR_INVALID_ARGUMENT;
-  if (!cipherBelongsTo(C, Ct, "ct_save"))
+  // A foreign ciphertext would be certified against the wrong parameters
+  // by the validation baked into the wire format.
+  if (!validContext(C, "ct_save") || !validCipher(C, Ct, "ct_save"))
     return ACE_ERR_INVALID_ARGUMENT;
   std::ofstream OS;
   if (!openForWrite(Path, "ct_save", OS))

@@ -10,7 +10,6 @@
 
 #include "fhe/Bootstrapper.h"
 #include "fhe/Security.h"
-#include "passes/VectorToSihe.h"
 
 #include <cassert>
 #include <cmath>
@@ -497,17 +496,14 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
   // Production-security report (Table 10), independent of execution mode.
   // A production bootstrapper (hand-tuned EvalMod as in Lee et al. [35])
   // consumes ~15 levels; the toy pipeline's extra double-angle/arcsine
-  // margin would otherwise overstate the production chain.
+  // margin would otherwise overstate the production chain. The compiled
+  // ReLU is the one production runs, so the bootstrap targets stand.
   {
     constexpr int ProductionBootstrapDepth = 14;
-    constexpr int ProductionReluDepth = 12;
-    int ReluExcess = std::max(
-        0, reluDepth(Opt.ReluSignIterations) - ProductionReluDepth);
     size_t ProdChain =
         HasBootstrap
             ? std::max<size_t>(InputNumQ,
-                               MaxBootTarget - ReluExcess +
-                                   ProductionBootstrapDepth)
+                               MaxBootTarget + ProductionBootstrapDepth)
             : InputNumQ;
     int LogQP = 60 + static_cast<int>(ProdChain - 1) * 56 + 60;
     size_t NSec =

@@ -9,16 +9,17 @@
 #include "passes/VectorToSihe.h"
 
 #include <cassert>
+#include <cmath>
 
 using namespace ace;
 using namespace ace::passes;
 using namespace ace::air;
 
 int ace::passes::reluDepth(int Iterations) {
-  // Each f-composition: t2 (1), t3 (2), t5 (3), t7 (4), plus the scalar
-  // multiplications on each power (one more level): 5 levels. Input
-  // amplification: 1. Final 0.5*x*(1+p): 2.
-  return 5 * Iterations + 3;
+  // Each composite step: t^2 beside the scalar products c_k t (1), then
+  // (c1 t) t^2, (c3 t) t^2 and t^4 (2), then t^4 (c2 t + c3 t^3) (3).
+  // The final x (1/2 + p/2): 1.
+  return 3 * Iterations + 1;
 }
 
 namespace {
@@ -31,9 +32,6 @@ struct SiheBuilder {
   }
   IrNode *add(IrNode *A, IrNode *B, OriginKind O) {
     return Out.create(NodeKind::NK_SiheAdd, TypeKind::TK_Cipher, {A, B}, O);
-  }
-  IrNode *sub(IrNode *A, IrNode *B, OriginKind O) {
-    return Out.create(NodeKind::NK_SiheSub, TypeKind::TK_Cipher, {A, B}, O);
   }
   IrNode *mulConst(IrNode *A, double C, OriginKind O) {
     IrNode *N = Out.create(NodeKind::NK_SiheMulConst, TypeKind::TK_Cipher,
@@ -49,46 +47,67 @@ struct SiheBuilder {
   }
 };
 
-/// Expands relu(x) = 0.5 x (1 + p(x)) with p the composite sign
-/// approximation. The first multiplication is tagged RefreshBefore so the
-/// CKKS lowering bootstraps x right before the ReLU (paper Sec. 4.4).
-IrNode *expandRelu(SiheBuilder &B, IrNode *X, int Iterations) {
+/// Odd coefficients of one composite step,
+/// f(t) = (35 t - 35 t^3 + 21 t^5 - 5 t^7) / 16.
+constexpr double StepCoeffs[4] = {35.0 / 16.0, -35.0 / 16.0, 21.0 / 16.0,
+                                  -5.0 / 16.0};
+
+/// Amplifies the sign input: typical activations sit well below the
+/// calibrated layer maximum, where the composite converges slowly (f
+/// multiplies small arguments by only ~2.19 per step). A 1.4x pre-scale
+/// stays inside f's stability region |t| <= ~1.6 (the calibration
+/// headroom bounds |x| <= 1) while pulling small values toward the
+/// converged plateau one step sooner.
+constexpr double SignPrescale = 1.4;
+
+/// One step c0 t + c1 t^3 + c2 t^5 + c3 t^7, evaluated as
+/// (c0 t + (c1 t) t^2) + t^4 (c2 t + (c3 t) t^2): the scalar products
+/// run beside t^2, so the step costs 3 levels. t^2 is the step's first
+/// reader of t and carries \p RefreshT.
+IrNode *compositeStep(SiheBuilder &B, IrNode *T, const double (&C)[4],
+                      bool RefreshT) {
   const OriginKind O = OriginKind::OR_Relu;
-  // Amplify the sign input: typical activations sit well below the
-  // calibrated layer maximum, where the composite converges slowly
-  // (f multiplies small arguments by only ~2.19 per iteration). A 1.4x
-  // pre-scale stays inside f's stability region |t| <= ~1.6 (the
-  // calibration headroom bounds |x| <= 1) while pulling small values
-  // toward the converged plateau one iteration sooner.
-  IrNode *T = B.mulConst(X, 1.4, O);
-  T->RefreshBefore = true;
-  bool First = false;
+  IrNode *T2 = B.mul(T, T, O);
+  T2->RefreshBefore = RefreshT;
+  IrNode *C0T = B.mulConst(T, C[0], O);
+  IrNode *C1T = B.mulConst(T, C[1], O);
+  IrNode *C2T = B.mulConst(T, C[2], O);
+  IrNode *C3T = B.mulConst(T, C[3], O);
+  IrNode *Lo = B.add(C0T, B.mul(C1T, T2, O), O);
+  IrNode *Hi = B.add(C2T, B.mul(C3T, T2, O), O);
+  IrNode *T4 = B.mul(T2, T2, O);
+  return B.add(Lo, B.mul(T4, Hi, O), O);
+}
+
+/// Expands relu(x) = x (1/2 + p(x)/2) with p the composite sign
+/// approximation f o ... o f (1.4 x). The pre-scale folds into the first
+/// step's coefficients (c_k = a_k 1.4^(2k+1) on powers of x) and the 1/2
+/// into the last step's, so neither costs a level of its own. The first
+/// node, x^2, reads x first and is tagged RefreshBefore, so the CKKS
+/// lowering bootstraps x right before the ReLU (paper Sec. 4.4).
+IrNode *expandRelu(SiheBuilder &B, IrNode *X, int Iterations) {
+  IrNode *T = X;
   for (int Iter = 0; Iter < Iterations; ++Iter) {
-    // f(t) = (35 t - 35 t^3 + 21 t^5 - 5 t^7) / 16, evaluated on odd
-    // powers: t2, t3, t5, t7.
-    IrNode *T2 = B.mul(T, T, O);
-    if (First) {
-      T2->RefreshBefore = true;
-      First = false;
+    double C[4];
+    for (int K = 0; K < 4; ++K) {
+      C[K] = StepCoeffs[K];
+      if (Iter == 0)
+        C[K] *= std::pow(SignPrescale, 2 * K + 1);
+      if (Iter == Iterations - 1)
+        C[K] *= 0.5;
     }
-    IrNode *T3 = B.mul(T2, T, O);
-    IrNode *T5 = B.mul(T2, T3, O);
-    IrNode *T7 = B.mul(T2, T5, O);
-    IrNode *Acc = B.mulConst(T, 35.0 / 16.0, O);
-    Acc = B.sub(Acc, B.mulConst(T3, 35.0 / 16.0, O), O);
-    Acc = B.add(Acc, B.mulConst(T5, 21.0 / 16.0, O), O);
-    Acc = B.sub(Acc, B.mulConst(T7, 5.0 / 16.0, O), O);
-    T = Acc;
+    T = compositeStep(B, T, C, /*RefreshT=*/Iter == 0);
   }
-  // 0.5 * x * (1 + p).
-  IrNode *OnePlus = B.addConst(T, 1.0, O);
-  IrNode *Prod = B.mul(X, OnePlus, O);
-  return B.mulConst(Prod, 0.5, O);
+  IrNode *Gate = B.addConst(T, 0.5, OriginKind::OR_Relu);
+  return B.mul(X, Gate, OriginKind::OR_Relu);
 }
 
 } // namespace
 
 Status VectorToSihePass::run(IrFunction &F, CompileState &State) {
+  if (State.Options.ReluSignIterations < 1)
+    return Status::error("ReluSignIterations must be at least 1, got " +
+                         std::to_string(State.Options.ReluSignIterations));
   IrFunction NewF(F.name());
   SiheBuilder B{NewF};
   std::map<const IrNode *, IrNode *> Map;

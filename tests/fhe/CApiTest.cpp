@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -447,5 +448,147 @@ TEST(CApiTest, KeygenWidensATruncatedStepForBootstrap) {
   ace_ct_free(Ct);
   ace_destroy(Ctx);
 }
+
+/// One op entry point fed a ciphertext bound to another context of the
+/// same parameters. Call runs the op on context C with Operand (binary
+/// ops take Own, a ciphertext of C, as the other side) and returns true
+/// when the op succeeded.
+using CtPtr = const AceFheCiphertext *;
+struct ForeignCipherRow {
+  const char *Name;
+  const char *What; ///< the op's error-message prefix
+  bool (*Call)(AceFheContext *C, CtPtr Own, CtPtr Operand);
+};
+
+void PrintTo(const ForeignCipherRow &Row, std::ostream *OS) { *OS << Row.Name; }
+
+bool produced(AceFheCiphertext *Result) {
+  bool Ok = Result != nullptr;
+  ace_ct_free(Result);
+  return Ok;
+}
+
+const ForeignCipherRow ForeignCipherRows[] = {
+    {"decrypt", "decrypt",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       std::vector<double> Out(64);
+       return ace_decrypt(C, X, Out.data(), Out.size()) == ACE_OK;
+     }},
+    {"rotate", "rotate",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       return produced(ace_rotate(C, X, 1));
+     }},
+    {"add_lhs", "add",
+     [](AceFheContext *C, CtPtr O, CtPtr X) {
+       return produced(ace_add(C, X, O));
+     }},
+    {"add_rhs", "add",
+     [](AceFheContext *C, CtPtr O, CtPtr X) {
+       return produced(ace_add(C, O, X));
+     }},
+    {"sub_lhs", "sub",
+     [](AceFheContext *C, CtPtr O, CtPtr X) {
+       return produced(ace_sub(C, X, O));
+     }},
+    {"sub_rhs", "sub",
+     [](AceFheContext *C, CtPtr O, CtPtr X) {
+       return produced(ace_sub(C, O, X));
+     }},
+    {"mul_lhs", "mul",
+     [](AceFheContext *C, CtPtr O, CtPtr X) {
+       return produced(ace_mul(C, X, O));
+     }},
+    {"mul_rhs", "mul",
+     [](AceFheContext *C, CtPtr O, CtPtr X) {
+       return produced(ace_mul(C, O, X));
+     }},
+    {"mul_plain", "mul_plain",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       std::vector<double> W(64, 2.0);
+       return produced(ace_mul_plain(C, X, W.data(), W.size()));
+     }},
+    {"add_plain", "add_plain",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       std::vector<double> W(64, 2.0);
+       return produced(ace_add_plain(C, X, W.data(), W.size()));
+     }},
+    {"mul_const", "mul_const",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       return produced(ace_mul_const(C, X, 3.0));
+     }},
+    {"add_const", "add_const",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       return produced(ace_add_const(C, X, 3.0));
+     }},
+    {"rescale", "rescale",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       return produced(ace_rescale(C, X));
+     }},
+    {"modswitch_to", "modswitch",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       return produced(ace_modswitch_to(C, X, 4));
+     }},
+    {"bootstrap", "bootstrap",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       return produced(ace_bootstrap(C, X, 4));
+     }},
+    {"ct_save", "ct_save",
+     [](AceFheContext *C, CtPtr, CtPtr X) {
+       const char *Path = "/tmp/ace_capi_foreign_ct.bin";
+       bool Ok = ace_ct_save(C, X, Path) == ACE_OK;
+       std::remove(Path);
+       return Ok;
+     }},
+};
+
+/// Two contexts with identical parameters and different secrets. Every
+/// op entry point of the first must reject a ciphertext of the second as
+/// an invalid argument before touching its polynomials.
+struct CApiForeignCipherTest
+    : ::testing::TestWithParam<ForeignCipherRow> {
+  AceFheContext *Ctx = nullptr, *Other = nullptr;
+  AceFheCiphertext *Own = nullptr, *Foreign = nullptr;
+
+  void SetUp() override {
+    Ctx = ace_create(1024, 64, 45, 55, 8, 60, 0, /*seed=*/9);
+    Other = ace_create(1024, 64, 45, 55, 8, 60, 0, /*seed=*/4242);
+    ASSERT_NE(Ctx, nullptr);
+    ASSERT_NE(Other, nullptr);
+    int64_t Steps[] = {1};
+    ASSERT_EQ(ace_keygen(Ctx, Steps, nullptr, 1, 1, 0, 0, 12, 2, 39),
+              ACE_OK);
+    ASSERT_EQ(ace_keygen(Other, Steps, nullptr, 1, 1, 0, 0, 12, 2, 39),
+              ACE_OK);
+    std::vector<double> X(64, 0.25);
+    Own = ace_encrypt(Ctx, X.data(), X.size(), 9);
+    Foreign = ace_encrypt(Other, X.data(), X.size(), 9);
+    ASSERT_NE(Own, nullptr);
+    ASSERT_NE(Foreign, nullptr);
+    ace_clear_error();
+  }
+  void TearDown() override {
+    ace_ct_free(Foreign);
+    ace_ct_free(Own);
+    ace_destroy(Other);
+    ace_destroy(Ctx);
+  }
+};
+
+TEST_P(CApiForeignCipherTest, RejectedAsInvalidArgument) {
+  const ForeignCipherRow &Row = GetParam();
+  EXPECT_FALSE(Row.Call(Ctx, Own, Foreign));
+  EXPECT_EQ(ace_last_error(), ACE_ERR_INVALID_ARGUMENT);
+  std::string Message = ace_last_error_message();
+  EXPECT_EQ(Message.rfind(std::string(Row.What) + ": ", 0), 0u) << Message;
+  EXPECT_NE(Message.find("does not belong to this context"),
+            std::string::npos)
+      << Message;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, CApiForeignCipherTest, ::testing::ValuesIn(ForeignCipherRows),
+    [](const ::testing::TestParamInfo<ForeignCipherRow> &Info) {
+      return std::string(Info.param.Name);
+    });
 
 } // namespace

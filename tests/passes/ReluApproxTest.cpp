@@ -18,15 +18,65 @@ using namespace ace;
 
 namespace {
 
-/// Plain evaluation of the compiler's composite: f(t) iterated, then
-/// relu = 0.5 x (1 + p).
-double compositeRelu(double X, int Iterations) {
-  double T = X;
+/// Plain evaluation of the composite: f(t) iterated from t = Prescale x,
+/// then relu = 0.5 x (1 + p), each power computed as its own product.
+/// With Prescale = 1.4 this is the function the compiler's folded
+/// expansion computes.
+double compositeRelu(double X, int Iterations, double Prescale = 1.0) {
+  double T = Prescale * X;
   for (int I = 0; I < Iterations; ++I) {
     double T2 = T * T, T3 = T2 * T, T5 = T2 * T3, T7 = T2 * T5;
     T = (35 * T - 35 * T3 + 21 * T5 - 5 * T7) / 16;
   }
   return 0.5 * X * (1 + T);
+}
+
+/// An identity gemm over a D-wide input; with \p WithRelu, followed by a
+/// ReLU named "r" on its output "y" and a second identity gemm.
+onnx::Model identityModel(int64_t D, bool WithRelu) {
+  onnx::Model M;
+  onnx::Graph &G = M.MainGraph;
+  G.Inputs.push_back({"x", {1, D}});
+  onnx::TensorData Id;
+  Id.Shape = {D, D};
+  Id.Values.assign(D * D, 0.0f);
+  for (int64_t I = 0; I < D; ++I)
+    Id.Values[I * D + I] = 1.0f;
+  G.Initializers.emplace("w1", Id);
+  G.Initializers.emplace("w2", Id);
+  int Layers = WithRelu ? 2 : 1;
+  for (int Layer = 0; Layer < Layers; ++Layer) {
+    bool Last = Layer == Layers - 1;
+    onnx::Node N;
+    N.Kind = onnx::OpKind::OK_Gemm;
+    N.Name = "g" + std::to_string(Layer);
+    N.Inputs = {Layer == 0 ? "x" : "r", Layer == 0 ? "w1" : "w2"};
+    N.Outputs = {Last ? "out" : "y"};
+    N.Attributes["transB"] = onnx::Attribute{{1}, {}};
+    G.Nodes.push_back(std::move(N));
+    if (!Last) {
+      onnx::Node Relu;
+      Relu.Kind = onnx::OpKind::OK_Relu;
+      Relu.Name = "r";
+      Relu.Inputs = {"y"};
+      Relu.Outputs = {"r"};
+      G.Nodes.push_back(std::move(Relu));
+    }
+  }
+  G.Outputs.push_back({"out", {1, D}});
+  return M;
+}
+
+std::vector<nn::Tensor> calibration(int64_t D) {
+  Rng R(9);
+  std::vector<nn::Tensor> Calib(2);
+  for (auto &T : Calib) {
+    T.Shape = {1, D};
+    T.Values.resize(D);
+    for (auto &V : T.Values)
+      V = static_cast<float>(R.uniformReal(-0.9, 0.9));
+  }
+  return Calib;
 }
 
 TEST(ReluApproxTest, CompositeConvergesToSign) {
@@ -54,9 +104,47 @@ TEST(ReluApproxTest, ErrorConcentratesNearZero) {
 }
 
 TEST(ReluApproxTest, DepthModelMatchesOptions) {
-  EXPECT_EQ(passes::reluDepth(1), 8);
-  EXPECT_EQ(passes::reluDepth(2), 13);
-  EXPECT_EQ(passes::reluDepth(3), 18);
+  EXPECT_EQ(passes::reluDepth(1), 4);
+  EXPECT_EQ(passes::reluDepth(2), 7);
+  EXPECT_EQ(passes::reluDepth(3), 10);
+}
+
+// The depth model is the compiled IR's: the bootstrap before the ReLU
+// refreshes to exactly reluDepth levels plus the primes the trailing
+// gemm needs, read from that gemm compiled on its own.
+TEST(ReluApproxTest, CompiledBootstrapTargetMatchesDepthModel) {
+  const int64_t D = 8;
+  driver::AceCompiler Tail{air::CompileOptions{}};
+  auto TailResult = Tail.compile(identityModel(D, false), calibration(D));
+  ASSERT_TRUE(TailResult.ok()) << TailResult.status().message();
+  int TailNumQ = static_cast<int>((*TailResult)->State.InputNumQ);
+  ASSERT_GT(TailNumQ, 1);
+
+  for (int Iterations : {1, 2, 3}) {
+    air::CompileOptions Opt;
+    Opt.ReluSignIterations = Iterations;
+    driver::AceCompiler Compiler(Opt);
+    auto Result = Compiler.compile(identityModel(D, true), calibration(D));
+    ASSERT_TRUE(Result.ok()) << Result.status().message();
+    std::vector<int> Targets;
+    for (const auto &N : (*Result)->Program.nodes())
+      if (N->Kind == air::NodeKind::NK_CkksBootstrap)
+        Targets.push_back(N->BootstrapTarget);
+    ASSERT_EQ(Targets.size(), 1u) << "iterations " << Iterations;
+    EXPECT_EQ(Targets[0], passes::reluDepth(Iterations) + TailNumQ)
+        << "iterations " << Iterations;
+  }
+}
+
+TEST(ReluApproxTest, ZeroIterationsAreRejected) {
+  air::CompileOptions Opt;
+  Opt.ReluSignIterations = 0;
+  driver::AceCompiler Compiler(Opt);
+  auto Result = Compiler.compile(identityModel(8, true), calibration(8));
+  ASSERT_FALSE(Result.ok());
+  EXPECT_NE(Result.status().message().find("ReluSignIterations"),
+            std::string::npos)
+      << Result.status().message();
 }
 
 TEST(ReluApproxTest, HomomorphicReluThroughPipeline) {
@@ -64,49 +152,15 @@ TEST(ReluApproxTest, HomomorphicReluThroughPipeline) {
   // the identity matrix, then relu, then identity gemm. Compare the
   // encrypted pipeline against true relu slot by slot.
   const int64_t D = 8;
-  onnx::Model M;
-  onnx::Graph &G = M.MainGraph;
-  G.Inputs.push_back({"x", {1, D}});
-  onnx::TensorData Id;
-  Id.Shape = {D, D};
-  Id.Values.assign(D * D, 0.0f);
-  for (int64_t I = 0; I < D; ++I)
-    Id.Values[I * D + I] = 1.0f;
-  G.Initializers.emplace("w1", Id);
-  G.Initializers.emplace("w2", Id);
-  for (int Layer = 0; Layer < 2; ++Layer) {
-    onnx::Node N;
-    N.Kind = onnx::OpKind::OK_Gemm;
-    N.Name = "g" + std::to_string(Layer);
-    N.Inputs = {Layer == 0 ? "x" : "r", Layer == 0 ? "w1" : "w2"};
-    N.Outputs = {Layer == 0 ? "y" : "out"};
-    N.Attributes["transB"] = onnx::Attribute{{1}, {}};
-    G.Nodes.push_back(std::move(N));
-    if (Layer == 0) {
-      onnx::Node Relu;
-      Relu.Kind = onnx::OpKind::OK_Relu;
-      Relu.Name = "r";
-      Relu.Inputs = {"y"};
-      Relu.Outputs = {"r"};
-      G.Nodes.push_back(std::move(Relu));
-    }
-  }
-  G.Outputs.push_back({"out", {1, D}});
-
-  Rng R(9);
-  std::vector<nn::Tensor> Calib(2);
-  for (auto &T : Calib) {
-    T.Shape = {1, D};
-    T.Values.resize(D);
-    for (auto &V : T.Values)
-      V = static_cast<float>(R.uniformReal(-0.9, 0.9));
-  }
-
+  std::vector<nn::Tensor> Calib = calibration(D);
   driver::AceCompiler Compiler(air::CompileOptions{});
-  auto Result = Compiler.compile(M, Calib);
+  auto Result = Compiler.compile(identityModel(D, true), Calib);
   ASSERT_TRUE(Result.ok()) << Result.status().message();
   codegen::CkksExecutor Exec((*Result)->Program, (*Result)->State);
   ASSERT_FALSE(Exec.setup());
+  // The frontend feeds the ReLU y / S, S its calibrated bound, and the
+  // trailing gemm multiplies S back in.
+  double S = (*Result)->State.Bounds.at("y");
 
   auto Logits = Exec.infer(Calib[0]);
   ASSERT_TRUE(Logits.ok());
@@ -115,6 +169,12 @@ TEST(ReluApproxTest, HomomorphicReluThroughPipeline) {
     double True = X > 0 ? X : 0.0;
     // Approximation error dominated by the kink region; generous bound.
     EXPECT_NEAR((*Logits)[I], True, 0.12) << "x=" << X;
+    // The folded, depth-3-per-step expansion computes the unfolded
+    // composite 0.5 u (1 + f(f(f(1.4 u)))) at u = x / S: only CKKS
+    // noise (measured 4.4e-4 here) separates them, so a slipped
+    // coefficient fails this bound long before the true-relu one.
+    EXPECT_NEAR((*Logits)[I], S * compositeRelu(X / S, 3, 1.4), 2e-3)
+        << "x=" << X;
   }
 }
 
