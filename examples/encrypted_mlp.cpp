@@ -8,8 +8,9 @@
 //
 // Privacy-preserving MLP inference, in the paper's threat model (Fig. 2):
 // the client owns the data and the keys; the untrusted server sees only
-// ciphertexts. This example exercises the nonlinear path: the hidden
-// ReLU layer is approximated by composite sign polynomials and preceded
+// ciphertexts. This example exercises the nonlinear path: the two hidden
+// ReLU layers are approximated by composite sign polynomials; the client
+// encrypts at the level the first one needs, and the second is preceded
 // by an automatically placed bootstrap.
 //
 // Run: ./encrypted_mlp [--telemetry-report[=json]] [--threads=N]
@@ -98,10 +99,20 @@ int main(int argc, char **argv) {
     return 1;
   }
   auto &R = **Result;
+  // Where the levels go: the input is encrypted at the level its first
+  // ReLU needs, and each later ReLU's bootstrap refreshes to its target.
+  std::string Targets;
+  for (const auto &N : R.Program.nodes())
+    if (N->Kind == air::NodeKind::NK_CkksBootstrap)
+      Targets += (Targets.empty() ? "" : ",") +
+                 std::to_string(N->BootstrapTarget);
   std::printf("compiled mlp: %zu CKKS nodes, %zu bootstraps, depth %d, "
-              "%zu rotation steps\n",
+              "%zu rotation steps, input_numq=%zu chain_numq=%d "
+              "refresh_numq=[%s]\n",
               R.PhaseNodeCounts["CKKS"], R.State.BootstrapCount,
-              R.State.MaxComputeDepth, R.State.RotationSteps.size());
+              R.State.MaxComputeDepth, R.State.RotationSteps.size(),
+              R.State.InputNumQ, R.State.SelectedParams.NumRescaleModuli + 1,
+              Targets.c_str());
   std::printf("pipeline: rescale=%s ops[rescale=%zu relin=%zu rotate=%zu "
               "ctct=%zu ctpt=%zu]\n",
               LazyRescale ? "lazy" : "eager", R.State.Budget.Rescale,

@@ -141,7 +141,9 @@ struct CompileState {
   bool NeedsRelin = false;
   bool NeedsConjugation = false;
 
-  /// Number of active primes fresh inputs are encrypted with.
+  /// Number of active primes fresh inputs are encrypted with: the levels
+  /// the program needs before its first bootstrap (all of them when it
+  /// has none), since encryption is the first ReLU's refresh.
   size_t InputNumQ = 0;
   /// Multiplicative-depth summary (filled by the CKKS lowering).
   int MaxComputeDepth = 0;

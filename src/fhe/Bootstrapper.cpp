@@ -370,17 +370,16 @@ StatusOr<Ciphertext> Bootstrapper::checkedBootstrap(const Ciphertext &Ct,
 
 Ciphertext Bootstrapper::bootstrap(const Ciphertext &Ct,
                                    size_t TargetNumQ) const {
-  const Context &Ctx = Eval.context();
   telemetry::FheOpSpan Span;
   if (telemetry::enabled())
     Span.begin(telemetry::Counter::Bootstrap, Ct.numQ(), Ct.Scale,
                Eval.noiseBudgetBits(Ct));
-  assert(Ctx.params().SparseSecret &&
+  assert(Eval.context().params().SparseSecret &&
          "bootstrapping requires the sparse secret (bounds RangeK)");
-  assert(scalesCloseOrReport("bootstrap", Ct.Scale, Ctx.scale()) &&
+  assert(scalesCloseOrReport("bootstrap", Ct.Scale, Eval.context().scale()) &&
          "bootstrap input must be at the context scale");
   size_t Raised = TargetNumQ + static_cast<size_t>(depthCost());
-  assert(Raised <= Ctx.chainLength() &&
+  assert(Raised <= Eval.context().chainLength() &&
          "modulus chain too short for this bootstrap target");
 
   double InputScale = Ct.Scale;

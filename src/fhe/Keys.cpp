@@ -9,6 +9,7 @@
 #include "fhe/Keys.h"
 
 #include "fhe/ModArith.h"
+#include "support/LimbPool.h"
 #include "support/ResourceGovernor.h"
 
 #include <algorithm>
@@ -187,10 +188,17 @@ SwitchKey KeyGenerator::makeConjugationKey() {
 RotationKeyCache::RotationKeyCache(const Context &Ctx, KeyGenerator &Gen)
     : Ctx(Ctx), Gen(Gen) {
   // Cold keys are the cheapest memory to give back under pressure: they
-  // regenerate transparently on next use.
+  // regenerate transparently on next use. An evicted key's blocks park on
+  // the limb pool's free lists, so trimming as many bytes makes the
+  // eviction free what it reports.
   ReclaimerId = ResourceGovernor::instance().addReclaimer(
-      /*Priority=*/0, "rotation-key-cache",
-      [this](size_t WantBytes) { return evictColdest(WantBytes); });
+      /*Priority=*/0, "rotation-key-cache", [this](size_t WantBytes) {
+        size_t Released = evictColdest(WantBytes);
+        LimbPool &Pool = LimbPool::instance();
+        size_t Free = Pool.stats().FreeBytes;
+        Pool.trim(Free > Released ? Free - Released : 0);
+        return Released;
+      });
 }
 
 RotationKeyCache::~RotationKeyCache() {
@@ -253,12 +261,24 @@ void RotationKeyCache::widenLocked(Entry &E, size_t MaxNumQ) {
   E.MaxNumQ = Widened;
 }
 
+void RotationKeyCache::chargeLocked(Entry &E) {
+  // A resident key is charged to eval_keys alone: its pooled blocks leave
+  // the limb_pool charge for as long as the cache holds the key.
+  E.Bytes = E.Key->byteSize();
+  ResidentBytes += E.Bytes;
+  ResourceGovernor::instance().charge(MemCategory::EvalKeys, E.Bytes);
+  LimbPool::instance().lend(E.Key->pooledBytes());
+}
+
 size_t RotationKeyCache::dropLocked(Entry &E) {
   if (!E.Key)
     return 0;
   size_t Bytes = E.Bytes;
   ResidentBytes -= Bytes;
   ResourceGovernor::instance().release(MemCategory::EvalKeys, Bytes);
+  // Back to limb_pool at once: a handle still held elsewhere keeps the
+  // blocks in use until it dies, then they park on the free lists.
+  LimbPool::instance().unlend(E.Key->pooledBytes());
   E.Key.reset();
   E.Bytes = 0;
   return Bytes;
@@ -318,11 +338,9 @@ RotationKeyCache::get(uint64_t Galois) {
     return E.Key;
   // Generation holds the mutex: the KeyGenerator RNG is shared state.
   auto Key = std::make_shared<const SwitchKey>(generate(E, Galois));
-  E.Bytes = Key->byteSize();
   E.Key = Key;
   E.LastUse = ++UseClock;
-  ResidentBytes += E.Bytes;
-  ResourceGovernor::instance().charge(MemCategory::EvalKeys, E.Bytes);
+  chargeLocked(E);
   if (CapacityBytes != 0 && ResidentBytes > CapacityBytes)
     evictColdestLocked(ResidentBytes - CapacityBytes);
   return std::shared_ptr<const SwitchKey>(Key);
@@ -392,12 +410,10 @@ void RotationKeyCache::adoptKeys(std::map<uint64_t, SwitchKey> Keys) {
   Entries.clear();
   for (auto &[Galois, Key] : Keys) {
     Entry E;
-    E.Bytes = Key.byteSize();
     E.Key = std::make_shared<const SwitchKey>(std::move(Key));
     E.LastUse = ++UseClock;
     E.Adopted = true;
-    ResidentBytes += E.Bytes;
-    ResourceGovernor::instance().charge(MemCategory::EvalKeys, E.Bytes);
+    chargeLocked(E);
     Entries.emplace(Galois, std::move(E));
   }
 }

@@ -77,6 +77,14 @@ struct SwitchKey {
       Sum += Part.first.byteSize() + Part.second.byteSize();
     return Sum;
   }
+
+  /// Bytes of the parts' storage drawn from the limb pool.
+  size_t pooledBytes() const {
+    size_t Sum = 0;
+    for (const auto &Part : Parts)
+      Sum += Part.first.pooledBytes() + Part.second.pooledBytes();
+    return Sum;
+  }
 };
 
 /// The relinearization and conjugation keys a compiled program needs.
@@ -261,6 +269,8 @@ private:
   void widenLocked(Entry &E, size_t MaxNumQ);
   SwitchKey generate(const Entry &E, uint64_t Galois);
   size_t evictColdestLocked(size_t WantBytes);
+  /// Charges \p E's freshly set key to eval_keys. Caller holds Mutex.
+  void chargeLocked(Entry &E);
   /// Drops \p E's key and its governor charge. Caller holds Mutex.
   size_t dropLocked(Entry &E);
 

@@ -141,6 +141,9 @@ public:
   /// Bytes of residue storage held by this polynomial.
   size_t byteSize() const { return Data.size() * sizeof(uint64_t); }
 
+  /// Bytes of that storage drawn from the limb pool (LimbStorage).
+  size_t pooledBytes() const { return Data.pooledBytes(); }
+
   /// Asserts shape/domain compatibility with \p Other.
   void checkCompatible(const RnsPoly &Other) const {
     assert(Ctx == Other.Ctx && "polynomials from different contexts");

@@ -497,9 +497,8 @@ IrNode *lowerGlobalAvgPool(Lowering &L, const IrNode *N) {
 IrNode *lowerAvgPool(Lowering &L, const IrNode *N) {
   IrNode *X = L.Map.at(N->Operands[0]);
   CipherLayout In = L.Layouts.at(X);
-  int64_t KH = N->Ints[0], KW = N->Ints[1], SH = N->Ints[2], SW = N->Ints[3];
-  assert(KH == 2 && KW == 2 && SH == 2 && SW == 2 &&
-         "only 2x2 stride-2 average pooling is lowered");
+  assert(N->Ints[0] == 2 && N->Ints[1] == 2 && N->Ints[2] == 2 &&
+         N->Ints[3] == 2 && "only 2x2 stride-2 average pooling is lowered");
 
   IrNode *Acc = X;
   Acc = L.add(Acc, L.roll(X, static_cast<int64_t>(In.StrideW),

@@ -13,6 +13,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <set>
 
 using namespace ace;
 using namespace ace::passes;
@@ -165,17 +166,30 @@ struct CkksBuilder {
 Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
   const std::vector<std::unique_ptr<IrNode>> &Nodes = F.nodes();
 
-  // --- Backward need analysis -------------------------------------------
+  // --- Refresh points -----------------------------------------------------
+  // Encryption is the first refresh: a ReLU with no other ReLU upstream
+  // reads the input's own levels, so the input is encrypted at the level
+  // that ReLU and the layers up to the next refresh need, and only later
+  // ReLUs are bootstrapped (docs/compiler.md, "Where the bootstrap goes").
+  // AfterRelu(N): some path from the input to N runs through a ReLU.
+  std::set<const IrNode *> AfterRelu;
+  for (const auto &N : Nodes)
+    for (const IrNode *X : N->Operands)
+      if (X->RefreshBefore || AfterRelu.count(X)) {
+        AfterRelu.insert(N.get());
+        break;
+      }
   // refreshId(X): earliest node that forces a bootstrap of X before use.
   std::map<const IrNode *, int> RefreshId;
   for (const auto &N : Nodes)
-    if (N->RefreshBefore) {
+    if (N->RefreshBefore && AfterRelu.count(N->Operands[0])) {
       const IrNode *X = N->Operands[0];
       auto [It, Inserted] = RefreshId.emplace(X, N->Id);
       if (!Inserted)
         It->second = std::min(It->second, N->Id);
     }
 
+  // --- Backward need analysis -------------------------------------------
   std::map<const IrNode *, int> Need;
   auto NeedOf = [&](const IrNode *N) {
     auto It = Need.find(N);
@@ -224,7 +238,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
     const IrNode *N = NPtr.get();
 
     // Minimal-level bootstrap insertion (paper Sec. 4.4).
-    if (N->RefreshBefore) {
+    if (N->RefreshBefore && RefreshId.count(N->Operands[0])) {
       const IrNode *XOld = N->Operands[0];
       if (!Refreshed.count(XOld)) {
         // Bootstrapping demands canonical form (degree 2, scale Delta).

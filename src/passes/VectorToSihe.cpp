@@ -83,8 +83,10 @@ IrNode *compositeStep(SiheBuilder &B, IrNode *T, const double (&C)[4],
 /// approximation f o ... o f (1.4 x). The pre-scale folds into the first
 /// step's coefficients (c_k = a_k 1.4^(2k+1) on powers of x) and the 1/2
 /// into the last step's, so neither costs a level of its own. The first
-/// node, x^2, reads x first and is tagged RefreshBefore, so the CKKS
-/// lowering bootstraps x right before the ReLU (paper Sec. 4.4).
+/// node, x^2, reads x first and is tagged RefreshBefore: it marks the
+/// ReLU's refresh point, where the CKKS lowering bootstraps x only when
+/// another ReLU lies upstream; otherwise encryption is the refresh (paper
+/// Sec. 4.4).
 IrNode *expandRelu(SiheBuilder &B, IrNode *X, int Iterations) {
   IrNode *T = X;
   for (int Iter = 0; Iter < Iterations; ++Iter) {

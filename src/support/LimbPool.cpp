@@ -84,6 +84,16 @@ void LimbPool::release(uint64_t *Ptr, size_t Words, bool FromPool) {
   Bins[Words].push_back(Ptr);
 }
 
+void LimbPool::lend(size_t Bytes) {
+  InUseBytes.fetch_sub(Bytes, std::memory_order_relaxed);
+  ResourceGovernor::instance().release(MemCategory::LimbPool, Bytes);
+}
+
+void LimbPool::unlend(size_t Bytes) {
+  InUseBytes.fetch_add(Bytes, std::memory_order_relaxed);
+  ResourceGovernor::instance().charge(MemCategory::LimbPool, Bytes);
+}
+
 size_t LimbPool::trim(size_t TargetFreeBytes) {
   size_t Released = 0;
   {

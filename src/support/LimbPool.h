@@ -23,6 +23,13 @@
 /// outstanding is safe: pooled blocks return to the pool, heap blocks to
 /// the heap.
 ///
+/// A holder that charges a pooled block to its own governor category
+/// takes the block's bytes out of the limb_pool charge with lend() and
+/// hands them back with unlend() when it stops charging them. The
+/// rotation-key cache does this for every resident key, so a key is
+/// charged once, to eval_keys, while its blocks still recycle through
+/// the pool.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACE_SUPPORT_LIMBPOOL_H
@@ -45,7 +52,7 @@ struct LimbPoolStats {
   uint64_t Misses = 0;    ///< acquires that hit the heap allocator
   uint64_t Trims = 0;     ///< blocks returned to the heap by trim()
   size_t FreeBytes = 0;   ///< bytes parked on free lists
-  size_t InUseBytes = 0;  ///< bytes currently acquired by live storages
+  size_t InUseBytes = 0;  ///< bytes acquired by live storages, not lent
   /// Bytes the pool holds against the process (free + in use); what the
   /// governor sees charged under MemCategory::LimbPool while enabled.
   size_t residentBytes() const { return FreeBytes + InUseBytes; }
@@ -88,6 +95,12 @@ public:
   /// Zeroes the hit/miss/trim counters (byte gauges reflect live state
   /// and are untouched). For benches that measure steady-state deltas.
   void resetCounters();
+
+  /// Moves \p Bytes of acquired pooled blocks out of the limb_pool charge
+  /// and in-use gauge (lend), or back into them (unlend) before the
+  /// blocks are released. \p Bytes is the holder's pooledBytes().
+  void lend(size_t Bytes);
+  void unlend(size_t Bytes);
 
 private:
   LimbPool();
@@ -153,6 +166,10 @@ public:
 
   /// Releases the block now (empty storage).
   void reset();
+
+  /// Bytes of the block when it came from the pool (0 for a heap block
+  /// or an empty storage): what LimbPool::lend takes out of its charge.
+  size_t pooledBytes() const { return FromPool ? Cap * sizeof(uint64_t) : 0; }
 
 private:
   void copyFrom(const LimbStorage &O);

@@ -74,17 +74,17 @@ TEST(EndToEndTest, LinearInferMatchesCleartext) {
   }
 }
 
-TEST(EndToEndTest, MlpWithReluMatchesCleartext) {
-  onnx::Model Model = nn::buildMlp({16, 12, 8}, 5);
-  auto Inputs = randomInputs({1, 16}, 4, 19);
-
+/// Compiles \p Model with toy parameters, checks its bootstrap count and
+/// runs it on \p Inputs against the cleartext executor.
+void expectMlpMatchesCleartext(const onnx::Model &Model,
+                               const std::vector<nn::Tensor> &Inputs,
+                               size_t Bootstraps) {
   driver::AceCompiler Compiler(toyOptions());
   auto Result = Compiler.compile(Model, Inputs);
   ASSERT_TRUE(Result.ok()) << Result.status().message();
   auto &R = **Result;
 
-  // One ReLU layer: exactly one bootstrap site.
-  EXPECT_EQ(R.State.BootstrapCount, 1u);
+  EXPECT_EQ(R.State.BootstrapCount, Bootstraps);
   EXPECT_TRUE(R.State.NeedsRelin);
 
   codegen::CkksExecutor Exec(R.Program, R.State);
@@ -98,6 +98,19 @@ TEST(EndToEndTest, MlpWithReluMatchesCleartext) {
     // activation scale.
     expectLogitsClose(*Logits, *Clear, 0.25);
   }
+}
+
+TEST(EndToEndTest, MlpWithReluMatchesCleartext) {
+  // Two ReLU layers: encryption refreshes the first, one bootstrap the
+  // second.
+  expectMlpMatchesCleartext(nn::buildMlp({16, 12, 12, 8}, 5),
+                            randomInputs({1, 16}, 4, 19), /*Bootstraps=*/1);
+}
+
+TEST(EndToEndTest, OneReluMlpMatchesCleartextWithoutBootstrap) {
+  // The input is encrypted at the level its only ReLU needs.
+  expectMlpMatchesCleartext(nn::buildMlp({16, 12, 8}, 5),
+                            randomInputs({1, 16}, 4, 19), /*Bootstraps=*/0);
 }
 
 TEST(EndToEndTest, TinyCnnMatchesCleartext) {
@@ -176,15 +189,17 @@ TEST(EndToEndTest, ExecutorPropagatesInjectedFaults) {
 
 /// A second setup() builds a new context and secret, so nothing of the
 /// first may survive it: every key and every encoded plaintext the first
-/// call made refers to the old context.
+/// call made refers to the old context, the bootstrapper's keys included
+/// (two ReLUs, so the second is bootstrapped).
 TEST(EndToEndTest, SecondSetupStartsFromFreshKeysAndPlaintexts) {
-  onnx::Model Model = nn::buildMlp({16, 12, 8}, 5);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
   auto Inputs = randomInputs({1, 16}, 2, 19);
 
   driver::AceCompiler Compiler(toyOptions());
   auto Result = Compiler.compile(Model, Inputs);
   ASSERT_TRUE(Result.ok()) << Result.status().message();
   auto &R = **Result;
+  ASSERT_GT(R.State.BootstrapCount, 0u);
 
   codegen::CkksExecutor Exec(R.Program, R.State);
   ASSERT_FALSE(Exec.setup());

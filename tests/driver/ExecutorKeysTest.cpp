@@ -24,7 +24,9 @@ namespace {
 class ExecutorKeysTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    onnx::Model Model = nn::buildMlp({16, 12, 8}, 5);
+    // Two ReLUs: the second is bootstrapped, so the key set includes
+    // the bootstrap's SubSum and BSGS keys.
+    onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
     Rng R(19);
     std::vector<nn::Tensor> Calibration;
     for (int I = 0; I < 4; ++I) {
@@ -107,9 +109,22 @@ protected:
 
 std::unique_ptr<driver::CompileResult> ExecutorKeysTest::Compiled;
 
+/// Each resident key is charged once, to eval_keys: the cache lends its
+/// pooled bytes out of the limb pool's charge, so with the pool's free
+/// lists trimmed the governor's total grows by the keys' bytes plus the
+/// pool's in-use growth (relinearization and conjugation keys, secret,
+/// plaintexts), dropping the keys returns exactly their bytes, and with
+/// the executor gone the pool's gauge and the total are back where they
+/// started (a lend without its unlend, or the reverse, leaves them off by
+/// the keys' bytes).
 TEST_F(ExecutorKeysTest, EagerKeysAreChargedToTheGovernor) {
   ASSERT_GT(Compiled->State.BootstrapCount, 0u);
+  ResourceGovernor &Gov = ResourceGovernor::instance();
+  LimbPool &Pool = LimbPool::instance();
+  Pool.trim();
   size_t Baseline = evalKeysCharge();
+  size_t TotalBefore = Gov.stats().totalChargedBytes();
+  size_t InUseBefore = Pool.stats().InUseBytes;
   {
     codegen::CkksExecutor Exec(Compiled->Program, Compiled->State);
     ASSERT_FALSE(Exec.setup());
@@ -118,8 +133,20 @@ TEST_F(ExecutorKeysTest, EagerKeysAreChargedToTheGovernor) {
     size_t RotationBytes = Exec.evalKeyBytes() - Exec.evalKeys().byteSize();
     EXPECT_EQ(RotationBytes, Want);
     EXPECT_EQ(evalKeysCharge() - Baseline, Want);
+
+    Pool.trim();
+    size_t Total = Gov.stats().totalChargedBytes();
+    size_t InUse = Pool.stats().InUseBytes;
+    EXPECT_EQ(Total - TotalBefore, Want + (InUse - InUseBefore));
+    EXPECT_EQ(Exec.keyCache()->releaseAll(), Want);
+    Pool.trim();
+    EXPECT_EQ(Total - Gov.stats().totalChargedBytes(), Want);
+    EXPECT_EQ(Pool.stats().InUseBytes, InUse);
   }
   EXPECT_EQ(evalKeysCharge(), Baseline);
+  Pool.trim();
+  EXPECT_EQ(Pool.stats().InUseBytes, InUseBefore);
+  EXPECT_EQ(Gov.stats().totalChargedBytes(), TotalBefore);
 }
 
 TEST_F(ExecutorKeysTest, EagerSetupOverBudgetIsResourceExhausted) {

@@ -59,7 +59,8 @@ std::vector<nn::Tensor> randomInputs(const std::vector<int64_t> &Shape,
   return Out;
 }
 
-/// Compiles and runs the small bootstrap-bearing MLP; returns the logits.
+/// Compiles and runs the small bootstrap-bearing MLP (two ReLUs: the
+/// second is bootstrapped); returns the logits.
 std::vector<double> runMlp(const onnx::Model &Model,
                            const std::vector<nn::Tensor> &Inputs,
                            std::unique_ptr<driver::CompileResult> *KeepR) {
@@ -90,7 +91,7 @@ protected:
 };
 
 TEST_F(TelemetryEndToEndTest, EnablingTelemetryDoesNotChangeResults) {
-  onnx::Model Model = nn::buildMlp({16, 12, 8}, 5);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
   auto Inputs = randomInputs({1, 16}, 4, 19);
 
   std::vector<double> Off = runMlp(Model, Inputs, nullptr);
@@ -106,7 +107,7 @@ TEST_F(TelemetryEndToEndTest, EnablingTelemetryDoesNotChangeResults) {
 
 TEST_F(TelemetryEndToEndTest, GoldenCountersMatchEvaluatorAndPlan) {
   Telemetry::instance().setEnabled(true);
-  onnx::Model Model = nn::buildMlp({16, 12, 8}, 5);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
   auto Inputs = randomInputs({1, 16}, 4, 19);
 
   std::unique_ptr<driver::CompileResult> R;
@@ -115,7 +116,7 @@ TEST_F(TelemetryEndToEndTest, GoldenCountersMatchEvaluatorAndPlan) {
 
   CounterSnapshot S = Telemetry::instance().counters();
 
-  // The ReLU layer forces real work: every category below is non-zero
+  // The ReLU layers force real work: every category below is non-zero
   // on this model.
   EXPECT_GT(S.get(Counter::CtCtMul), 0u);
   EXPECT_GT(S.get(Counter::Rotate), 0u);
@@ -130,7 +131,7 @@ TEST_F(TelemetryEndToEndTest, GoldenCountersMatchEvaluatorAndPlan) {
 
 TEST_F(TelemetryEndToEndTest, TraceContainsPassAndRuntimeOpSpans) {
   Telemetry::instance().setEnabled(true);
-  onnx::Model Model = nn::buildMlp({16, 12, 8}, 5);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
   auto Inputs = randomInputs({1, 16}, 4, 19);
   std::vector<double> Logits = runMlp(Model, Inputs, nullptr);
   ASSERT_FALSE(Logits.empty());

@@ -9,6 +9,7 @@
 #include "fhe/Encryptor.h"
 #include "fhe/Evaluator.h"
 #include "support/FaultInjector.h"
+#include "support/LimbPool.h"
 #include "support/ResourceGovernor.h"
 #include "support/Rng.h"
 
@@ -228,6 +229,55 @@ TEST_F(KeyCacheTest, BudgetRefusalIsResourceExhaustedNotACrash) {
   auto Out = Decrypt->decryptRealValues(*Enc, *Ok);
   for (size_t I = 0; I < X.size(); ++I)
     EXPECT_NEAR(Out[I], X[(I + 7) % Ctx->slots()], 1e-5);
+}
+
+/// A reclaim pass makes the room it reports: the evicted key's blocks,
+/// charged to eval_keys alone while resident, return to the limb pool's
+/// free lists and the pass trims as many bytes from them, so an
+/// admission that needs the cold key's bytes succeeds.
+TEST_F(KeyCacheTest, GovernorReclaimFreesTheEvictedKey) {
+  uint64_t G = Cache->declareRotation(5);
+  ASSERT_TRUE(Cache->get(G).ok());
+  size_t KeyBytes = Cache->stats().ResidentBytes;
+  ASSERT_GT(KeyBytes, 0u);
+  LimbPool::instance().trim();
+  ResourceGovernor &Gov = ResourceGovernor::instance();
+  size_t Total = Gov.stats().totalChargedBytes();
+  Gov.setBudgetBytes(Total + KeyBytes / 2);
+  Status S = Gov.admit(KeyBytes, "a second key");
+  EXPECT_TRUE(S.ok()) << S.message();
+  EXPECT_EQ(Cache->stats().ResidentCount, 0u);
+  EXPECT_EQ(Gov.stats().totalChargedBytes(), Total - KeyBytes);
+}
+
+/// A resident key is charged once, to eval_keys: its pooled bytes are
+/// out of the limb pool's in-use gauge and charge. Dropping it while
+/// another handle still holds it moves them back under limb_pool at
+/// once, and they leave the governor when the handle dies and the pool
+/// trims its free lists.
+TEST_F(KeyCacheTest, ResidentKeyIsChargedOnlyToEvalKeys) {
+  LimbPool &Pool = LimbPool::instance();
+  ResourceGovernor &Gov = ResourceGovernor::instance();
+  uint64_t G = Cache->declareRotation(5);
+  Pool.trim();
+  size_t Total = Gov.stats().totalChargedBytes();
+  size_t InUse = Pool.stats().InUseBytes;
+  auto Got = Cache->get(G);
+  ASSERT_TRUE(Got.ok()) << Got.status().message();
+  std::shared_ptr<const SwitchKey> Held = Got.take();
+  size_t KeyBytes = Cache->stats().ResidentBytes;
+  ASSERT_GT(KeyBytes, 0u);
+  Pool.trim();
+  EXPECT_EQ(Pool.stats().InUseBytes, InUse);
+  EXPECT_EQ(Gov.stats().totalChargedBytes(), Total + KeyBytes);
+
+  EXPECT_EQ(Cache->releaseAll(), KeyBytes);
+  EXPECT_EQ(Pool.stats().InUseBytes, InUse + Held->pooledBytes());
+  EXPECT_EQ(Gov.stats().totalChargedBytes(), Total + Held->pooledBytes());
+  Held.reset();
+  Pool.trim();
+  EXPECT_EQ(Pool.stats().InUseBytes, InUse);
+  EXPECT_EQ(Gov.stats().totalChargedBytes(), Total);
 }
 
 TEST_F(KeyCacheTest, ReleaseAllKeepsDeclarations) {

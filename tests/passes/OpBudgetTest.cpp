@@ -11,11 +11,13 @@
 #include "driver/AceCompiler.h"
 #include "nn/ModelZoo.h"
 #include "passes/SiheToCkks.h"
+#include "passes/VectorToSihe.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 using namespace ace;
@@ -103,12 +105,13 @@ TEST(OpBudgetTest, MlpBudgetsAreExactPerMode) {
   EXPECT_EQ(B.Eager.ModSwitch, 20u);
 
   // Mode-invariant counters pin the rest of the lowering: the three
-  // gemms' rotations and mask products, plus the ReLUs.
+  // gemms' rotations and mask products, plus the ReLUs. Encryption is the
+  // first ReLU's refresh, so only the second is bootstrapped.
   for (const air::CkksOpBudget *Budget : {&B.Eager, &B.Lazy}) {
     EXPECT_EQ(Budget->Rotate, 40u);
     EXPECT_EQ(Budget->CtCtMul, Relus * ReluOps::CtCt);
     EXPECT_EQ(Budget->CtPtMul, 169u + Relus * ReluOps::Scalar);
-    EXPECT_EQ(Budget->Bootstrap, Relus);
+    EXPECT_EQ(Budget->Bootstrap, Relus - 1);
   }
 
   // The acceptance criterion: lazy placement removes >=20% of the
@@ -139,7 +142,7 @@ TEST(OpBudgetTest, LeNetBudgetsAreExactPerMode) {
     EXPECT_EQ(Budget->Rotate, 122u);
     EXPECT_EQ(Budget->CtCtMul, Relus * ReluOps::CtCt);
     EXPECT_EQ(Budget->CtPtMul, 127u + Relus * ReluOps::Scalar);
-    EXPECT_EQ(Budget->Bootstrap, Relus);
+    EXPECT_EQ(Budget->Bootstrap, Relus - 1);
   }
 
   size_t EagerTotal = B.Eager.Rescale + B.Eager.Relinearize;
@@ -162,34 +165,94 @@ TEST(OpBudgetTest, DefaultOptionsPlaceLazily) {
   EXPECT_EQ((*R)->State.Budget.Relinearize, 2 * ReluOps::LazyRelin);
 }
 
-/// Modulus-chain primes and bootstraps the default options select: each
-/// refresh targets the levels its 10-level ReLU and the layers after it
-/// need, and the bootstrap's own depth sits on top of the highest.
+size_t reluCount(const onnx::Model &M) {
+  return std::count_if(M.MainGraph.Nodes.begin(), M.MainGraph.Nodes.end(),
+                       [](const onnx::Node &N) {
+                         return N.Kind == onnx::OpKind::OK_Relu;
+                       });
+}
+
+/// Placement the default options select. Encryption is the first
+/// refresh: the input enters at the levels its first ReLU (10 levels)
+/// and the \p LinearLevels of the layers around it, up to the next
+/// refresh, need, plus the base prime. Every later ReLU is bootstrapped
+/// to the levels it and the layers after it need, and the bootstrap's
+/// own depth sits on top of the highest target.
 void expectChain(const onnx::Model &M, const std::vector<nn::Tensor> &Calib,
-                 int Primes, size_t Bootstraps) {
+                 int Primes, int LinearLevels) {
   unsetenv("ACE_PACKING");
   driver::AceCompiler Compiler{air::CompileOptions()};
   auto R = Compiler.compile(M, Calib);
   ASSERT_TRUE(R.ok()) << R.status().message();
-  EXPECT_EQ((*R)->State.SelectedParams.NumRescaleModuli + 1, Primes);
-  EXPECT_EQ((*R)->State.BootstrapCount, Bootstraps);
-  EXPECT_EQ((*R)->State.Budget.Bootstrap, Bootstraps);
+  const air::CompileState &S = (*R)->State;
+  size_t Bootstraps = reluCount(M) - 1;
+  EXPECT_EQ(S.SelectedParams.NumRescaleModuli + 1, Primes);
+  EXPECT_EQ(S.BootstrapCount, Bootstraps);
+  EXPECT_EQ(S.Budget.Bootstrap, Bootstraps);
+  EXPECT_EQ(S.InputNumQ, static_cast<size_t>(passes::reluDepth(3) +
+                                             LinearLevels + 1));
 }
 
-TEST(OpBudgetTest, MlpChainAndBootstraps) {
-  expectChain(nn::buildMlp({64, 48, 32, 10}, 7), randomInputs({1, 64}, 2, 7),
-              /*Primes=*/29, /*Bootstraps=*/2);
-}
-
-// nano-resnet-20 as encrypted_resnet builds it.
-TEST(OpBudgetTest, NanoResNet20ChainAndBootstraps) {
-  nn::NanoResNetSpec Spec = nn::paperModelSpecs()[0];
-  nn::Dataset Data = nn::makeSyntheticDataset(
+nn::Dataset paperDataset(const nn::NanoResNetSpec &Spec) {
+  return nn::makeSyntheticDataset(
       {1, Spec.InputChannels, Spec.InputHW, Spec.InputHW},
       static_cast<int>(Spec.Classes), 16, 0.12, 3);
+}
+
+// 2 ReLUs, 1 bootstrap; the input is encrypted at gemm + ReLU + gemm.
+TEST(OpBudgetTest, MlpChainAndBootstraps) {
+  expectChain(nn::buildMlp({64, 48, 32, 10}, 7), randomInputs({1, 64}, 2, 7),
+              /*Primes=*/29, /*LinearLevels=*/2);
+}
+
+// 3 ReLUs, 2 bootstraps; conv + ReLU + pool + conv ahead of the first
+// refresh.
+TEST(OpBudgetTest, LeNetChainAndBootstraps) {
+  expectChain(nn::buildLeNet(/*Classes=*/8, 11),
+              randomInputs({1, 1, 8, 8}, 2, 13), /*Primes=*/30,
+              /*LinearLevels=*/3);
+}
+
+// nano-resnet-20 as encrypted_resnet builds it: 7 ReLUs, 6 bootstraps.
+TEST(OpBudgetTest, NanoResNet20ChainAndBootstraps) {
+  nn::NanoResNetSpec Spec = nn::paperModelSpecs()[0];
+  nn::Dataset Data = paperDataset(Spec);
   auto M = nn::buildNanoResNet(Spec, Data, 9);
   ASSERT_TRUE(M.ok()) << M.status().message();
-  expectChain(*M, Data.Images, /*Primes=*/30, /*Bootstraps=*/7);
+  expectChain(*M, Data.Images, /*Primes=*/30, /*LinearLevels=*/2);
+}
+
+// The deeper paper zoo models run one bootstrap per ReLU after the first
+// too (12, 12, 18, 24 and 36) on the same 30-prime chain.
+TEST(OpBudgetTest, DeeperPaperModelsChainAndBootstraps) {
+  std::vector<nn::NanoResNetSpec> Specs = nn::paperModelSpecs();
+  for (auto It = Specs.begin() + 1; It != Specs.end(); ++It) {
+    const nn::NanoResNetSpec &Spec = *It;
+    SCOPED_TRACE(Spec.Name);
+    nn::Dataset Data = paperDataset(Spec);
+    auto M = nn::buildNanoResNet(Spec, Data, 9);
+    ASSERT_TRUE(M.ok()) << M.status().message();
+    expectChain(*M, Data.Images, /*Primes=*/30, /*LinearLevels=*/2);
+  }
+}
+
+// A single ReLU is refreshed by encryption alone: no bootstrap, so a
+// dense secret, no conjugation key, and a chain exactly as long as the
+// input's level (14 primes instead of a bootstrapping 31).
+TEST(OpBudgetTest, OneReluModelCompilesWithoutBootstrap) {
+  unsetenv("ACE_PACKING");
+  driver::AceCompiler Compiler{air::CompileOptions()};
+  auto R = Compiler.compile(nn::buildMlp({16, 12, 8}, 5),
+                            randomInputs({1, 16}, 4, 19));
+  ASSERT_TRUE(R.ok()) << R.status().message();
+  const air::CompileState &S = (*R)->State;
+  EXPECT_EQ(S.BootstrapCount, 0u);
+  EXPECT_EQ(S.Budget.Bootstrap, 0u);
+  EXPECT_FALSE(S.SelectedParams.SparseSecret);
+  EXPECT_FALSE(S.NeedsConjugation);
+  EXPECT_EQ(S.InputNumQ, 14u);
+  EXPECT_EQ(static_cast<size_t>(S.SelectedParams.NumRescaleModuli + 1),
+            S.InputNumQ);
 }
 
 // The static budget is not just an estimate: executing the compiled

@@ -31,9 +31,9 @@ double compositeRelu(double X, int Iterations, double Prescale = 1.0) {
   return 0.5 * X * (1 + T);
 }
 
-/// An identity gemm over a D-wide input; with \p WithRelu, followed by a
-/// ReLU named "r" on its output "y" and a second identity gemm.
-onnx::Model identityModel(int64_t D, bool WithRelu) {
+/// \p Relus + 1 identity gemms over a D-wide input, each but the last
+/// followed by a ReLU: gemm gL writes "yL", ReLU "rL" reads it.
+onnx::Model identityModel(int64_t D, int Relus) {
   onnx::Model M;
   onnx::Graph &G = M.MainGraph;
   G.Inputs.push_back({"x", {1, D}});
@@ -42,24 +42,24 @@ onnx::Model identityModel(int64_t D, bool WithRelu) {
   Id.Values.assign(D * D, 0.0f);
   for (int64_t I = 0; I < D; ++I)
     Id.Values[I * D + I] = 1.0f;
-  G.Initializers.emplace("w1", Id);
-  G.Initializers.emplace("w2", Id);
-  int Layers = WithRelu ? 2 : 1;
-  for (int Layer = 0; Layer < Layers; ++Layer) {
-    bool Last = Layer == Layers - 1;
+  G.Initializers.emplace("w", Id);
+  std::string In = "x";
+  for (int Layer = 0; Layer <= Relus; ++Layer) {
+    bool Last = Layer == Relus;
+    std::string Y = Last ? "out" : "y" + std::to_string(Layer);
     onnx::Node N;
     N.Kind = onnx::OpKind::OK_Gemm;
     N.Name = "g" + std::to_string(Layer);
-    N.Inputs = {Layer == 0 ? "x" : "r", Layer == 0 ? "w1" : "w2"};
-    N.Outputs = {Last ? "out" : "y"};
+    N.Inputs = {In, "w"};
+    N.Outputs = {Y};
     N.Attributes["transB"] = onnx::Attribute{{1}, {}};
     G.Nodes.push_back(std::move(N));
     if (!Last) {
       onnx::Node Relu;
       Relu.Kind = onnx::OpKind::OK_Relu;
-      Relu.Name = "r";
-      Relu.Inputs = {"y"};
-      Relu.Outputs = {"r"};
+      Relu.Name = In = "r" + std::to_string(Layer);
+      Relu.Inputs = {Y};
+      Relu.Outputs = {In};
       G.Nodes.push_back(std::move(Relu));
     }
   }
@@ -109,13 +109,14 @@ TEST(ReluApproxTest, DepthModelMatchesOptions) {
   EXPECT_EQ(passes::reluDepth(3), 10);
 }
 
-// The depth model is the compiled IR's: the bootstrap before the ReLU
-// refreshes to exactly reluDepth levels plus the primes the trailing
-// gemm needs, read from that gemm compiled on its own.
+// The depth model is the compiled IR's: the bootstrap before the second
+// ReLU (encryption refreshes the first) refreshes to exactly reluDepth
+// levels plus the primes the trailing gemm needs, read from that gemm
+// compiled on its own.
 TEST(ReluApproxTest, CompiledBootstrapTargetMatchesDepthModel) {
   const int64_t D = 8;
   driver::AceCompiler Tail{air::CompileOptions{}};
-  auto TailResult = Tail.compile(identityModel(D, false), calibration(D));
+  auto TailResult = Tail.compile(identityModel(D, 0), calibration(D));
   ASSERT_TRUE(TailResult.ok()) << TailResult.status().message();
   int TailNumQ = static_cast<int>((*TailResult)->State.InputNumQ);
   ASSERT_GT(TailNumQ, 1);
@@ -124,7 +125,7 @@ TEST(ReluApproxTest, CompiledBootstrapTargetMatchesDepthModel) {
     air::CompileOptions Opt;
     Opt.ReluSignIterations = Iterations;
     driver::AceCompiler Compiler(Opt);
-    auto Result = Compiler.compile(identityModel(D, true), calibration(D));
+    auto Result = Compiler.compile(identityModel(D, 2), calibration(D));
     ASSERT_TRUE(Result.ok()) << Result.status().message();
     std::vector<int> Targets;
     for (const auto &N : (*Result)->Program.nodes())
@@ -140,7 +141,7 @@ TEST(ReluApproxTest, ZeroIterationsAreRejected) {
   air::CompileOptions Opt;
   Opt.ReluSignIterations = 0;
   driver::AceCompiler Compiler(Opt);
-  auto Result = Compiler.compile(identityModel(8, true), calibration(8));
+  auto Result = Compiler.compile(identityModel(8, 1), calibration(8));
   ASSERT_FALSE(Result.ok());
   EXPECT_NE(Result.status().message().find("ReluSignIterations"),
             std::string::npos)
@@ -148,33 +149,40 @@ TEST(ReluApproxTest, ZeroIterationsAreRejected) {
 }
 
 TEST(ReluApproxTest, HomomorphicReluThroughPipeline) {
-  // A 1-layer "network" that is effectively identity + relu: gemm with
-  // the identity matrix, then relu, then identity gemm. Compare the
-  // encrypted pipeline against true relu slot by slot.
+  // Identity gemms around one ReLU, then around two: compare the
+  // encrypted pipeline against true relu slot by slot. Encryption
+  // refreshes the first ReLU, so only the second runs behind a bootstrap.
   const int64_t D = 8;
   std::vector<nn::Tensor> Calib = calibration(D);
-  driver::AceCompiler Compiler(air::CompileOptions{});
-  auto Result = Compiler.compile(identityModel(D, true), Calib);
-  ASSERT_TRUE(Result.ok()) << Result.status().message();
-  codegen::CkksExecutor Exec((*Result)->Program, (*Result)->State);
-  ASSERT_FALSE(Exec.setup());
-  // The frontend feeds the ReLU y / S, S its calibrated bound, and the
-  // trailing gemm multiplies S back in.
-  double S = (*Result)->State.Bounds.at("y");
+  for (int Relus : {1, 2}) {
+    driver::AceCompiler Compiler(air::CompileOptions{});
+    auto Result = Compiler.compile(identityModel(D, Relus), Calib);
+    ASSERT_TRUE(Result.ok()) << Result.status().message();
+    EXPECT_EQ((*Result)->State.BootstrapCount, static_cast<size_t>(Relus - 1));
+    codegen::CkksExecutor Exec((*Result)->Program, (*Result)->State);
+    ASSERT_FALSE(Exec.setup());
 
-  auto Logits = Exec.infer(Calib[0]);
-  ASSERT_TRUE(Logits.ok());
-  for (int64_t I = 0; I < D; ++I) {
-    double X = Calib[0].Values[I];
-    double True = X > 0 ? X : 0.0;
-    // Approximation error dominated by the kink region; generous bound.
-    EXPECT_NEAR((*Logits)[I], True, 0.12) << "x=" << X;
-    // The folded, depth-3-per-step expansion computes the unfolded
-    // composite 0.5 u (1 + f(f(f(1.4 u)))) at u = x / S: only CKKS
-    // noise (measured 4.4e-4 here) separates them, so a slipped
-    // coefficient fails this bound long before the true-relu one.
-    EXPECT_NEAR((*Logits)[I], S * compositeRelu(X / S, 3, 1.4), 2e-3)
-        << "x=" << X;
+    auto Logits = Exec.infer(Calib[0]);
+    ASSERT_TRUE(Logits.ok());
+    for (int64_t I = 0; I < D; ++I) {
+      double X = Calib[0].Values[I];
+      double True = X > 0 ? X : 0.0;
+      // Approximation error dominated by the kink region; generous bound.
+      EXPECT_NEAR((*Logits)[I], True, 0.12) << "x=" << X << " relus=" << Relus;
+      // The frontend feeds ReLU rL the value yL / S, S the calibrated
+      // bound of yL, and the next gemm multiplies S back in. The folded,
+      // depth-3-per-step expansion computes the unfolded composite
+      // 0.5 u (1 + f(f(f(1.4 u)))) at each u: only CKKS noise separates
+      // them (measured 8e-10 with encryption as the only refresh, 4.2e-4
+      // behind the bootstrap), so a slipped coefficient fails this bound
+      // long before the true-relu one.
+      double Want = X;
+      for (int L = 0; L < Relus; ++L) {
+        double S = (*Result)->State.Bounds.at("y" + std::to_string(L));
+        Want = S * compositeRelu(Want / S, 3, 1.4);
+      }
+      EXPECT_NEAR((*Logits)[I], Want, 2e-3) << "x=" << X << " relus=" << Relus;
+    }
   }
 }
 

@@ -54,7 +54,9 @@ nn::Tensor makeInput(uint64_t Seed) {
 class InferenceServiceTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    onnx::Model Model = nn::buildMlp({16, 12, 8}, 5);
+    // Two ReLUs: every request runs one bootstrap (encryption refreshes
+    // the first ReLU).
+    onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
     std::vector<nn::Tensor> Calibration;
     for (uint64_t I = 0; I < 4; ++I)
       Calibration.push_back(makeInput(100 + I));

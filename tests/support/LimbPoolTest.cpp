@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 // Limb pool tests: free-list recycling semantics, bypass mode, provenance
-// across mode flips, trim accounting against the resource governor, and
-// the LimbStorage value semantics RnsPoly relies on.
+// across mode flips, trim accounting against the resource governor, lent
+// blocks, and the LimbStorage value semantics RnsPoly relies on.
 //===----------------------------------------------------------------------===//
 
 #include "support/LimbPool.h"
@@ -115,6 +115,47 @@ TEST_F(LimbPoolTest, TrimReleasesParkedBlocksAndGovernorCharge) {
   EXPECT_EQ(
       Gov.stats().ChargedBytes[static_cast<size_t>(MemCategory::LimbPool)],
       ChargedBefore);
+}
+
+/// A holder that charges a pooled block to its own category lends the
+/// block's bytes out of limb_pool: pooledBytes() reports the block's bin
+/// bytes (0 for an empty storage or a heap block), lend() moves them out
+/// of the pool's charge and in-use gauge, and unlend() moves them back
+/// before the release parks the block on its free list.
+TEST_F(LimbPoolTest, LentBlocksLeaveTheLimbPoolCharge) {
+  LimbPool &Pool = LimbPool::instance();
+  ResourceGovernor &Gov = ResourceGovernor::instance();
+  auto PoolCharge = [&Gov] {
+    return Gov.stats().ChargedBytes[static_cast<size_t>(MemCategory::LimbPool)];
+  };
+  const size_t Bytes = 300 * sizeof(uint64_t);
+  size_t Before = PoolCharge();
+  {
+    LimbStorage S;
+    EXPECT_EQ(S.pooledBytes(), 0u);
+    S.assignZero(300);
+    S.shrinkTo(100); // the block is lent at its bin capacity
+    EXPECT_EQ(S.pooledBytes(), Bytes);
+    EXPECT_EQ(PoolCharge() - Before, Bytes);
+
+    Pool.lend(S.pooledBytes());
+    EXPECT_EQ(PoolCharge(), Before);
+    EXPECT_EQ(Pool.stats().InUseBytes, 0u);
+
+    Pool.unlend(S.pooledBytes());
+    EXPECT_EQ(PoolCharge() - Before, Bytes);
+    EXPECT_EQ(Pool.stats().InUseBytes, Bytes);
+  }
+  EXPECT_EQ(Pool.stats().InUseBytes, 0u);
+  EXPECT_EQ(Pool.stats().FreeBytes, Bytes);
+  Pool.trim();
+  EXPECT_EQ(PoolCharge(), Before);
+
+  // A heap block (bypass mode) is charged nowhere: nothing to lend.
+  Pool.setEnabled(false);
+  LimbStorage Heap;
+  Heap.assignZero(300);
+  EXPECT_EQ(Heap.pooledBytes(), 0u);
 }
 
 TEST_F(LimbPoolTest, LimbStorageValueSemantics) {
