@@ -64,9 +64,6 @@ inline std::vector<BenchModel> buildPaperModels(size_t Count,
 
 inline air::CompileOptions benchOptions(uint64_t Seed = 13) {
   air::CompileOptions Opt;
-  Opt.ToyParameters = true;
-  Opt.LogScale = 45;
-  Opt.LogFirstModulus = 55;
   Opt.Seed = Seed;
   return Opt;
 }

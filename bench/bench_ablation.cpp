@@ -3,6 +3,11 @@
 // compiler automations (rotation-key analysis, minimal-level
 // bootstrapping, delayed rescale placement) is disabled in isolation on
 // nano-resnet-20; the deltas decompose the ACE-vs-Expert gap of Figs. 6-7.
+//
+// The configurations run round-robin, one encrypted inference each per
+// round, and the seconds column is the median over the rounds, so a host
+// whose speed drifts during the run slows every row alike instead of the
+// rows that happen to run late.
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -10,12 +15,17 @@
 #include "support/MemTrack.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 
 using namespace ace;
 using namespace ace::bench;
 
 namespace {
+
+/// Rounds of the round-robin; every configuration runs once per round.
+constexpr int kRounds = 3;
 
 struct Sample {
   double Seconds = 0;
@@ -24,9 +34,8 @@ struct Sample {
   size_t Rotations = 0;
 };
 
-Sample runOne(const BenchModel &M, const air::CompileOptions &Opt) {
-  auto R = compileOrDie(M.Model, M.Data, Opt);
-  codegen::CkksExecutor Exec(R->Program, R->State);
+Sample runOne(const BenchModel &M, const driver::CompileResult &R) {
+  codegen::CkksExecutor Exec(R.Program, R.State);
   if (Status S = Exec.setup()) {
     std::fprintf(stderr, "setup failed: %s\n", S.message().c_str());
     std::exit(1);
@@ -46,6 +55,12 @@ Sample runOne(const BenchModel &M, const air::CompileOptions &Opt) {
   return Out;
 }
 
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  size_t H = V.size() / 2;
+  return V.size() % 2 ? V[H] : (V[H - 1] + V[H]) / 2;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -58,6 +73,9 @@ int main(int argc, char **argv) {
   struct Config {
     const char *Name;
     air::CompileOptions Opt;
+    std::unique_ptr<driver::CompileResult> Compiled = nullptr;
+    std::vector<double> Seconds = {};
+    Sample Last = {};
   };
   air::CompileOptions Base = benchOptions();
   std::vector<Config> Configs;
@@ -70,7 +88,6 @@ int main(int argc, char **argv) {
   {
     auto O = Base;
     O.EnableMinimalBootstrapLevel = false;
-    O.ExpertMarginLevels = 3;
     Configs.push_back({"no-minimal-bootstrap", O});
   }
   {
@@ -80,21 +97,32 @@ int main(int argc, char **argv) {
   }
   Configs.push_back({"expert-(all-off)", expert::expertOptions(Base)});
 
-  std::printf("=== Ablation on %s: one encrypted inference ===\n",
-              M.Spec.Name.c_str());
+  for (auto &C : Configs)
+    C.Compiled = compileOrDie(M.Model, M.Data, C.Opt);
+  for (int Round = 0; Round < kRounds; ++Round)
+    for (auto &C : Configs) {
+      C.Last = runOne(M, *C.Compiled);
+      C.Seconds.push_back(C.Last.Seconds);
+    }
+
+  std::printf("=== Ablation on %s: one encrypted inference, median of %d "
+              "round-robin rounds ===\n",
+              M.Spec.Name.c_str(), kRounds);
   std::printf("%-26s | %8s %8s %9s %12s\n", "configuration", "seconds",
               "rotkeys", "rotations", "key-memory");
   std::string Rows;
-  for (auto &C : Configs) {
-    Sample S = runOne(M, C.Opt);
-    std::printf("%-26s | %8.2f %8zu %9zu %12s\n", C.Name, S.Seconds,
+  for (const auto &C : Configs) {
+    const Sample &S = C.Last;
+    double Seconds = median(C.Seconds);
+    std::printf("%-26s | %8.2f %8zu %9zu %12s\n", C.Name, Seconds,
                 S.KeyCount, S.Rotations, formatBytes(S.KeyBytes).c_str());
     char Row[256];
     std::snprintf(Row, sizeof(Row),
                   "{\"config\": \"%s\", \"seconds\": %.4f, "
-                  "\"rotkeys\": %zu, \"rotations\": %zu, "
+                  "\"rounds\": %d, \"rotkeys\": %zu, \"rotations\": %zu, "
                   "\"key_bytes\": %zu}",
-                  C.Name, S.Seconds, S.KeyCount, S.Rotations, S.KeyBytes);
+                  C.Name, Seconds, kRounds, S.KeyCount, S.Rotations,
+                  S.KeyBytes);
     Rows += std::string(Rows.empty() ? "" : ",\n  ") + Row;
   }
   if (!Args.JsonPath.empty())

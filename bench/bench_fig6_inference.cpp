@@ -9,10 +9,10 @@
 // the MLP end-to-end at 1/2/4/8 worker threads, verifies the decrypted
 // logits are bit-identical at every count, and reports the speedup
 // (docs/performance.md quotes this table). --pipeline-sweep compiles
-// the MLP under lazy and eager (reference) rescale placement and each
-// packing strategy (docs/compiler.md) and reports compiled op budgets
-// plus measured per-image seconds per policy. --json=PATH writes any mode's numbers
-// with git-rev/build-type/threads metadata.
+// the MLP under lazy and eager (reference) rescale placement
+// (docs/compiler.md) and reports the cost model's packing, compiled op
+// budgets and measured per-image seconds per placement. --json=PATH
+// writes any mode's numbers with git-rev/build-type/threads metadata.
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -149,11 +149,10 @@ int runThreadSweep(const std::string &JsonPath) {
   return 0;
 }
 
-// Compiles the MLP under eager and lazy rescale placement (packing
-// pinned to bsgs) and, under lazy placement, each packing strategy, then
-// runs one encrypted image per policy. The compiled rescale/relin budget is
-// the headline (EXPERIMENTS.md quotes it); the measured seconds show
-// the runtime saving the removed ops buy.
+// Compiles the MLP under eager and lazy rescale placement, then runs one
+// encrypted image per placement. The compiled rescale/relin budget is the
+// headline (EXPERIMENTS.md quotes it); the measured seconds show the
+// runtime saving the removed ops buy.
 int runPipelineSweep(const std::string &JsonPath) {
   const int Classes = 6;
   onnx::Model Model = nn::buildMlp({24, 16, 12, Classes}, 31);
@@ -161,28 +160,23 @@ int runPipelineSweep(const std::string &JsonPath) {
                                               /*Count=*/8,
                                               /*NoiseSigma=*/0.1, 77);
 
-  struct Leg {
-    bool Lazy;
-    PackingStrategy Packing;
-  };
-  const Leg Legs[] = {
-      {false, PackingStrategy::PS_Bsgs},
-      {true, PackingStrategy::PS_Bsgs},
-      {true, PackingStrategy::PS_Diag},
-      {true, PackingStrategy::PS_Column},
-  };
-
   std::printf("=== Pipeline policy sweep: MLP encrypted inference ===\n");
   std::printf("%10s %-7s | %8s %8s %8s | %8s %9s\n", "rescale", "packing",
               "rescales", "relins", "rotates", "seconds", "vs eager");
   std::string Rows;
   double EagerSeconds = 0;
-  for (const Leg &L : Legs) {
-    const char *Rescale = L.Lazy ? "lazy" : "eager";
+  for (bool Lazy : {false, true}) {
+    const char *Rescale = Lazy ? "lazy" : "eager";
     air::CompileOptions Opt = benchOptions();
-    Opt.EnableRescalePlacement = L.Lazy;
-    Opt.Packing = L.Packing;
+    Opt.EnableRescalePlacement = Lazy;
     auto R = compileOrDie(Model, Data, Opt);
+    // The cost model's strategies, each named once ("bsgs").
+    std::string Packing;
+    for (const air::PackingDecision &D : R->State.PackingDecisions) {
+      std::string Name = air::packingStrategyName(D.Strategy);
+      if (Packing.find(Name) == std::string::npos)
+        Packing += (Packing.empty() ? "" : "+") + Name;
+    }
     codegen::CkksExecutor Exec(R->Program, R->State);
     if (Status S = Exec.setup()) {
       std::fprintf(stderr, "setup failed: %s\n", S.message().c_str());
@@ -192,25 +186,23 @@ int runPipelineSweep(const std::string &JsonPath) {
     auto Logits = Exec.infer(Data.Images[0]);
     if (!Logits.ok()) {
       std::fprintf(stderr, "inference failed under %s/%s: %s\n", Rescale,
-                   packingStrategyName(L.Packing),
-                   Logits.status().message().c_str());
+                   Packing.c_str(), Logits.status().message().c_str());
       return 1;
     }
     double Seconds = Clock.seconds();
-    if (!L.Lazy)
+    if (!Lazy)
       EagerSeconds = Seconds;
     const air::CkksOpBudget &B = R->State.Budget;
     std::printf("%10s %-7s | %8zu %8zu %8zu | %8.2f %8.2fx\n", Rescale,
-                packingStrategyName(L.Packing), B.Rescale, B.Relinearize,
-                B.Rotate, Seconds, EagerSeconds / Seconds);
+                Packing.c_str(), B.Rescale, B.Relinearize, B.Rotate, Seconds,
+                EagerSeconds / Seconds);
     char Row[256];
     std::snprintf(Row, sizeof(Row),
                   "%s{\"pipeline\": {\"rescale\": \"%s\", "
                   "\"packing\": \"%s\"}, \"budget\": {\"rescale\": %zu, "
                   "\"relin\": %zu, \"rotate\": %zu}, \"seconds\": %.4f}",
-                  Rows.empty() ? "" : ",\n  ", Rescale,
-                  packingStrategyName(L.Packing), B.Rescale, B.Relinearize,
-                  B.Rotate, Seconds);
+                  Rows.empty() ? "" : ",\n  ", Rescale, Packing.c_str(),
+                  B.Rescale, B.Relinearize, B.Rotate, Seconds);
     Rows += Row;
   }
   if (!JsonPath.empty())

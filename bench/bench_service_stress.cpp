@@ -67,7 +67,6 @@ int main(int Argc, char **Argv) {
     Calib.push_back(std::move(T));
   }
   air::CompileOptions Opt = bench::benchOptions(11);
-  Opt.CalibrationSamples = 4;
   driver::AceCompiler Compiler(Opt);
   auto Compiled = Compiler.compile(Model, Calib);
   if (!Compiled.ok()) {

@@ -29,7 +29,7 @@ int main(void) {
   /* Generate a rotation key for step 1 only. */
   int64_t steps[] = {1};
   if (ace_keygen(ctx, steps, NULL, 1, /*need_relin=*/1, /*need_conj=*/0,
-                 /*bootstrap=*/0, 12, 2, 39) != ACE_OK) {
+                 /*bootstrap=*/0) != ACE_OK) {
     fprintf(stderr, "keygen failed: %s\n", ace_last_error_message());
     ace_destroy(ctx);
     return 1;

@@ -15,12 +15,10 @@
 //
 // Run: ./encrypted_mlp [--telemetry-report[=json]] [--threads=N]
 //                       [--metrics-dump=FILE] [--rescale=MODE]
-//                       [--packing=STRATEGY]
 //   ACE_TRACE=trace.json ./encrypted_mlp   # chrome://tracing span dump
 //   --metrics-dump writes the Prometheus exposition on exit
-//   --rescale: lazy (default) | eager (the Expert reference placement);
-//   --packing: auto | diag | bsgs | column (default: ACE_PACKING, then
-//     the per-layer cost model). See docs/compiler.md.
+//   --rescale: lazy (default) | eager (the Expert reference placement).
+//   Each gemm's packing is the cost model's choice; see docs/compiler.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +26,6 @@
 #include "driver/AceCompiler.h"
 #include "nn/ModelZoo.h"
 #include "support/MetricsRegistry.h"
-#include "support/PipelineConfig.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
@@ -45,7 +42,6 @@ int main(int argc, char **argv) {
   int Threads = 0;
   std::string MetricsDump;
   bool LazyRescale = true;
-  PackingStrategy Packing = PackingStrategy::PS_Auto;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--telemetry-report") == 0)
       Report = true;
@@ -60,12 +56,6 @@ int main(int argc, char **argv) {
       if (!LazyRescale && std::strcmp(argv[I] + 10, "eager") != 0) {
         std::fprintf(stderr,
                      "unknown --rescale mode '%s' (want lazy|eager)\n",
-                     argv[I] + 10);
-        return 2;
-      }
-    } else if (std::strncmp(argv[I], "--packing=", 10) == 0) {
-      if (!parsePackingStrategy(argv[I] + 10, Packing)) {
-        std::fprintf(stderr, "unknown --packing strategy '%s'\n",
                      argv[I] + 10);
         return 2;
       }
@@ -90,7 +80,6 @@ int main(int argc, char **argv) {
 
   air::CompileOptions Opt;
   Opt.EnableRescalePlacement = LazyRescale;
-  Opt.Packing = Packing; // PS_Auto keeps the ACE_PACKING default
   driver::AceCompiler Compiler(Opt);
   auto Result = Compiler.compile(Model, Data.Images);
   if (!Result.ok()) {
@@ -119,11 +108,9 @@ int main(int argc, char **argv) {
               R.State.Budget.Relinearize, R.State.Budget.Rotate,
               R.State.Budget.CtCtMul, R.State.Budget.CtPtMul);
   for (const auto &D : R.State.PackingDecisions)
-    std::printf("  gemm %-8s -> %-6s%s (rot %zu, keys %zu, muls %zu, "
+    std::printf("  gemm %-8s -> %-6s (rot %zu, keys %zu, muls %zu, "
                 "depth %zu)\n",
-                D.Layer.c_str(), packingStrategyName(D.Strategy),
-                D.Forced ? (D.Fallback ? " [forced, fell back]" : " [forced]")
-                         : "",
+                D.Layer.c_str(), air::packingStrategyName(D.Strategy),
                 D.Rotations, D.RotationKeys, D.CtPtMuls, D.RescaleDepth);
 
   codegen::CkksExecutor Exec(R.Program, R.State);

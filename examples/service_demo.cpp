@@ -68,10 +68,6 @@ int main(int argc, char **argv) {
     Calib.push_back(randomInput(R, 16));
 
   air::CompileOptions Opt;
-  Opt.ToyParameters = true;
-  Opt.LogScale = 45;
-  Opt.LogFirstModulus = 55;
-  Opt.CalibrationSamples = 4;
   Opt.Seed = 11;
   driver::AceCompiler Compiler(Opt);
   auto Compiled = Compiler.compile(Model, Calib);

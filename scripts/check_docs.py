@@ -17,10 +17,10 @@ Invariants:
      helpers, the free parsing/naming functions) and of the rotation-key
      store (the public methods of RotationKeyCache in src/fhe/Keys.h) is
      mentioned by name in docs/memory.md.
-  5. Same for the compiler pipeline-policy contract: every public entry
-     point of src/support/PipelineConfig.h (the packing enum values,
-     the parse/print functions, the ACE_PACKING environment variable)
-     is mentioned by name in docs/compiler.md.
+  5. Same for the compiler's packing vocabulary: every packing name of
+     src/air/Pass.h (the PackingStrategy values and the functions that
+     take a PackingStrategy, such as packingStrategyName) is mentioned
+     by name in docs/compiler.md.
   6. The runtime settings table in docs/architecture.md lists exactly
      the ACE_* variables of the settings module's table
      (src/support/Env.cpp): one row per variable, none missing, none
@@ -153,15 +153,11 @@ def check_governor_doc():
 
 
 def pipeline_entry_points():
-    """Public names of the compiler pipeline-policy contract: the free
-    functions of src/support/PipelineConfig.h plus the packing enum
-    values and the environment variable they resolve from."""
-    header = (ROOT / "src/support/PipelineConfig.h").read_text()
-    names = set(m for m in FREE_FUNCTION.findall(header)
-                if m not in ("namespace", "endif", "include", "define",
-                             "ifndef"))
-    names.update(re.findall(r"\bPS_\w+\b", header))
-    names.add("ACE_PACKING")
+    """Packing names of src/air/Pass.h: the PackingStrategy values and
+    the functions taking a PackingStrategy."""
+    header = (ROOT / "src/air/Pass.h").read_text()
+    names = set(re.findall(r"\bPS_\w+\b", header))
+    names.update(re.findall(r"(\w+)\(PackingStrategy\b", header))
     return sorted(names - GENERIC_NAMES)
 
 
@@ -171,8 +167,8 @@ def check_pipeline_doc():
         return ["docs/compiler.md: missing (the pipeline policy contract "
                 "must be documented)"]
     text = doc.read_text()
-    return [f"docs/compiler.md: pipeline entry point '{name}' from "
-            "src/support/PipelineConfig.h is not documented"
+    return [f"docs/compiler.md: packing name '{name}' from "
+            "src/air/Pass.h is not documented"
             for name in pipeline_entry_points() if name not in text]
 
 
@@ -221,7 +217,7 @@ def main():
     print(f"docs check OK: {count} markdown files, all docs/ pages "
           "indexed, all relative links resolve, all "
           f"{entry_points} poly-backend, {governor_points} "
-          f"memory-governance and {pipeline_points} pipeline-policy "
+          f"memory-governance and {pipeline_points} packing "
           f"entry points and all {len(env_settings())} runtime settings "
           "documented")
     return 0

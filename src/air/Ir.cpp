@@ -30,17 +30,11 @@ DialectKind ace::air::dialectOf(NodeKind Kind) {
   case NodeKind::NK_NnFlatten:
   case NodeKind::NK_NnReshape:
   case NodeKind::NK_NnAdd:
-  case NodeKind::NK_NnBatchNorm:
   case NodeKind::NK_NnStridedSlice:
     return DialectKind::DK_Nn;
   case NodeKind::NK_VecAdd:
   case NodeKind::NK_VecMul:
   case NodeKind::NK_VecRoll:
-  case NodeKind::NK_VecSlice:
-  case NodeKind::NK_VecBroadcast:
-  case NodeKind::NK_VecPad:
-  case NodeKind::NK_VecTile:
-  case NodeKind::NK_VecReshape:
   case NodeKind::NK_VecRelu:
   case NodeKind::NK_VecMatDiag:
     return DialectKind::DK_Vector;
@@ -48,9 +42,7 @@ DialectKind ace::air::dialectOf(NodeKind Kind) {
   case NodeKind::NK_SiheAdd:
   case NodeKind::NK_SiheSub:
   case NodeKind::NK_SiheMul:
-  case NodeKind::NK_SiheNeg:
   case NodeKind::NK_SiheEncode:
-  case NodeKind::NK_SiheDecode:
   case NodeKind::NK_SiheAddConst:
   case NodeKind::NK_SiheMulConst:
     return DialectKind::DK_Sihe;
@@ -58,15 +50,12 @@ DialectKind ace::air::dialectOf(NodeKind Kind) {
   case NodeKind::NK_CkksAdd:
   case NodeKind::NK_CkksSub:
   case NodeKind::NK_CkksMul:
-  case NodeKind::NK_CkksNeg:
   case NodeKind::NK_CkksEncode:
   case NodeKind::NK_CkksAddConst:
   case NodeKind::NK_CkksMulConst:
   case NodeKind::NK_CkksRelin:
   case NodeKind::NK_CkksRescale:
   case NodeKind::NK_CkksModSwitch:
-  case NodeKind::NK_CkksUpscale:
-  case NodeKind::NK_CkksDownscale:
   case NodeKind::NK_CkksBootstrap:
     return DialectKind::DK_Ckks;
   case NodeKind::NK_PolyDecomp:
@@ -77,7 +66,6 @@ DialectKind ace::air::dialectOf(NodeKind Kind) {
   case NodeKind::NK_HwNtt:
   case NodeKind::NK_HwIntt:
   case NodeKind::NK_HwModAdd:
-  case NodeKind::NK_HwModSub:
   case NodeKind::NK_HwModMul:
   case NodeKind::NK_HwModMulAdd:
   case NodeKind::NK_PolyRnsLoop:
@@ -110,8 +98,6 @@ const char *ace::air::nodeKindName(NodeKind Kind) {
     return "NN.reshape";
   case NodeKind::NK_NnAdd:
     return "NN.add";
-  case NodeKind::NK_NnBatchNorm:
-    return "NN.batch_norm";
   case NodeKind::NK_NnStridedSlice:
     return "NN.strided_slice";
   case NodeKind::NK_VecAdd:
@@ -120,16 +106,6 @@ const char *ace::air::nodeKindName(NodeKind Kind) {
     return "VECTOR.mul";
   case NodeKind::NK_VecRoll:
     return "VECTOR.roll";
-  case NodeKind::NK_VecSlice:
-    return "VECTOR.slice";
-  case NodeKind::NK_VecBroadcast:
-    return "VECTOR.broadcast";
-  case NodeKind::NK_VecPad:
-    return "VECTOR.pad";
-  case NodeKind::NK_VecTile:
-    return "VECTOR.tile";
-  case NodeKind::NK_VecReshape:
-    return "VECTOR.reshape";
   case NodeKind::NK_VecRelu:
     return "VECTOR.relu";
   case NodeKind::NK_VecMatDiag:
@@ -142,12 +118,8 @@ const char *ace::air::nodeKindName(NodeKind Kind) {
     return "SIHE.sub";
   case NodeKind::NK_SiheMul:
     return "SIHE.mul";
-  case NodeKind::NK_SiheNeg:
-    return "SIHE.neg";
   case NodeKind::NK_SiheEncode:
     return "SIHE.encode";
-  case NodeKind::NK_SiheDecode:
-    return "SIHE.decode";
   case NodeKind::NK_SiheAddConst:
     return "SIHE.add_const";
   case NodeKind::NK_SiheMulConst:
@@ -160,8 +132,6 @@ const char *ace::air::nodeKindName(NodeKind Kind) {
     return "CKKS.sub";
   case NodeKind::NK_CkksMul:
     return "CKKS.mul";
-  case NodeKind::NK_CkksNeg:
-    return "CKKS.neg";
   case NodeKind::NK_CkksEncode:
     return "CKKS.encode";
   case NodeKind::NK_CkksAddConst:
@@ -174,10 +144,6 @@ const char *ace::air::nodeKindName(NodeKind Kind) {
     return "CKKS.rescale";
   case NodeKind::NK_CkksModSwitch:
     return "CKKS.modswitch";
-  case NodeKind::NK_CkksUpscale:
-    return "CKKS.upscale";
-  case NodeKind::NK_CkksDownscale:
-    return "CKKS.downscale";
   case NodeKind::NK_CkksBootstrap:
     return "CKKS.bootstrap";
   case NodeKind::NK_PolyDecomp:
@@ -196,8 +162,6 @@ const char *ace::air::nodeKindName(NodeKind Kind) {
     return "POLY.hw_intt";
   case NodeKind::NK_HwModAdd:
     return "POLY.hw_modadd";
-  case NodeKind::NK_HwModSub:
-    return "POLY.hw_modsub";
   case NodeKind::NK_HwModMul:
     return "POLY.hw_modmul";
   case NodeKind::NK_HwModMulAdd:

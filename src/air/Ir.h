@@ -58,18 +58,12 @@ enum class NodeKind {
   NK_NnFlatten,
   NK_NnReshape,
   NK_NnAdd,
-  NK_NnBatchNorm,
   NK_NnStridedSlice,
 
   // VECTOR dialect (paper Table 4).
   NK_VecAdd,
   NK_VecMul,
   NK_VecRoll,
-  NK_VecSlice,
-  NK_VecBroadcast,
-  NK_VecPad,
-  NK_VecTile,
-  NK_VecReshape,
   NK_VecRelu, ///< nonlinearity kept abstract until the SIHE level
   /// Diagonal-form matrix-vector product: operand 0 is the input vector
   /// (Cipher), operand 1 a ConstVec holding the stacked diagonal masks
@@ -86,9 +80,7 @@ enum class NodeKind {
   NK_SiheAdd,
   NK_SiheSub,
   NK_SiheMul,
-  NK_SiheNeg,
   NK_SiheEncode,
-  NK_SiheDecode,
   NK_SiheAddConst, ///< fold-in of scalar constants
   NK_SiheMulConst,
 
@@ -97,15 +89,12 @@ enum class NodeKind {
   NK_CkksAdd,
   NK_CkksSub,
   NK_CkksMul, ///< ct*ct -> Cipher3, ct*pt -> Cipher
-  NK_CkksNeg,
   NK_CkksEncode,
   NK_CkksAddConst,
   NK_CkksMulConst,
   NK_CkksRelin,
   NK_CkksRescale,
   NK_CkksModSwitch,
-  NK_CkksUpscale,
-  NK_CkksDownscale,
   NK_CkksBootstrap,
 
   // POLY dialect (paper Table 7).
@@ -117,7 +106,6 @@ enum class NodeKind {
   NK_HwNtt,
   NK_HwIntt,
   NK_HwModAdd,
-  NK_HwModSub,
   NK_HwModMul,
   NK_HwModMulAdd, ///< fused (paper Sec. 4.5)
   NK_PolyRnsLoop, ///< loop over RNS components wrapping hw_* body nodes

@@ -20,7 +20,6 @@
 #include "air/Layout.h"
 #include "fhe/Context.h"
 #include "onnx/Model.h"
-#include "support/PipelineConfig.h"
 #include "support/Telemetry.h"
 
 #include <map>
@@ -32,53 +31,62 @@
 namespace ace {
 namespace air {
 
-/// Options steering compilation (a subset of an ace-cmplr command line).
+/// Options steering compilation: only what callers vary. Everything
+/// else (packing, scheme parameters, the bootstrap configuration, the
+/// Expert margin) is the compiler's own decision.
 struct CompileOptions {
-  /// Execution parameter preset. Toy presets run fast on one core;
-  /// SL_128 presets report production parameters (paper Table 10).
-  bool ToyParameters = true;
-  /// log2 input scale Delta (paper uses 2^56 at production).
-  int LogScale = 45;
-  /// log2 output modulus Q0 (paper Table 10: 60).
-  int LogFirstModulus = 55;
-  /// Bootstrap tuning.
-  int BootstrapRangeK = 12;
-  int BootstrapDoubleAngle = 2;
-  int BootstrapChebDegree = 39;
   /// Composite sign-approximation iterations for ReLU (paper [36]).
   int ReluSignIterations = 3;
   /// Disable optimizations for ablation studies and the Expert baseline.
   bool EnableRotationKeyAnalysis = true;
+  /// False refreshes every bootstrap to the deepest level any ReLU needs,
+  /// plus the levels a hand implementation budgets conservatively.
   bool EnableMinimalBootstrapLevel = true;
   /// Rescale/relinearize placement of the SIHE->CKKS lowering
   /// (docs/compiler.md): true places lazily (memoized, at the last
   /// responsible moment); false is the eager reference the Expert
   /// baseline uses, settling and relinearizing at every producer.
   bool EnableRescalePlacement = true;
-  /// Matrix-vector packing strategy of the NN->VECTOR lowering. PS_Auto
-  /// resolves through ACE_PACKING; an Auto result means the per-layer
-  /// cost model chooses.
-  PackingStrategy Packing = PackingStrategy::PS_Auto;
-  /// Extra chain levels a hand implementation budgets conservatively
-  /// (0 under compiler-driven parameter selection).
-  int ExpertMarginLevels = 0;
-  /// Calibration images for activation-bound estimation.
-  int CalibrationSamples = 4;
+  /// Seed of the selected parameters' key and encryption randomness.
   uint64_t Seed = 1;
 };
+
+/// Matrix-vector packing strategy of the NN->VECTOR lowering, chosen per
+/// gemm by the cost model (docs/compiler.md).
+enum class PackingStrategy {
+  /// Halevi-Shoup diagonals as an explicit rotate/mask/add chain: one
+  /// (hoistable) rotation and one ct-pt multiply per nonzero diagonal,
+  /// one rotation key per distinct diagonal.
+  PS_Diag,
+  /// Baby-step/giant-step mat_diag (O(sqrt n) rotations and keys).
+  PS_Bsgs,
+  /// Column packing: replicate the input across K padded blocks, one
+  /// wide ct-pt multiply, then a rotate-and-add reduction. Costs a slot
+  /// grid large enough for K_pad * block and two multiplicative levels;
+  /// only eligible on flat (non-spatial) layouts.
+  PS_Column,
+};
+
+/// Printable strategy name ("bsgs", ...).
+inline const char *packingStrategyName(PackingStrategy Strategy) {
+  switch (Strategy) {
+  case PackingStrategy::PS_Diag:
+    return "diag";
+  case PackingStrategy::PS_Bsgs:
+    return "bsgs";
+  case PackingStrategy::PS_Column:
+    return "column";
+  }
+  return "bsgs";
+}
 
 /// Per-layer packing choice made by the NN->VECTOR cost model
 /// (docs/compiler.md). One record per lowered gemm, in program order.
 struct PackingDecision {
   /// NN-level layer name (the gemm's output value).
   std::string Layer;
-  /// The strategy actually lowered.
+  /// The strategy the cost model chose and the lowering used.
   PackingStrategy Strategy = PackingStrategy::PS_Bsgs;
-  /// True when the knob forced the strategy (no cost comparison ran).
-  bool Forced = false;
-  /// True when a forced strategy was ineligible (e.g. column on a
-  /// spatial layout) and the lowering fell back to Strategy.
-  bool Fallback = false;
   /// Modeled cost per candidate (arbitrary units; lower is better).
   /// A negative value marks the candidate ineligible for this layer.
   double CostDiag = -1.0, CostBsgs = -1.0, CostColumn = -1.0;
@@ -105,8 +113,6 @@ struct CompileState {
   CompileOptions Options;
   const onnx::Model *Model = nullptr;
 
-  /// The packing knob after resolution (set by the NN->VECTOR lowering).
-  PackingStrategy ResolvedPacking = PackingStrategy::PS_Auto;
   /// Per-gemm packing decisions (NN->VECTOR cost model).
   std::vector<PackingDecision> PackingDecisions;
   /// Static CKKS op budget of the compiled program.

@@ -91,11 +91,7 @@ Status CkksExecutor::makeKeys() {
   // (declareRotation keeps the widest truncation when they overlap).
   std::vector<int64_t> FullSteps;
   if (State.BootstrapCount > 0) {
-    fhe::BootstrapConfig Cfg;
-    Cfg.RangeK = State.Options.BootstrapRangeK;
-    Cfg.DoubleAngleCount = State.Options.BootstrapDoubleAngle;
-    Cfg.ChebyshevDegree = State.Options.BootstrapChebDegree;
-    Boot = std::make_unique<fhe::Bootstrapper>(*Eval, Cfg);
+    Boot = std::make_unique<fhe::Bootstrapper>(*Eval);
     FullSteps = Boot->requiredRotations();
     for (uint64_t Galois : Boot->requiredGaloisElements()) {
       KeyCache->declareGalois(Galois);
@@ -222,8 +218,6 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
         "; fresh inputs must be encrypted at the context scale");
   telemetry::TraceSpan RunSpan("executor", "run");
   std::map<int, Ciphertext> Values;
-  const IrNode *ConstOf[1]; // silence unused warnings in release
-  (void)ConstOf;
 
   auto ConstOperand = [&](const IrNode *N) -> const IrNode * {
     // CkksEncode wraps a ConstVec.

@@ -14,6 +14,5 @@ air::CompileOptions expert::expertOptions(air::CompileOptions Base) {
   Base.EnableRotationKeyAnalysis = false;
   Base.EnableMinimalBootstrapLevel = false;
   Base.EnableRescalePlacement = false;
-  Base.ExpertMarginLevels = 3;
   return Base;
 }

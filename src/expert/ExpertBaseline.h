@@ -31,8 +31,9 @@
 namespace ace {
 namespace expert {
 
-/// Derives the Expert baseline's options from \p Base: same scheme and
-/// scale configuration, all compiler automations disabled.
+/// Derives the Expert baseline's options from \p Base: all compiler
+/// automations disabled (the bootstrap margin comes with
+/// EnableMinimalBootstrapLevel = false).
 air::CompileOptions expertOptions(air::CompileOptions Base);
 
 } // namespace expert

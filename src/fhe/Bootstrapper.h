@@ -38,7 +38,9 @@
 namespace ace {
 namespace fhe {
 
-/// Tunables for the bootstrapping pipeline.
+/// Tunables for the bootstrapping pipeline. The defaults are the one
+/// configuration the compiler's depth estimate, the executor and the C
+/// API (ace_keygen) all use.
 struct BootstrapConfig {
   /// Bound on |I| after ModRaise. 12 is the standard choice for a sparse
   /// Hamming-weight-64 secret.
@@ -47,7 +49,7 @@ struct BootstrapConfig {
   /// squared back up r times, cutting the Chebyshev degree ~2^r-fold.
   int DoubleAngleCount = 2;
   /// Degree of the Chebyshev approximation of the scaled cosine.
-  int ChebyshevDegree = 31;
+  int ChebyshevDegree = 39;
   /// Apply the cubic arcsine correction (2 extra levels, ~8 extra bits).
   bool ArcsineCorrection = true;
 };

@@ -233,8 +233,7 @@ void ace_destroy(AceFheContext *Ctx) {
 
 int ace_keygen(AceFheContext *C, const int64_t *Steps,
                const size_t *StepMaxQ, size_t NSteps, int NeedRelin,
-               int NeedConj, int Bootstrap, int BootK, int BootDa,
-               int BootDeg) {
+               int NeedConj, int Bootstrap) {
   if (!validContext(C, "keygen"))
     return ACE_ERR_INVALID_ARGUMENT;
   if (NSteps > 0 && !Steps) {
@@ -242,14 +241,6 @@ int ace_keygen(AceFheContext *C, const int64_t *Steps,
                  "keygen: " + std::to_string(NSteps) +
                      " rotation steps requested but the step array is "
                      "NULL");
-    return ACE_ERR_INVALID_ARGUMENT;
-  }
-  if (Bootstrap && (BootK < 1 || BootDa < 0 || BootDeg < 3)) {
-    setLastError(ACE_ERR_INVALID_ARGUMENT,
-                 "keygen: invalid bootstrap configuration: range K " +
-                     std::to_string(BootK) + ", double angles " +
-                     std::to_string(BootDa) + ", chebyshev degree " +
-                     std::to_string(BootDeg));
     return ACE_ERR_INVALID_ARGUMENT;
   }
   auto MakeRelinConj = [&](bool Relin, bool Conj) {
@@ -268,11 +259,7 @@ int ace_keygen(AceFheContext *C, const int64_t *Steps,
   std::vector<std::shared_ptr<const SwitchKey>> Pins;
   Status S = [&]() -> Status {
     if (Bootstrap) {
-      BootstrapConfig Cfg;
-      Cfg.RangeK = BootK;
-      Cfg.DoubleAngleCount = BootDa;
-      Cfg.ChebyshevDegree = BootDeg;
-      C->Boot = std::make_unique<Bootstrapper>(*C->Eval, Cfg);
+      C->Boot = std::make_unique<Bootstrapper>(*C->Eval);
       MakeRelinConj(NeedRelin != 0, /*Conj=*/true);
       for (int64_t Step : C->Boot->requiredRotations())
         ACE_RETURN_IF_ERROR(C->Eval->materializeGaloisKey(

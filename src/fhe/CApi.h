@@ -72,15 +72,14 @@ void ace_destroy(AceFheContext *ctx);
 
 /// Generates keys: rotation steps (with optional per-step level caps via
 /// step_maxq, may be NULL), relinearization/conjugation, and - when
-/// bootstrap is nonzero - the bootstrapping key material with the given
-/// configuration. A step declared again at a deeper level than an earlier
-/// call gave it gets a wider key. Rotation keys count against the memory
-/// budget: ACE_ERR_RESOURCE_EXHAUSTED when they do not fit. Returns
-/// ACE_OK or an error code.
+/// bootstrap is nonzero - the key material of the bootstrapping
+/// configuration the compiler plans with. A step declared again at a
+/// deeper level than an earlier call gave it gets a wider key. Rotation
+/// keys count against the memory budget: ACE_ERR_RESOURCE_EXHAUSTED when
+/// they do not fit. Returns ACE_OK or an error code.
 int ace_keygen(AceFheContext *ctx, const int64_t *steps,
                const size_t *step_maxq, size_t nsteps, int need_relin,
-               int need_conj, int bootstrap, int boot_k, int boot_da,
-               int boot_deg);
+               int need_conj, int bootstrap);
 
 /// Encrypts slot values (length = slot count) at numq active primes.
 AceFheCiphertext *ace_encrypt(AceFheContext *ctx, const double *slots,

@@ -11,6 +11,7 @@
 #include "fhe/ModArith.h"
 #include "support/LimbPool.h"
 #include "support/ResourceGovernor.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -337,6 +338,10 @@ RotationKeyCache::get(uint64_t Galois) {
   if (E.Key) // another thread generated it while we were admitting
     return E.Key;
   // Generation holds the mutex: the KeyGenerator RNG is shared state.
+  // It runs inline, never forking: a fork would take the pool's run lock
+  // under this mutex, while a pool task of a running fork (a service
+  // batch, say) takes this mutex under that lock.
+  ThreadPool::InlineRegion Inline;
   auto Key = std::make_shared<const SwitchKey>(generate(E, Galois));
   E.Key = Key;
   E.LastUse = ++UseClock;

@@ -59,7 +59,6 @@ struct PolyBuilder {
       Stats.HwModMul += Count;
       break;
     case NodeKind::NK_HwModAdd:
-    case NodeKind::NK_HwModSub:
       Stats.HwModAdd += Count;
       break;
     case NodeKind::NK_HwModMulAdd:

@@ -8,8 +8,6 @@
 
 #include "passes/NnToVector.h"
 
-#include "support/Env.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -349,7 +347,7 @@ IrNode *lowerGemmColumn(Lowering &L, IrNode *X, const IrNode *W,
 
 /// Lowers GEMM over the element stride of the current layout (paper
 /// Listing 2), choosing diagonal vs BSGS mat_diag vs column packing per
-/// layer via the cost model above (or the forced ACE_PACKING strategy).
+/// layer via the cost model above.
 IrNode *lowerGemm(Lowering &L, const IrNode *N) {
   IrNode *X = L.Map.at(N->Operands[0]);
   const IrNode *W = N->Operands[1];
@@ -389,8 +387,6 @@ IrNode *lowerGemm(Lowering &L, const IrNode *N) {
   }
   assert(!S.DiagIndices.empty() && "gemm lowered to nothing");
 
-  // Cost-model decision (or the forced strategy, with recorded fallback
-  // when column is ineligible for this layer's layout).
   PackingCost CDiag = costOfDiag(S);
   PackingCost CBsgs = costOfBsgs(S);
   PackingCost CColumn = costOfColumn(S);
@@ -399,23 +395,14 @@ IrNode *lowerGemm(Lowering &L, const IrNode *N) {
   Dec.CostDiag = CDiag.Cost;
   Dec.CostBsgs = CBsgs.Cost;
   Dec.CostColumn = CColumn.Eligible ? CColumn.Cost : -1.0;
-  PackingStrategy Choice = L.State.ResolvedPacking;
-  if (Choice == PackingStrategy::PS_Auto) {
-    Choice = PackingStrategy::PS_Bsgs;
-    double Best = CBsgs.Cost;
-    if (CDiag.Cost < Best) {
-      Choice = PackingStrategy::PS_Diag;
-      Best = CDiag.Cost;
-    }
-    if (CColumn.Eligible && CColumn.Cost < Best)
-      Choice = PackingStrategy::PS_Column;
-  } else {
-    Dec.Forced = true;
-    if (Choice == PackingStrategy::PS_Column && !CColumn.Eligible) {
-      Choice = PackingStrategy::PS_Bsgs;
-      Dec.Fallback = true;
-    }
+  PackingStrategy Choice = PackingStrategy::PS_Bsgs;
+  double Best = CBsgs.Cost;
+  if (CDiag.Cost < Best) {
+    Choice = PackingStrategy::PS_Diag;
+    Best = CDiag.Cost;
   }
+  if (CColumn.Eligible && CColumn.Cost < Best)
+    Choice = PackingStrategy::PS_Column;
   Dec.Strategy = Choice;
   const PackingCost &Chosen = Choice == PackingStrategy::PS_Diag ? CDiag
                               : Choice == PackingStrategy::PS_Column
@@ -528,10 +515,6 @@ IrNode *lowerAvgPool(Lowering &L, const IrNode *N) {
 } // namespace
 
 Status NnToVectorPass::run(IrFunction &F, CompileState &State) {
-  // Resolve the packing knob here (not in the driver) so the pass behaves
-  // identically when driven standalone by tests. PS_Auto survives
-  // resolution and means the per-layer cost model chooses.
-  State.ResolvedPacking = resolvePackingStrategy(State.Options.Packing);
   State.PackingDecisions.clear();
 
   // Layout selection: one padded grid covering every tensor in the model.
@@ -557,30 +540,12 @@ Status NnToVectorPass::run(IrFunction &F, CompileState &State) {
   } else {
     Grid.C0 = Grid.H0 = 1;
     Grid.W0 = nextPow2(std::max(MaxW, MaxFlat));
-    if (State.ResolvedPacking == PackingStrategy::PS_Column) {
-      // Forced column packing replicates the input across nextPow2(K)
-      // blocks of nextPow2(C) slots; grow the grid to fit the widest
-      // gemm, capped so the ring stays reasonable. Layers the grown grid
-      // still cannot hold fall back to BSGS (recorded per decision); the
-      // auto cost model never grows the grid.
-      constexpr size_t MaxColumnSlots = 4096;
-      size_t NeedW = Grid.W0;
-      for (const auto &NPtr : F.nodes())
-        if (NPtr->Kind == NodeKind::NK_NnGemm) {
-          const IrNode *W = NPtr->Operands[1];
-          NeedW = std::max(NeedW,
-                           nextPow2(static_cast<size_t>(W->Ints[0])) *
-                               nextPow2(static_cast<size_t>(W->Ints[1])));
-        }
-      Grid.W0 = std::max(Grid.W0, std::min(NeedW, MaxColumnSlots));
-    }
   }
 
   // Rebuild the function in the VECTOR dialect.
   IrFunction NewF(F.name());
   Lowering L{NewF, State, {}, {}, {}};
 
-  const IrNode *OldReturn = F.returnValue();
   IrNode *Result = nullptr;
   for (const auto &NPtr : F.nodes()) {
     const IrNode *N = NPtr.get();
@@ -679,7 +644,6 @@ Status NnToVectorPass::run(IrFunction &F, CompileState &State) {
                            nodeKindName(N->Kind));
     }
   }
-  (void)OldReturn;
   if (!Result)
     return Status::error("NN function has no return value");
   NewF.setReturn(Result);

@@ -21,6 +21,15 @@ using namespace ace::air;
 
 namespace {
 
+/// log2 of the scale Delta and of the output modulus q_0 (paper Table 10
+/// uses 56 and 60 at production; the execution chain keeps 10 bits of
+/// headroom above Delta).
+constexpr int kLogScale = 45;
+constexpr int kLogFirstModulus = 55;
+/// Extra chain levels the Expert placement budgets, as a hand
+/// implementation does, when minimal-level bootstrapping is off.
+constexpr int kExpertLevelMargin = 3;
+
 size_t nextPow2(size_t X) {
   size_t P = 1;
   while (P < X)
@@ -251,7 +260,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
           int MaxTarget = 2;
           for (const auto &[Key, Value] : RefreshNeed)
             MaxTarget = std::max(MaxTarget, Value + 1);
-          Target = MaxTarget + State.Options.ExpertMarginLevels;
+          Target = MaxTarget + kExpertLevelMargin;
         }
         IrNode *Boot = NewF.create(NodeKind::NK_CkksBootstrap, X->Type, {X},
                                    OriginKind::OR_Bootstrap);
@@ -270,7 +279,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
       Lowered = NewF.addInput(N->Name, TypeKind::TK_Cipher);
       InputNumQ = static_cast<size_t>(NeedOf(N)) + 1;
       if (!State.Options.EnableMinimalBootstrapLevel)
-        InputNumQ += State.Options.ExpertMarginLevels;
+        InputNumQ += kExpertLevelMargin;
       B.finish(Lowered, InputNumQ, false);
       break;
     }
@@ -442,7 +451,6 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
   }
 
   // --- Automatic parameter selection (paper Table 10) --------------------
-  const CompileOptions &Opt = State.Options;
   size_t Slots = State.InputLayout.slotCount();
   bool HasBootstrap = State.BootstrapCount > 0;
 
@@ -451,64 +459,30 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
     MaxNeed = std::max(MaxNeed, Value);
   State.MaxComputeDepth = MaxNeed;
 
-  fhe::BootstrapConfig BootCfg;
-  BootCfg.RangeK = Opt.BootstrapRangeK;
-  BootCfg.DoubleAngleCount = Opt.BootstrapDoubleAngle;
-  BootCfg.ChebyshevDegree = Opt.BootstrapChebDegree;
-
+  // Execution parameters run fast on one core: the smallest ring that
+  // holds the slots. The 128-bit production ring is reported below.
   fhe::CkksParams P;
+  P.RingDegree = std::max<size_t>(2 * nextPow2(Slots), 128);
   P.Slots = Slots;
-  P.LogScale = Opt.LogScale;
-  P.LogFirstModulus = Opt.LogFirstModulus;
+  P.LogScale = kLogScale;
+  P.LogFirstModulus = kLogFirstModulus;
   P.LogSpecialModulus = 60;
   P.SparseSecret = HasBootstrap;
-  P.Seed = Opt.Seed;
+  P.Seed = State.Options.Seed;
 
   size_t ChainNumQ = std::max<size_t>(InputNumQ, MaxBootTarget);
-  if (Opt.ToyParameters) {
-    P.RingDegree = std::max<size_t>(2 * nextPow2(Slots), 128);
-    if (HasBootstrap) {
-      State.BootstrapDepth = fhe::estimateBootstrapDepth(
-          P.RingDegree, Slots, BootCfg, P.LogScale, P.LogFirstModulus);
-      ChainNumQ = static_cast<size_t>(MaxBootTarget) +
-                  static_cast<size_t>(State.BootstrapDepth);
-      ChainNumQ = std::max(ChainNumQ, InputNumQ);
-    }
-  } else {
-    // Iterate N <-> chain length until stable: bigger rings increase the
-    // bootstrap span and hence its depth.
-    P.RingDegree = std::max<size_t>(2 * nextPow2(Slots), 1024);
-    for (int Iter = 0; Iter < 8; ++Iter) {
-      if (HasBootstrap) {
-        State.BootstrapDepth = fhe::estimateBootstrapDepth(
-            P.RingDegree, Slots, BootCfg, P.LogScale, P.LogFirstModulus);
-        ChainNumQ = std::max<size_t>(
-            static_cast<size_t>(MaxBootTarget + State.BootstrapDepth),
-            InputNumQ);
-      }
-      // log QP counts the hybrid key switch's special primes, whose
-      // number grows with the chain (fhe::keySwitchShape).
-      fhe::CkksParams Chain = P;
-      Chain.NumRescaleModuli = static_cast<int>(ChainNumQ) - 1;
-      int LogQP =
-          P.LogFirstModulus + Chain.NumRescaleModuli * P.LogScale +
-          static_cast<int>(fhe::keySwitchShape(Chain).NumSpecial) *
-              P.LogSpecialModulus;
-      size_t NSec = fhe::minRingDegreeFor(
-          LogQP, fhe::SecurityLevelKind::SL_128);
-      if (NSec == 0)
-        return Status::error("no standardized ring supports this depth");
-      size_t NewN = std::max(NSec, 2 * nextPow2(Slots));
-      if (NewN == P.RingDegree)
-        break;
-      P.RingDegree = NewN;
-    }
+  if (HasBootstrap) {
+    State.BootstrapDepth = fhe::estimateBootstrapDepth(
+        P.RingDegree, Slots, fhe::BootstrapConfig{}, P.LogScale,
+        P.LogFirstModulus);
+    ChainNumQ = static_cast<size_t>(MaxBootTarget) +
+                static_cast<size_t>(State.BootstrapDepth);
+    ChainNumQ = std::max(ChainNumQ, InputNumQ);
   }
   P.NumRescaleModuli = static_cast<int>(ChainNumQ) - 1;
   State.SelectedParams = P;
 
-  // Production-security report (Table 10), independent of execution mode.
-  // A production bootstrapper (hand-tuned EvalMod as in Lee et al. [35])
+  // Production-security report (Table 10). A production bootstrapper (hand-tuned EvalMod as in Lee et al. [35])
   // consumes ~15 levels; the toy pipeline's extra double-angle/arcsine
   // margin would otherwise overstate the production chain. The compiled
   // ReLU is the one production runs, so the bootstrap targets stand.

@@ -82,10 +82,6 @@ AceService *ace_service_create_mlp(const int64_t *dims, size_t ndims,
   }
 
   air::CompileOptions Opt;
-  Opt.ToyParameters = true;
-  Opt.LogScale = 45;
-  Opt.LogFirstModulus = 55;
-  Opt.CalibrationSamples = static_cast<int>(Calibration.size());
   Opt.Seed = seed;
   driver::AceCompiler Compiler(Opt);
   auto Result = Compiler.compile(Model, Calibration);

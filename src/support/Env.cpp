@@ -33,7 +33,6 @@ constexpr struct {
 } Table[] = {
     {"ACE_THREADS", "a positive integer"},
     {"ACE_POLY_BACKEND", "scalar|simd|auto; simd needs an AVX2 or NEON host"},
-    {"ACE_PACKING", "auto|diag|bsgs|column"},
     {"ACE_LIMB_POOL", "1|0|on|off|true|false"},
     {"ACE_MEMORY_BUDGET", "bytes with an optional k|m|g suffix"},
     {"ACE_FAULT_INJECT", "kind[:count[:skip]],..."},
@@ -137,13 +136,4 @@ void env::applyStartupSettings() {
     obs::EventLog::instance().setSlowThresholdSeconds(Seconds);
     return true;
   });
-}
-
-PackingStrategy ace::resolvePackingStrategy(PackingStrategy Option) {
-  if (Option != PackingStrategy::PS_Auto)
-    return Option;
-  PackingStrategy Strategy = PackingStrategy::PS_Auto;
-  read(Setting::Packing,
-       [&](const char *V) { return parsePackingStrategy(V, Strategy); });
-  return Strategy;
 }

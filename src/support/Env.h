@@ -19,8 +19,6 @@
 #ifndef ACE_SUPPORT_ENV_H
 #define ACE_SUPPORT_ENV_H
 
-#include "support/PipelineConfig.h"
-
 #include <cstddef>
 #include <functional>
 
@@ -29,7 +27,7 @@ namespace env {
 
 /// The settings, in the order of Env.cpp's table of variable names.
 enum class Setting : unsigned {
-  Threads, PolyBackend, Packing, LimbPool, MemoryBudget, FaultInject,
+  Threads, PolyBackend, LimbPool, MemoryBudget, FaultInject,
   Trace, Telemetry, Metrics, EventLog, SlowRequestSeconds, Count
 };
 
@@ -57,10 +55,6 @@ bool readSwitch(Setting S, bool Default);
 void applyStartupSettings();
 
 } // namespace env
-
-/// Resolves CompileOptions::Packing: an explicit (non-Auto) option wins,
-/// then ACE_PACKING, re-read on every call, then Auto.
-PackingStrategy resolvePackingStrategy(PackingStrategy Option);
 
 } // namespace ace
 

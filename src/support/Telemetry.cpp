@@ -21,9 +21,10 @@ using namespace ace;
 using namespace ace::telemetry;
 
 std::atomic<bool> ace::telemetry::detail::Enabled{false};
-thread_local RequestContext *ace::telemetry::detail::CurrentRequest = nullptr;
 
 namespace {
+
+thread_local RequestContext *CurrentRequest = nullptr;
 
 /// Buffered-event cap: ~1M events bound the buffer to low hundreds of MB
 /// even on pathological runs; overflow is counted and reported instead of
@@ -38,6 +39,10 @@ uint32_t threadId() {
 }
 
 } // namespace
+
+RequestContext *detail::currentRequest() { return CurrentRequest; }
+
+void detail::setCurrentRequest(RequestContext *Ctx) { CurrentRequest = Ctx; }
 
 const char *ace::telemetry::counterName(Counter C) {
   switch (C) {
@@ -571,7 +576,7 @@ TraceSpan::~TraceSpan() {
     return;
   Telemetry &T = Telemetry::instance();
   double Seconds = (T.nowUs() - StartUs) * 1e-6;
-  RequestContext *Ctx = detail::CurrentRequest;
+  RequestContext *Ctx = CurrentRequest;
   if (Ctx && Ctx->Spans.size() < RequestContext::kMaxSpans)
     Ctx->Spans.emplace_back(Name, Seconds);
   TraceEvent E;
@@ -607,7 +612,7 @@ FheOpSpan::~FheOpSpan() {
   double DurUs = EndUs - StartUs;
   T.opLatency(Op).recordNanos(
       DurUs > 0.0 ? static_cast<uint64_t>(DurUs * 1e3) : 0);
-  RequestContext *Ctx = detail::CurrentRequest;
+  RequestContext *Ctx = CurrentRequest;
   if (Ctx && std::isfinite(NoiseBudgetBits)) {
     Ctx->MinNoiseBudgetBits =
         std::min(Ctx->MinNoiseBudgetBits, NoiseBudgetBits);

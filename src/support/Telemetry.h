@@ -152,18 +152,25 @@ struct RequestContext {
 
 namespace detail {
 /// The thread's active request context (nullptr outside any request).
-/// Only touched through RequestScope; read by the telemetry hooks.
-extern thread_local RequestContext *CurrentRequest;
+/// Only set through RequestScope; read by the telemetry hooks. The
+/// thread-local behind them never leaves Telemetry.cpp: an access to an
+/// extern thread_local from another file gets a UBSan null check whose
+/// flags the linker's TLS relaxation rewrites away (GCC 12, binutils
+/// 2.40), so every sanitized request aborted on a false "store to null
+/// pointer".
+RequestContext *currentRequest();
+void setCurrentRequest(RequestContext *Ctx);
 } // namespace detail
 
 /// RAII installer for a RequestContext on the current thread. Nests:
 /// the previous context is restored on destruction.
 class RequestScope {
 public:
-  explicit RequestScope(RequestContext &Ctx) : Prev(detail::CurrentRequest) {
-    detail::CurrentRequest = &Ctx;
+  explicit RequestScope(RequestContext &Ctx)
+      : Prev(detail::currentRequest()) {
+    detail::setCurrentRequest(&Ctx);
   }
-  ~RequestScope() { detail::CurrentRequest = Prev; }
+  ~RequestScope() { detail::setCurrentRequest(Prev); }
 
   RequestScope(const RequestScope &) = delete;
   RequestScope &operator=(const RequestScope &) = delete;
@@ -232,7 +239,7 @@ public:
                                                std::memory_order_relaxed);
     // Per-request attribution. Hook sites only reach count() behind a
     // telemetry::enabled() check, so the disabled path never pays this.
-    if (RequestContext *Ctx = detail::CurrentRequest)
+    if (RequestContext *Ctx = detail::currentRequest())
       Ctx->OpDelta[static_cast<size_t>(C)] += N;
   }
   uint64_t counterValue(Counter C) const {

@@ -18,10 +18,6 @@ namespace {
 
 air::CompileOptions toyOptions() {
   air::CompileOptions Opt;
-  Opt.ToyParameters = true;
-  Opt.LogScale = 45;
-  Opt.LogFirstModulus = 55;
-  Opt.CalibrationSamples = 4;
   Opt.Seed = 11;
   return Opt;
 }

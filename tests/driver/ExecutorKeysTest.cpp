@@ -38,10 +38,6 @@ protected:
       Calibration.push_back(std::move(T));
     }
     air::CompileOptions Opt;
-    Opt.ToyParameters = true;
-    Opt.LogScale = 45;
-    Opt.LogFirstModulus = 55;
-    Opt.CalibrationSamples = 4;
     Opt.Seed = 11;
     auto Result = driver::AceCompiler(Opt).compile(Model, Calibration);
     ASSERT_TRUE(Result.ok()) << Result.status().message();
@@ -82,11 +78,7 @@ protected:
       fhe::RotationKeyCache Cache(Ctx, Gen);
       fhe::EvalKeys Keys;
       fhe::Evaluator Eval(Ctx, Enc, Keys, Cache);
-      fhe::BootstrapConfig Cfg;
-      Cfg.RangeK = S.Options.BootstrapRangeK;
-      Cfg.DoubleAngleCount = S.Options.BootstrapDoubleAngle;
-      Cfg.ChebyshevDegree = S.Options.BootstrapChebDegree;
-      fhe::Bootstrapper Boot(Eval, Cfg);
+      fhe::Bootstrapper Boot(Eval);
       for (uint64_t Galois : Boot.requiredGaloisElements())
         Declare(Galois, Full);
       for (int64_t Steps : Boot.requiredRotations())

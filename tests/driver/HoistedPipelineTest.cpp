@@ -24,14 +24,7 @@ namespace {
 
 air::CompileOptions toyOptions() {
   air::CompileOptions Opt;
-  Opt.ToyParameters = true;
-  Opt.LogScale = 45;
-  Opt.LogFirstModulus = 55;
-  Opt.CalibrationSamples = 4;
   Opt.Seed = 11;
-  // This test proves BSGS baby-step hoisting; pin the strategy so the
-  // ACE_PACKING CI matrix cannot redirect the gemv lowering.
-  Opt.Packing = PackingStrategy::PS_Bsgs;
   return Opt;
 }
 
@@ -62,6 +55,11 @@ TEST_F(HoistedPipelineTest, LinearMatvecPaysOneModUpForBabySteps) {
   auto Result = Compiler.compile(Model, Inputs);
   ASSERT_TRUE(Result.ok()) << Result.status().message();
   auto &R = **Result;
+  // This test proves BSGS baby-step hoisting, so the cost model must
+  // lower the dense gemv as BSGS.
+  ASSERT_EQ(R.State.PackingDecisions.size(), 1u);
+  ASSERT_EQ(R.State.PackingDecisions[0].Strategy,
+            air::PackingStrategy::PS_Bsgs);
 
   // BSGS lowering: the rotation-key working set of an 84-wide gemv is
   // sqrt-scale (babies + giants), not one key per nonzero diagonal.

@@ -38,10 +38,6 @@ TEST_F(ThreadedEndToEndTest, MlpLogitsBitIdenticalAcrossThreadCounts) {
   }
 
   air::CompileOptions Opt;
-  Opt.ToyParameters = true;
-  Opt.LogScale = 45;
-  Opt.LogFirstModulus = 55;
-  Opt.CalibrationSamples = 4;
   Opt.Seed = 11;
   driver::AceCompiler Compiler(Opt);
   auto Result = Compiler.compile(Model, Inputs);

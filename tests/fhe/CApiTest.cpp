@@ -27,7 +27,7 @@ struct CApiFixture : ::testing::Test {
     ASSERT_NE(Ctx, nullptr);
     int64_t Steps[] = {1, 3};
     ASSERT_EQ(ace_keygen(Ctx, Steps, nullptr, 2, /*need_relin=*/1,
-                         /*need_conj=*/0, /*bootstrap=*/0, 12, 2, 39),
+                         /*need_conj=*/0, /*bootstrap=*/0),
               ACE_OK);
     ace_clear_error();
   }
@@ -153,7 +153,7 @@ TEST_F(CApiFixture, NullHandlesReturnErrors) {
   EXPECT_EQ(ace_decrypt(Ctx, nullptr, Out.data(), 64),
             ACE_ERR_INVALID_ARGUMENT);
   EXPECT_EQ(ace_decrypt(Ctx, Ct, nullptr, 64), ACE_ERR_INVALID_ARGUMENT);
-  EXPECT_EQ(ace_keygen(nullptr, nullptr, nullptr, 0, 0, 0, 0, 0, 0, 0),
+  EXPECT_EQ(ace_keygen(nullptr, nullptr, nullptr, 0, 0, 0, 0),
             ACE_ERR_INVALID_ARGUMENT);
   ace_ct_free(Ct);
 }
@@ -227,8 +227,7 @@ TEST(CApiTest, MulWithoutRelinKeyIsKeyMissing) {
   AceFheContext *Ctx = ace_create(1024, 64, 45, 55, 8, 60, 0, 9);
   ASSERT_NE(Ctx, nullptr);
   // Keygen without the relin key.
-  ASSERT_EQ(ace_keygen(Ctx, nullptr, nullptr, 0, /*need_relin=*/0, 0, 0, 12,
-                       2, 39),
+  ASSERT_EQ(ace_keygen(Ctx, nullptr, nullptr, 0, /*need_relin=*/0, 0, 0),
             ACE_OK);
   ace_clear_error();
   std::vector<double> X(64, 0.1);
@@ -247,10 +246,8 @@ TEST(CApiTest, MismatchedSlotCountsAreRejected) {
   AceFheContext *C32 = ace_create(1024, 32, 45, 55, 8, 60, 0, 9);
   ASSERT_NE(C64, nullptr);
   ASSERT_NE(C32, nullptr);
-  ASSERT_EQ(ace_keygen(C64, nullptr, nullptr, 0, 1, 0, 0, 12, 2, 39),
-            ACE_OK);
-  ASSERT_EQ(ace_keygen(C32, nullptr, nullptr, 0, 1, 0, 0, 12, 2, 39),
-            ACE_OK);
+  ASSERT_EQ(ace_keygen(C64, nullptr, nullptr, 0, 1, 0, 0), ACE_OK);
+  ASSERT_EQ(ace_keygen(C32, nullptr, nullptr, 0, 1, 0, 0), ACE_OK);
   ace_clear_error();
   std::vector<double> X(32, 0.1);
   AceFheCiphertext *Ct = ace_encrypt(C32, X.data(), 32, 9);
@@ -268,8 +265,7 @@ TEST(CApiTest, ErrorChannelIsSticky) {
   ace_clear_error();
   AceFheContext *Ctx = ace_create(1024, 64, 45, 55, 8, 60, 0, 9);
   ASSERT_NE(Ctx, nullptr);
-  ASSERT_EQ(ace_keygen(Ctx, nullptr, nullptr, 0, 0, 0, 0, 12, 2, 39),
-            ACE_OK);
+  ASSERT_EQ(ace_keygen(Ctx, nullptr, nullptr, 0, 0, 0, 0), ACE_OK);
   std::vector<double> X(65, 0.1);
   EXPECT_EQ(ace_encrypt(Ctx, X.data(), 65, 9), nullptr);
   EXPECT_EQ(ace_last_error(), ACE_ERR_INVALID_ARGUMENT);
@@ -386,7 +382,7 @@ TEST(CApiTest, LoadedKeysSurviveReclaimUnderTheirOwnSecret) {
   ASSERT_NE(A, nullptr);
   ASSERT_NE(B, nullptr);
   int64_t Steps[] = {1};
-  ASSERT_EQ(ace_keygen(A, Steps, nullptr, 1, 1, 0, 0, 12, 2, 39), ACE_OK);
+  ASSERT_EQ(ace_keygen(A, Steps, nullptr, 1, 1, 0, 0), ACE_OK);
   ASSERT_EQ(ace_key_save(A, KeysPath), ACE_OK) << ace_last_error_message();
   ASSERT_EQ(ace_key_load(B, KeysPath), ACE_OK) << ace_last_error_message();
 
@@ -430,9 +426,8 @@ TEST(CApiTest, KeygenWidensATruncatedStepForBootstrap) {
   ASSERT_NE(Ctx, nullptr);
   int64_t Steps[] = {1};
   size_t MaxQ[] = {2};
-  ASSERT_EQ(ace_keygen(Ctx, Steps, MaxQ, 1, 1, 0, 0, 12, 2, 39), ACE_OK);
-  ASSERT_EQ(ace_keygen(Ctx, nullptr, nullptr, 0, 1, 1, /*bootstrap=*/1, 12,
-                       2, 39),
+  ASSERT_EQ(ace_keygen(Ctx, Steps, MaxQ, 1, 1, 0, 0), ACE_OK);
+  ASSERT_EQ(ace_keygen(Ctx, nullptr, nullptr, 0, 1, 1, /*bootstrap=*/1),
             ACE_OK)
       << ace_last_error_message();
   std::vector<double> X(16, 0.3);
@@ -555,10 +550,8 @@ struct CApiForeignCipherTest
     ASSERT_NE(Ctx, nullptr);
     ASSERT_NE(Other, nullptr);
     int64_t Steps[] = {1};
-    ASSERT_EQ(ace_keygen(Ctx, Steps, nullptr, 1, 1, 0, 0, 12, 2, 39),
-              ACE_OK);
-    ASSERT_EQ(ace_keygen(Other, Steps, nullptr, 1, 1, 0, 0, 12, 2, 39),
-              ACE_OK);
+    ASSERT_EQ(ace_keygen(Ctx, Steps, nullptr, 1, 1, 0, 0), ACE_OK);
+    ASSERT_EQ(ace_keygen(Other, Steps, nullptr, 1, 1, 0, 0), ACE_OK);
     std::vector<double> X(64, 0.25);
     Own = ace_encrypt(Ctx, X.data(), X.size(), 9);
     Foreign = ace_encrypt(Other, X.data(), X.size(), 9);

@@ -39,7 +39,7 @@ protected:
     ASSERT_NE(Ctx, nullptr);
     int64_t Steps[] = {1};
     ASSERT_EQ(ace_keygen(Ctx, Steps, nullptr, 1, /*need_relin=*/1,
-                         /*need_conj=*/0, /*bootstrap=*/0, 12, 2, 39),
+                         /*need_conj=*/0, /*bootstrap=*/0),
               ACE_OK);
   }
   void TearDown() override {

@@ -2,8 +2,9 @@
 // Rotation-key cache tests: declare/generate-on-first-use semantics, LRU
 // and capacity eviction, transparent regeneration, truncation widening,
 // pinning via shared_ptr handles, adopted keys, concurrent lookups racing
-// the reclaim pass, and budget refusals propagating as clean
-// ResourceExhausted through the checked evaluator tier.
+// the reclaim pass, lookups from inside and outside pool tasks, and
+// budget refusals propagating as clean ResourceExhausted through the
+// checked evaluator tier.
 //===----------------------------------------------------------------------===//
 
 #include "fhe/Encryptor.h"
@@ -12,6 +13,8 @@
 #include "support/LimbPool.h"
 #include "support/ResourceGovernor.h"
 #include "support/Rng.h"
+#include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -312,6 +315,41 @@ TEST_F(KeyCacheTest, AdoptedKeysSurviveEvictionAndRedeclaration) {
   EXPECT_EQ((*Key)->numQ(), 4u);
   EXPECT_EQ(Cache->stats().Misses, 0u);
   EXPECT_EQ(Cache->stats().ResidentBytes, Bytes);
+}
+
+/// A pool task that misses a key takes the cache mutex under the pool's
+/// run lock (its fork holds that lock); a miss outside any task takes the
+/// cache mutex first. Key generation must therefore never fork under the
+/// cache mutex, or the two orders invert - which ThreadSanitizer reports,
+/// and which deadlocks when a service wave and a lazy-key miss overlap.
+TEST_F(KeyCacheTest, MissesInsideAndOutsidePoolTasksNeverForkUnderTheLock) {
+  using telemetry::Counter;
+  using telemetry::Telemetry;
+  ThreadPool::instance().setNumThreads(2);
+  std::vector<uint64_t> Galois;
+  for (int64_t Step = 1; Step <= 9; ++Step)
+    Galois.push_back(Cache->declareRotation(Step));
+
+  // Misses inside the chunks of a fork: the forking thread runs chunks
+  // while it holds the run lock.
+  std::atomic<size_t> Failures{0};
+  ThreadPool::instance().parallelFor(0, 8, [&](size_t I) {
+    if (!Cache->get(Galois[I]).ok())
+      ++Failures;
+  });
+  EXPECT_EQ(Failures.load(), 0u);
+
+  // A miss outside any task generates inline: no fork.
+  Telemetry::instance().setEnabled(true);
+  uint64_t Forks = Telemetry::instance().counterValue(Counter::ParallelFor);
+  auto Key = Cache->get(Galois.back());
+  uint64_t ForksAfter =
+      Telemetry::instance().counterValue(Counter::ParallelFor);
+  Telemetry::instance().setEnabled(false);
+  ThreadPool::instance().setNumThreads(0);
+  ASSERT_TRUE(Key.ok()) << Key.status().message();
+  EXPECT_EQ(ForksAfter, Forks);
+  EXPECT_EQ(Cache->stats().Misses, Galois.size());
 }
 
 /// Four threads look keys up while a fifth evicts everything it can in a

@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace ace;
 
@@ -39,19 +38,30 @@ std::vector<nn::Tensor> randomInputs(const std::vector<int64_t> &Shape,
   return Out;
 }
 
-/// Compiles \p M under lazy or eager placement with the packing pinned
-/// to BSGS, so the budgets are functions of the placement policy alone
-/// (immune to the ACE_PACKING CI matrix).
+/// True when the cost model lowered every gemm of \p S as BSGS, the
+/// packing the budgets below are counted for.
+bool allBsgs(const air::CompileState &S) {
+  return std::all_of(S.PackingDecisions.begin(), S.PackingDecisions.end(),
+                     [](const air::PackingDecision &D) {
+                       return D.Strategy == air::PackingStrategy::PS_Bsgs;
+                     });
+}
+
+/// Compiles \p M under lazy or eager placement. The cost model lowers
+/// every gemm of the contract models as BSGS, so the budgets are
+/// functions of the placement policy alone.
 std::unique_ptr<driver::CompileResult>
 compileWithMode(const onnx::Model &M, const std::vector<nn::Tensor> &Inputs,
                 bool Lazy) {
   air::CompileOptions Opt;
   Opt.EnableRescalePlacement = Lazy;
-  Opt.Packing = PackingStrategy::PS_Bsgs;
   driver::AceCompiler Compiler(Opt);
   auto R = Compiler.compile(M, Inputs);
   EXPECT_TRUE(R.ok()) << R.status().message();
-  return R.ok() ? R.take() : nullptr;
+  if (!R.ok())
+    return nullptr;
+  EXPECT_TRUE(allBsgs((*R)->State));
+  return R.take();
 }
 
 struct Budgets {
@@ -154,9 +164,6 @@ TEST(OpBudgetTest, LeNetBudgetsAreExactPerMode) {
 // Lazy placement is the compiler's behaviour: untouched CompileOptions
 // compile the contract MLP to the lazy budget, not the eager reference.
 TEST(OpBudgetTest, DefaultOptionsPlaceLazily) {
-  // Auto packing must mean the cost model here, not a forced ACE_PACKING
-  // from the CI matrix.
-  unsetenv("ACE_PACKING");
   onnx::Model M = nn::buildMlp({64, 48, 32, 10}, 7);
   driver::AceCompiler Compiler{air::CompileOptions()};
   auto R = Compiler.compile(M, randomInputs({1, 64}, 2, 7));
@@ -180,7 +187,6 @@ size_t reluCount(const onnx::Model &M) {
 /// own depth sits on top of the highest target.
 void expectChain(const onnx::Model &M, const std::vector<nn::Tensor> &Calib,
                  int Primes, int LinearLevels) {
-  unsetenv("ACE_PACKING");
   driver::AceCompiler Compiler{air::CompileOptions()};
   auto R = Compiler.compile(M, Calib);
   ASSERT_TRUE(R.ok()) << R.status().message();
@@ -240,7 +246,6 @@ TEST(OpBudgetTest, DeeperPaperModelsChainAndBootstraps) {
 // dense secret, no conjugation key, and a chain exactly as long as the
 // input's level (14 primes instead of a bootstrapping 31).
 TEST(OpBudgetTest, OneReluModelCompilesWithoutBootstrap) {
-  unsetenv("ACE_PACKING");
   driver::AceCompiler Compiler{air::CompileOptions()};
   auto R = Compiler.compile(nn::buildMlp({16, 12, 8}, 5),
                             randomInputs({1, 16}, 4, 19));
@@ -270,16 +275,12 @@ TEST(OpBudgetTest, ExecutedTelemetryMatchesBudgetDelta) {
   auto RunOnce = [&](bool Lazy, air::CkksOpBudget &Budget)
       -> CounterSnapshot {
     air::CompileOptions Opt;
-    Opt.ToyParameters = true;
-    Opt.LogScale = 45;
-    Opt.LogFirstModulus = 55;
-    Opt.CalibrationSamples = 2;
     Opt.Seed = 11;
     Opt.EnableRescalePlacement = Lazy;
-    Opt.Packing = PackingStrategy::PS_Bsgs;
     driver::AceCompiler Compiler(Opt);
     auto R = Compiler.compile(M, Inputs);
     EXPECT_TRUE(R.ok()) << R.status().message();
+    EXPECT_TRUE(allBsgs((*R)->State));
     Budget = (*R)->State.Budget;
     codegen::CkksExecutor Exec((*R)->Program, (*R)->State);
     EXPECT_FALSE(Exec.setup());

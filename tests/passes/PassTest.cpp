@@ -16,6 +16,7 @@
 #include <cstdlib>
 
 using namespace ace;
+using air::PackingStrategy;
 
 namespace {
 
@@ -74,13 +75,14 @@ TEST(PipelineTest, PhaseCountsGrowDownTheStack) {
 
 TEST(PipelineTest, RotationAnalysisFindsGemvDiagonals) {
   onnx::Model M = nn::buildLinearInfer(3);
-  // The step bounds below are BSGS facts; pin the strategy so the
-  // ACE_PACKING CI matrix cannot redirect this contract.
-  air::CompileOptions Opt;
-  Opt.Packing = PackingStrategy::PS_Bsgs;
-  driver::AceCompiler Compiler(Opt);
+  driver::AceCompiler Compiler(air::CompileOptions{});
   auto R = Compiler.compile(M, randomInputs(84, 2, 3));
   ASSERT_TRUE(R.ok());
+  // The step bounds below are BSGS facts: the cost model lowers this
+  // dense gemv as BSGS.
+  ASSERT_EQ((*R)->State.PackingDecisions.size(), 1u);
+  ASSERT_EQ((*R)->State.PackingDecisions[0].Strategy,
+            PackingStrategy::PS_Bsgs);
   // Halevi-Shoup over a 128-wide layout: steps are multiples of the
   // element stride, bounded by the padded capacity.
   EXPECT_FALSE((*R)->State.RotationSteps.empty());
@@ -115,9 +117,9 @@ TEST(PipelineTest, ExpertOptionsDisableAutomation) {
   EXPECT_FALSE(Opt.EnableRotationKeyAnalysis);
   EXPECT_FALSE(Opt.EnableMinimalBootstrapLevel);
   EXPECT_FALSE(Opt.EnableRescalePlacement);
-  EXPECT_GT(Opt.ExpertMarginLevels, 0);
 
-  // Expert compilation selects a longer chain for the same model.
+  // Expert compilation selects a longer chain for the same model: it
+  // budgets a margin on top of the levels the program needs.
   onnx::Model M = nn::buildMlp({16, 12, 8}, 5);
   driver::AceCompiler Ace{air::CompileOptions{}};
   driver::AceCompiler Exp{Opt};
@@ -197,16 +199,8 @@ onnx::Model singleGemm(int64_t C, int64_t K, bool WithBias, uint64_t Seed,
 // against the cleartext executor.
 void checkGemmEdgeCase(const onnx::Model &M, int64_t C,
                        PackingStrategy Expect) {
-  // These tests assert what the *cost model* chooses; a forced
-  // ACE_PACKING from the CI matrix must not redirect them.
-  unsetenv("ACE_PACKING");
   air::CompileOptions Opt;
-  Opt.ToyParameters = true;
-  Opt.LogScale = 45;
-  Opt.LogFirstModulus = 55;
-  Opt.CalibrationSamples = 2;
   Opt.Seed = 11;
-  Opt.Packing = PackingStrategy::PS_Auto;
   driver::AceCompiler Compiler(Opt);
   auto Inputs = randomInputs(C, 2, 23);
   auto R = Compiler.compile(M, Inputs);
@@ -216,7 +210,6 @@ void checkGemmEdgeCase(const onnx::Model &M, int64_t C,
   EXPECT_EQ(D.Strategy, Expect)
       << "costs diag=" << D.CostDiag << " bsgs=" << D.CostBsgs
       << " column=" << D.CostColumn;
-  EXPECT_FALSE(D.Forced);
 
   codegen::CkksExecutor Exec((*R)->Program, (*R)->State);
   ASSERT_FALSE(Exec.setup());
@@ -243,10 +236,6 @@ TEST(PackingCostModelTest, OneColumnGemmCompilesAndMatches) {
   // mask-multiply, the contract is just correctness.
   onnx::Model M = singleGemm(/*C=*/1, /*K=*/6, /*WithBias=*/true, 43);
   air::CompileOptions Opt;
-  Opt.ToyParameters = true;
-  Opt.LogScale = 45;
-  Opt.LogFirstModulus = 55;
-  Opt.CalibrationSamples = 2;
   Opt.Seed = 11;
   driver::AceCompiler Compiler(Opt);
   auto Inputs = randomInputs(1, 2, 29);
@@ -272,33 +261,16 @@ TEST(PackingCostModelTest, BandedGemmPrefersExplicitDiagonals) {
 
 TEST(PackingCostModelTest, RaggedAndZeroBiasGemmsMatchCleartext) {
   // Ragged (non-power-of-two, K != C) and bias-less shapes walk the
-  // padding and optional-operand branches of every lowering.
-  for (PackingStrategy S :
-       {PackingStrategy::PS_Diag, PackingStrategy::PS_Bsgs,
-        PackingStrategy::PS_Column}) {
-    onnx::Model M = singleGemm(/*C=*/13, /*K=*/7, /*WithBias=*/false, 53);
-    air::CompileOptions Opt;
-    Opt.ToyParameters = true;
-    Opt.LogScale = 45;
-    Opt.LogFirstModulus = 55;
-    Opt.CalibrationSamples = 2;
-    Opt.Seed = 11;
-    Opt.Packing = S;
-    driver::AceCompiler Compiler(Opt);
-    auto Inputs = randomInputs(13, 2, 31);
-    auto R = Compiler.compile(M, Inputs);
-    ASSERT_TRUE(R.ok()) << R.status().message();
-    ASSERT_EQ((*R)->State.PackingDecisions.size(), 1u);
-    EXPECT_TRUE((*R)->State.PackingDecisions[0].Forced);
-    codegen::CkksExecutor Exec((*R)->Program, (*R)->State);
-    ASSERT_FALSE(Exec.setup());
-    auto Clear = nn::executeSingle(M.MainGraph, Inputs[0]);
-    auto Logits = Exec.infer(Inputs[0]);
-    ASSERT_TRUE(Clear.ok() && Logits.ok());
-    for (size_t I = 0; I < Logits->size(); ++I)
-      EXPECT_NEAR((*Logits)[I], Clear->Values[I], 0.02)
-          << "strategy " << packingStrategyName(S) << " logit " << I;
-  }
+  // padding and optional-operand branches of every lowering: the dense
+  // 13x7 gemm goes to BSGS, its tridiagonal band to explicit diagonals,
+  // and the one-row 13x1 gemm to column packing.
+  checkGemmEdgeCase(singleGemm(/*C=*/13, /*K=*/7, /*WithBias=*/false, 53),
+                    13, PackingStrategy::PS_Bsgs);
+  checkGemmEdgeCase(singleGemm(/*C=*/13, /*K=*/7, /*WithBias=*/false, 53,
+                               /*BandWidth=*/1.0),
+                    13, PackingStrategy::PS_Diag);
+  checkGemmEdgeCase(singleGemm(/*C=*/13, /*K=*/1, /*WithBias=*/false, 53),
+                    13, PackingStrategy::PS_Column);
 }
 
 } // namespace

@@ -61,10 +61,6 @@ protected:
     for (uint64_t I = 0; I < 4; ++I)
       Calibration.push_back(makeInput(100 + I));
     air::CompileOptions Opt;
-    Opt.ToyParameters = true;
-    Opt.LogScale = 45;
-    Opt.LogFirstModulus = 55;
-    Opt.CalibrationSamples = 4;
     Opt.Seed = 11;
     auto Result = driver::AceCompiler(Opt).compile(Model, Calibration);
     ASSERT_TRUE(Result.ok()) << Result.status().message();

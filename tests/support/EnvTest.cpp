@@ -65,14 +65,6 @@ std::vector<Row> rows() {
   auto Backend = [](std::string Name) {
     return [Name] { return fhe::activePolyBackendName() == Name; };
   };
-  auto Packing = [](PackingStrategy P) {
-    return [P] {
-      return resolvePackingStrategy(PackingStrategy::PS_Auto) == P &&
-             resolvePackingStrategy(PackingStrategy::PS_Auto) == P &&
-             resolvePackingStrategy(PackingStrategy::PS_Column) ==
-                 PackingStrategy::PS_Column;
-    };
-  };
   auto Pool = [](bool On) {
     return [On] {
       return LimbPool::instance().enabled() == On &&
@@ -103,7 +95,6 @@ std::vector<Row> rows() {
   };
   const bool Simd = fhe::simdPolyBackendSupported();
   const std::string Auto = Simd ? "simd" : "scalar";
-  using PS = PackingStrategy;
   return {
       {Setting::Threads, "1", true, Threads(1)},
       {Setting::Threads, "4", true, Threads(4)},
@@ -114,11 +105,6 @@ std::vector<Row> rows() {
       {Setting::PolyBackend, "simd", Simd, Backend(Auto)},
       {Setting::PolyBackend, "auto", true, Backend(Auto)},
       {Setting::PolyBackend, "vector", false, Backend(Auto)},
-      {Setting::Packing, "auto", true, Packing(PS::PS_Auto)},
-      {Setting::Packing, "diag", true, Packing(PS::PS_Diag)},
-      {Setting::Packing, "BSGS", true, Packing(PS::PS_Bsgs)},
-      {Setting::Packing, "column", true, Packing(PS::PS_Column)},
-      {Setting::Packing, "rows", false, Packing(PS::PS_Auto)},
       {Setting::LimbPool, "1", true, Pool(true)},
       {Setting::LimbPool, "0", true, Pool(false)},
       {Setting::LimbPool, "on", true, Pool(true)},
@@ -177,8 +163,8 @@ std::string slurp(const std::string &Path) {
 }
 
 /// Clears every ACE_* setting while a row runs (the CI matrix runs the
-/// suite under ACE_THREADS, ACE_PACKING and ACE_POLY_BACKEND) and
-/// restores the caller's values afterwards.
+/// suite under ACE_THREADS and ACE_POLY_BACKEND) and restores the
+/// caller's values afterwards.
 class EnvSpellingTest : public ::testing::TestWithParam<Row> {
 protected:
   void SetUp() override {
