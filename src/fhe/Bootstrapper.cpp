@@ -18,6 +18,18 @@
 using namespace ace;
 using namespace ace::fhe;
 
+/// Levels Evaluator::downscaleInPlace consumes to multiply by a plaintext
+/// scale of 2^LogP when each further level it drops is a prime of about
+/// 2^LogPrime: it keeps the scale at least 2^25 and below 2^62.
+static int downscaleLevels(double LogP, int LogPrime) {
+  int Levels = 1;
+  while (LogP < 25.0 && Levels < 3 && LogP + LogPrime < 62.0) {
+    LogP += LogPrime;
+    ++Levels;
+  }
+  return Levels;
+}
+
 int ace::fhe::estimateBootstrapDepth(size_t RingDegree, size_t Slots,
                                      const BootstrapConfig &Config,
                                      int LogScale, int LogFirstModulus) {
@@ -25,15 +37,17 @@ int ace::fhe::estimateBootstrapDepth(size_t RingDegree, size_t Slots,
   int LogSpan = 0;
   while ((size_t(1) << LogSpan) < Span)
     ++LogSpan;
-  int Doubles = Config.DoubleAngleCount + LogSpan;
   int K2 = Config.RangeK * static_cast<int>(Span);
   int EvalModDepth =
-      ChebyshevEvaluator::depthForDegree(Config.ChebyshevDegree) + Doubles +
-      (Config.ArcsineCorrection ? 3 : 0);
-  double LogP = 2.0 * LogScale - LogFirstModulus -
-                std::log2(static_cast<double>(K2 + 1));
-  int DownscaleLevels = LogP < 25.0 ? 2 : 1;
-  return 1 + DownscaleLevels + EvalModDepth + 1 + 1;
+      ChebyshevEvaluator::depthForDegree(Config.ChebyshevDegree) +
+      Config.DoubleAngleCount + LogSpan;
+  // CoeffToSlot leaves scale q_0 (K2 + 1); its downscale to Delta
+  // multiplies by Delta q_last / (q_0 (K2 + 1)). SlotToCoeff keeps
+  // Delta, so the last downscale multiplies by about q_last.
+  double LogP = 2.0 * LogScale - LogFirstModulus - std::log2(K2 + 1.0);
+  return 1 /*CoeffToSlot*/ + downscaleLevels(LogP, LogScale) +
+         EvalModDepth + 1 /*SlotToCoeff*/ +
+         downscaleLevels(LogScale, LogScale);
 }
 
 Bootstrapper::Bootstrapper(const Evaluator &Eval, BootstrapConfig Config)
@@ -76,16 +90,10 @@ int Bootstrapper::doubleAngles() const {
 }
 
 int Bootstrapper::depthCost() const {
-  int EvalModDepth = ChebyshevEvaluator::depthForDegree(Config.ChebyshevDegree) +
-                     doubleAngles() + (Config.ArcsineCorrection ? 3 : 0);
-  // The post-CoeffToSlot downscale consumes an extra level when its
-  // plaintext scale would otherwise be too coarse (see downscaleInPlace).
-  const CkksParams &P = Eval.context().params();
-  double LogP = 2.0 * P.LogScale - P.LogFirstModulus -
-                std::log2(static_cast<double>(rangeBound() + 1));
-  int DownscaleLevels = LogP < 25.0 ? 2 : 1;
-  return 1 + DownscaleLevels + EvalModDepth + 1 /*SlotToCoeff*/ +
-         1 /*final scale fix*/;
+  const Context &Ctx = Eval.context();
+  return estimateBootstrapDepth(Ctx.degree(), Ctx.slots(), Config,
+                                Ctx.params().LogScale,
+                                Ctx.params().LogFirstModulus);
 }
 
 size_t Bootstrapper::babySteps() const {
@@ -253,18 +261,7 @@ Ciphertext Bootstrapper::evalMod(const Ciphertext &U) const {
     Eval.addConstInPlace(Sq, -1.0);
     C = std::move(Sq);
   }
-  if (!Config.ArcsineCorrection)
-    return C;
-  // s + s^3/6 ~ arcsin(s): recovers 2 pi frac(t) from s = sin(2 pi t).
-  Ciphertext S2 = Eval.mul(C, C);
-  Eval.rescaleInPlace(S2);
-  Ciphertext T = Eval.mulScalar(S2, 1.0 / 6.0, C.Scale);
-  Eval.rescaleInPlace(T);
-  Eval.addConstInPlace(T, 1.0);
-  Eval.matchForAdd(C, T);
-  Ciphertext Y = Eval.mul(C, T);
-  Eval.rescaleInPlace(Y);
-  return Y;
+  return C;
 }
 
 Ciphertext Bootstrapper::modRaise(const Ciphertext &Ct, size_t NumQ) const {
@@ -444,8 +441,8 @@ Ciphertext Bootstrapper::bootstrap(const Ciphertext &Ct,
   //    slightly off the input scale; one exact downscale restores it.
   Eval.downscaleInPlace(Out, InputScale);
 
-  assert(Out.numQ() >= TargetNumQ && "bootstrap consumed more than planned");
-  Eval.modSwitchTo(Out, TargetNumQ);
+  assert(Out.numQ() == TargetNumQ &&
+         "bootstrap consumed other than depthCost() levels");
   return Out;
 }
 

@@ -16,7 +16,10 @@
 ///     product, yielding the polynomial coefficients in the slots.
 ///   EvalMod: remove q_0 * I by approximating t mod q_0 with
 ///     (q_0/2pi) sin(2pi t / q_0): Chebyshev series of a scaled cosine,
-///     double-angle reconstruction, and an arcsine correction term.
+///     then double-angle reconstruction. A message is at most Delta/q_0
+///     of q_0 (2^-10 at the compiler's parameters), where the sine misses
+///     its argument by a relative (2 pi Delta/q_0)^2 / 6 ~ 2^-17, far
+///     below a refresh's error floor, so no arcsine correction follows.
 ///   SlotToCoeff: forward embedding back to coefficients.
 ///
 /// The refresh target level is a parameter: the compiler's minimal-level
@@ -50,13 +53,12 @@ struct BootstrapConfig {
   int DoubleAngleCount = 2;
   /// Degree of the Chebyshev approximation of the scaled cosine.
   int ChebyshevDegree = 39;
-  /// Apply the cubic arcsine correction (2 extra levels, ~8 extra bits).
-  bool ArcsineCorrection = true;
 };
 
-/// Depth a bootstrap will consume at the given geometry, computable
-/// without instantiating a Context (the compiler's parameter selection
-/// needs this before the chain length is fixed).
+/// Levels a bootstrap consumes at the given geometry, computable without
+/// instantiating a Context (the compiler's parameter selection needs it
+/// before the chain length is fixed); a refresh to any target lands on
+/// it exactly.
 int estimateBootstrapDepth(size_t RingDegree, size_t Slots,
                            const BootstrapConfig &Config, int LogScale,
                            int LogFirstModulus);
@@ -69,7 +71,7 @@ public:
   const BootstrapConfig &config() const { return Config; }
 
   /// Levels consumed between the raised chain top and the output:
-  /// CoeffToSlot (1) + EvalMod + SlotToCoeff (1).
+  /// estimateBootstrapDepth at this context's geometry.
   int depthCost() const;
 
   /// Slot-rotation steps the BSGS linear transforms use; feed these to the
@@ -129,7 +131,8 @@ private:
   /// BSGS homomorphic matrix-vector product (consumes one level).
   Ciphertext matvec(const Ciphertext &Ct, int MatrixId) const;
 
-  /// EvalMod core: input u in [-1,1], output ~ 2 pi frac((K+1) u).
+  /// EvalMod core: input u in [-1,1], output sin(2 pi (K2+1) u), which
+  /// is 2 pi frac((K2+1) u) while that fraction is small.
   Ciphertext evalMod(const Ciphertext &U) const;
 
   /// Raises a one-prime ciphertext onto \p NumQ primes.

@@ -8,6 +8,7 @@
 
 #include "fhe/Chebyshev.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -94,18 +95,34 @@ int ChebyshevEvaluator::babyLogForDegree(int Degree) {
   return L;
 }
 
+/// ceil(log2(K)): the depth of baby T_K (T_0 and T_1 are free).
+static int babyDepth(size_t K) {
+  int D = 0;
+  while ((size_t(1) << D) < K)
+    ++D;
+  return D;
+}
+
+/// Levels evalRecursive consumes on a dense series of degree \p Degree,
+/// splitting at the giant steps T_{M * 2^j} exactly as it does (giant j
+/// sits at depth log2(M) + j).
+static int recursiveDepth(size_t Degree, size_t BabyCount) {
+  if (Degree < BabyCount) // evalBase: the deepest baby, then one rescale
+    return babyDepth(Degree) + 1;
+  size_t J = 0;
+  while ((BabyCount << (J + 1)) <= Degree)
+    ++J;
+  size_t G = BabyCount << J;
+  int Giant = babyDepth(BabyCount) + static_cast<int>(J);
+  int Product = std::max(recursiveDepth(Degree - G, BabyCount), Giant) + 1;
+  return std::max(Product, recursiveDepth(G - 1, BabyCount));
+}
+
 int ChebyshevEvaluator::depthForDegree(int Degree) {
   if (Degree <= 1)
     return 1;
-  int L = babyLogForDegree(Degree);
-  int M = 1 << L;
-  // Babies reach depth L; giant j adds j more; the recursion performs one
-  // multiplication per division level plus one scalar multiplication in
-  // the base case. This bound is validated by the unit tests.
-  int Giants = 0;
-  while ((M << Giants) <= Degree)
-    ++Giants;
-  return L + Giants + 1;
+  return recursiveDepth(static_cast<size_t>(Degree),
+                        size_t(1) << babyLogForDegree(Degree));
 }
 
 Ciphertext
@@ -114,29 +131,34 @@ ChebyshevEvaluator::evalBase(const std::vector<double> &Coeffs,
                              double TargetScale) const {
   assert(!Coeffs.empty() && Coeffs.size() <= Babies.size() &&
          "base polynomial exceeds the baby-step table");
-  // result = sum_{i>=1} c_i T_i + c_0. Every term is steered onto
-  // TargetScale exactly, so the accumulation never mixes scales.
+  // result = c_0 + sum_{i>=1} c_i T_i with one rescale: every baby used
+  // is mod-switched to the level of the deepest one, and its integer
+  // scalar aims it at TargetScale * q_last there, so the terms add at one
+  // scale and a single rescale lands the sum exactly on TargetScale.
+  size_t NumQ = Babies[1].numQ();
+  for (size_t I = 2; I < Coeffs.size(); ++I)
+    if (std::fabs(Coeffs[I]) >= CoeffEpsilon)
+      NumQ = std::min(NumQ, Babies[I].numQ());
   bool HaveAcc = false;
   Ciphertext Acc;
   for (size_t I = 1; I < Coeffs.size(); ++I) {
     if (std::fabs(Coeffs[I]) < CoeffEpsilon)
       continue;
-    Ciphertext Term = Eval.mulScalar(Babies[I], Coeffs[I], TargetScale);
-    Eval.rescaleInPlace(Term);
+    Ciphertext Baby = Babies[I];
+    Eval.modSwitchTo(Baby, NumQ);
+    Ciphertext Term = Eval.mulScalar(Baby, Coeffs[I], TargetScale);
     if (!HaveAcc) {
       Acc = std::move(Term);
       HaveAcc = true;
       continue;
     }
-    Eval.matchForAdd(Acc, Term);
     Eval.addInPlace(Acc, Term);
   }
-  if (!HaveAcc) {
-    // Degenerate constant polynomial: synthesize a zero ciphertext at one
-    // level below the input.
+  // Degenerate constant polynomial: a zero ciphertext one level below
+  // the input.
+  if (!HaveAcc)
     Acc = Eval.mulScalar(Babies[1], 0.0, TargetScale);
-    Eval.rescaleInPlace(Acc);
-  }
+  Eval.rescaleInPlace(Acc);
   Eval.addConstInPlace(Acc, Coeffs[0]);
   return Acc;
 }

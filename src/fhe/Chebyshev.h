@@ -42,12 +42,14 @@ public:
 
   /// Evaluates sum_i Coeffs[i] T_i(X) homomorphically. The encrypted
   /// values of \p X must lie in [-1, 1] (Chebyshev polynomials blow up
-  /// outside). Consumes at most depthForDegree(deg) levels.
+  /// outside). Trailing coefficients below the noise floor are dropped;
+  /// a series of remaining degree d consumes depthForDegree(d) levels.
   Ciphertext evaluate(const Ciphertext &X,
                       const std::vector<double> &Coeffs) const;
 
-  /// Upper bound on the number of levels evaluate() consumes for a series
-  /// of the given degree.
+  /// Levels evaluate() consumes for a series of the given degree: the
+  /// baby steps T_1 .. T_M, the giant steps T_{M * 2^j}, and one level
+  /// per product and per base-case sum along the deepest split.
   static int depthForDegree(int Degree);
 
 private:

@@ -482,10 +482,11 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
   P.NumRescaleModuli = static_cast<int>(ChainNumQ) - 1;
   State.SelectedParams = P;
 
-  // Production-security report (Table 10). A production bootstrapper (hand-tuned EvalMod as in Lee et al. [35])
-  // consumes ~15 levels; the toy pipeline's extra double-angle/arcsine
-  // margin would otherwise overstate the production chain. The compiled
-  // ReLU is the one production runs, so the bootstrap targets stand.
+  // Production-security report (Table 10). It charges a production
+  // bootstrapper's depth (hand-tuned EvalMod as in Lee et al. [35]), not
+  // the execution pipeline's, which is sized for the small execution
+  // ring. The compiled ReLU is the one production runs, so the bootstrap
+  // targets stand.
   {
     constexpr int ProductionBootstrapDepth = 14;
     size_t ProdChain =

@@ -14,6 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+
 using namespace ace;
 using namespace ace::fhe;
 
@@ -48,12 +52,7 @@ protected:
     Pub = Gen->makePublicKey();
     Cache = std::make_unique<RotationKeyCache>(*Ctx, *Gen);
     Eval = std::make_unique<Evaluator>(*Ctx, *Enc, Keys, *Cache);
-    Boot = std::make_unique<Bootstrapper>(*Eval, BootstrapConfig{
-                                                     /*RangeK=*/12,
-                                                     /*DoubleAngleCount=*/2,
-                                                     /*ChebyshevDegree=*/39,
-                                                     /*ArcsineCorrection=*/true,
-                                                 });
+    Boot = std::make_unique<Bootstrapper>(*Eval);
     makeTestKeys(*Gen, Keys, *Cache, Boot->requiredRotations(),
                  /*NeedRelin=*/true, Boot->needsConjugation(),
                  Boot->requiredGaloisElements());
@@ -142,11 +141,85 @@ TEST_F(BootstrapFixture, RequiredRotationSetIsMinimal) {
   }
 }
 
+// depthCost() is the compiler's estimate at the context's own geometry,
+// and bootstrap() asserts that every refresh consumes exactly that: the
+// Chebyshev series 6 levels, the double angles 2 + log2(span), and
+// CoeffToSlot, its downscale, SlotToCoeff and the final downscale one
+// each.
 TEST_F(BootstrapFixture, DepthCostIsStable) {
-  build(16);
-  int Depth = Boot->depthCost();
-  EXPECT_GT(Depth, 5);
-  EXPECT_LE(Depth, 26);
+  const std::pair<size_t, int> Expected[] = {{16, 17}, {32, 16}, {64, 15}};
+  for (auto [Slots, Depth] : Expected) {
+    SCOPED_TRACE(std::to_string(Slots) + " slots");
+    build(Slots);
+    EXPECT_EQ(Boot->depthCost(), Depth);
+    const CkksParams &P = Ctx->params();
+    EXPECT_EQ(Boot->depthCost(),
+              estimateBootstrapDepth(P.RingDegree, P.Slots, Boot->config(),
+                                     P.LogScale, P.LogFirstModulus));
+  }
+}
+
+// The compiled MLP's bootstrapping geometry: N = 128, 64 slots,
+// Delta = 2^45, q_0 = 2^55, refreshed to 13 primes on a chain just long
+// enough. One refresh of a uniform [-1, 1] vector must keep 11 bits, and
+// each of 8 chained refreshes 9.7. Both bounds hold for the arcsine-
+// corrected pipeline this replaced, which measured 2.1-3.3e-4 after one
+// refresh and at most 7.6e-4 along the chain over ten key and input
+// seeds (2.2-3.3e-4 and at most 9.7e-4 without the correction). The
+// imaginary part is printed, not bounded: no step removes it yet, so it
+// grows by about 5e-4 per refresh.
+TEST(BootstrapPrecisionTest, ChainedRefreshesAtTheMlpGeometry) {
+  constexpr size_t Target = 13;
+  constexpr double OneRefreshBound = 5e-4;
+  constexpr double ChainedRefreshBound = 1.2e-3;
+  CkksParams P;
+  P.RingDegree = 128;
+  P.Slots = 64;
+  P.LogScale = 45;
+  P.LogFirstModulus = 55;
+  P.LogSpecialModulus = 60;
+  P.SparseSecret = true;
+  P.Seed = 3;
+  P.NumRescaleModuli =
+      static_cast<int>(Target) - 1 +
+      estimateBootstrapDepth(P.RingDegree, P.Slots, BootstrapConfig{},
+                             P.LogScale, P.LogFirstModulus);
+  Context Ctx(P);
+  Encoder Enc(Ctx);
+  KeyGenerator Gen(Ctx);
+  PublicKey Pub = Gen.makePublicKey();
+  RotationKeyCache Cache(Ctx, Gen);
+  EvalKeys Keys;
+  Evaluator Eval(Ctx, Enc, Keys, Cache);
+  Bootstrapper Boot(Eval);
+  // CoeffToSlot, its downscale, 6 Chebyshev levels, 2 double angles,
+  // SlotToCoeff and the final downscale.
+  EXPECT_EQ(Boot.depthCost(), 12);
+  makeTestKeys(Gen, Keys, Cache, Boot.requiredRotations(),
+               /*NeedRelin=*/true, Boot.needsConjugation(),
+               Boot.requiredGaloisElements());
+  Encryptor Encrypt(Ctx, Pub);
+  Decryptor Decrypt(Ctx, Gen.secretKey());
+
+  Rng R(17);
+  std::vector<double> X(P.Slots);
+  for (auto &V : X)
+    V = R.uniformReal(-1.0, 1.0);
+  Ciphertext Ct = Encrypt.encryptValues(Enc, X, 1);
+  for (int Step = 1; Step <= 8; ++Step) {
+    Ct = Boot.bootstrap(Ct, Target);
+    ASSERT_EQ(Ct.numQ(), Target);
+    auto Out = Decrypt.decryptValues(Enc, Ct);
+    double MaxReal = 0, MaxImag = 0;
+    for (size_t I = 0; I < X.size(); ++I) {
+      MaxReal = std::max(MaxReal, std::fabs(Out[I].real() - X[I]));
+      MaxImag = std::max(MaxImag, std::fabs(Out[I].imag()));
+    }
+    std::printf("refresh %d: max real error %.3g, max |Im| %.3g\n", Step,
+                MaxReal, MaxImag);
+    EXPECT_LT(MaxReal, Step == 1 ? OneRefreshBound : ChainedRefreshBound)
+        << "refresh " << Step;
+  }
 }
 
 /// Lazy (cache-backed) sessions bootstrap through the checked tier:
@@ -164,12 +237,7 @@ TEST_F(BootstrapFixture, LazyKeyBudgetRefusalShedsInBandBeforeBootstrap) {
   makeTestKeys(*Gen, LazyKeys, LazyCache, {}, /*NeedRelin=*/true,
                /*NeedConjugate=*/true);
   Evaluator LazyEval(*Ctx, *Enc, LazyKeys, LazyCache);
-  Bootstrapper LazyBoot(LazyEval, BootstrapConfig{
-                                      /*RangeK=*/12,
-                                      /*DoubleAngleCount=*/2,
-                                      /*ChebyshevDegree=*/39,
-                                      /*ArcsineCorrection=*/true,
-                                  });
+  Bootstrapper LazyBoot(LazyEval);
   for (uint64_t G : LazyBoot.requiredGaloisElements())
     LazyCache.declareGalois(G);
   for (int64_t S : LazyBoot.requiredRotations())

@@ -58,10 +58,15 @@ TEST(ChebyshevEvalPlainTest, ClenshawMatchesDirect) {
 }
 
 TEST(ChebyshevDepthTest, BoundGrowsWithDegree) {
-  EXPECT_GE(ChebyshevEvaluator::depthForDegree(3), 1);
-  EXPECT_LE(ChebyshevEvaluator::depthForDegree(31), 8);
-  EXPECT_LE(ChebyshevEvaluator::depthForDegree(63), 10);
-  EXPECT_LE(ChebyshevEvaluator::depthForDegree(127), 12);
+  // Babies T_1 .. T_M cost log2(M) levels, each giant step one more, and
+  // the deepest product one more on top of the deepest giant: the
+  // bootstrapper's degree 39 (M = 8, giants T_8, T_16, T_32) takes 6.
+  EXPECT_EQ(ChebyshevEvaluator::depthForDegree(1), 1);
+  EXPECT_EQ(ChebyshevEvaluator::depthForDegree(3), 3);
+  EXPECT_EQ(ChebyshevEvaluator::depthForDegree(31), 6);
+  EXPECT_EQ(ChebyshevEvaluator::depthForDegree(39), 6);
+  EXPECT_EQ(ChebyshevEvaluator::depthForDegree(63), 7);
+  EXPECT_EQ(ChebyshevEvaluator::depthForDegree(127), 8);
 }
 
 class HomomorphicChebyshevTest : public ::testing::Test {
@@ -99,9 +104,15 @@ protected:
     ChebyshevEvaluator ChebEval(*Eval);
     size_t Before = Ct.numQ();
     Ciphertext Out = ChebEval.evaluate(Ct, Coeffs);
-    // Depth bound must hold.
-    EXPECT_LE(Before - Out.numQ(),
-              static_cast<size_t>(ChebyshevEvaluator::depthForDegree(Degree)));
+    // evaluate() drops trailing coefficients below its 1e-9 noise floor
+    // (the odd ones of an even function), then consumes exactly the
+    // depth of the degree that is left.
+    int Effective = Degree;
+    while (Effective > 0 && std::fabs(Coeffs[Effective]) < 1e-9)
+      --Effective;
+    EXPECT_EQ(Before - Out.numQ(),
+              static_cast<size_t>(
+                  ChebyshevEvaluator::depthForDegree(Effective)));
     auto Result = Decrypt->decryptRealValues(*Enc, Out);
     for (size_t I = 0; I < X.size(); ++I)
       EXPECT_NEAR(Result[I], chebyshevEvalPlain(Coeffs, X[I]), Tolerance)
@@ -137,6 +148,18 @@ TEST_F(HomomorphicChebyshevTest, Degree31Oscillatory) {
 
 TEST_F(HomomorphicChebyshevTest, Degree39BootstrapProfile) {
   runCase([](double X) { return std::cos(20.4 * X - M_PI / 8); }, 39, 5e-3);
+}
+
+// Degrees on both sides of the giant-step splits, where the depth
+// changes: an oscillation of about 0.7 rad per degree keeps the top
+// coefficient far above the noise floor, so none is trimmed.
+TEST_F(HomomorphicChebyshevTest, DepthIsExactAcrossGiantStepSplits) {
+  for (int Degree : {7, 8, 15, 16, 31, 32, 39, 47, 48, 63}) {
+    SCOPED_TRACE("degree " + std::to_string(Degree));
+    double Omega = 0.7 * Degree;
+    runCase([&](double X) { return std::cos(Omega * X - 0.3); }, Degree,
+            1e-4);
+  }
 }
 
 } // namespace

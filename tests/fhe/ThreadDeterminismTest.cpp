@@ -169,10 +169,7 @@ TEST(ThreadDeterminismBootstrap, BootstrapBitIdentical) {
   EvalKeys Keys;
   RotationKeyCache Cache(Ctx, Gen);
   Evaluator Eval(Ctx, Enc, Keys, Cache);
-  Bootstrapper Boot(Eval, BootstrapConfig{/*RangeK=*/12,
-                                          /*DoubleAngleCount=*/2,
-                                          /*ChebyshevDegree=*/39,
-                                          /*ArcsineCorrection=*/true});
+  Bootstrapper Boot(Eval);
   makeTestKeys(Gen, Keys, Cache, Boot.requiredRotations(),
                /*NeedRelin=*/true, Boot.needsConjugation(),
                Boot.requiredGaloisElements());

@@ -208,14 +208,14 @@ nn::Dataset paperDataset(const nn::NanoResNetSpec &Spec) {
 // 2 ReLUs, 1 bootstrap; the input is encrypted at gemm + ReLU + gemm.
 TEST(OpBudgetTest, MlpChainAndBootstraps) {
   expectChain(nn::buildMlp({64, 48, 32, 10}, 7), randomInputs({1, 64}, 2, 7),
-              /*Primes=*/29, /*LinearLevels=*/2);
+              /*Primes=*/25, /*LinearLevels=*/2);
 }
 
 // 3 ReLUs, 2 bootstraps; conv + ReLU + pool + conv ahead of the first
 // refresh.
 TEST(OpBudgetTest, LeNetChainAndBootstraps) {
   expectChain(nn::buildLeNet(/*Classes=*/8, 11),
-              randomInputs({1, 1, 8, 8}, 2, 13), /*Primes=*/30,
+              randomInputs({1, 1, 8, 8}, 2, 13), /*Primes=*/26,
               /*LinearLevels=*/3);
 }
 
@@ -225,11 +225,11 @@ TEST(OpBudgetTest, NanoResNet20ChainAndBootstraps) {
   nn::Dataset Data = paperDataset(Spec);
   auto M = nn::buildNanoResNet(Spec, Data, 9);
   ASSERT_TRUE(M.ok()) << M.status().message();
-  expectChain(*M, Data.Images, /*Primes=*/30, /*LinearLevels=*/2);
+  expectChain(*M, Data.Images, /*Primes=*/26, /*LinearLevels=*/2);
 }
 
 // The deeper paper zoo models run one bootstrap per ReLU after the first
-// too (12, 12, 18, 24 and 36) on the same 30-prime chain.
+// too (12, 12, 18, 24 and 36) on the same 26-prime chain.
 TEST(OpBudgetTest, DeeperPaperModelsChainAndBootstraps) {
   std::vector<nn::NanoResNetSpec> Specs = nn::paperModelSpecs();
   for (auto It = Specs.begin() + 1; It != Specs.end(); ++It) {
@@ -238,13 +238,13 @@ TEST(OpBudgetTest, DeeperPaperModelsChainAndBootstraps) {
     nn::Dataset Data = paperDataset(Spec);
     auto M = nn::buildNanoResNet(Spec, Data, 9);
     ASSERT_TRUE(M.ok()) << M.status().message();
-    expectChain(*M, Data.Images, /*Primes=*/30, /*LinearLevels=*/2);
+    expectChain(*M, Data.Images, /*Primes=*/26, /*LinearLevels=*/2);
   }
 }
 
 // A single ReLU is refreshed by encryption alone: no bootstrap, so a
 // dense secret, no conjugation key, and a chain exactly as long as the
-// input's level (14 primes instead of a bootstrapping 31).
+// input's level (14 primes, with no bootstrap depth on top).
 TEST(OpBudgetTest, OneReluModelCompilesWithoutBootstrap) {
   driver::AceCompiler Compiler{air::CompileOptions()};
   auto R = Compiler.compile(nn::buildMlp({16, 12, 8}, 5),
