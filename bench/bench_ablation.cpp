@@ -7,7 +7,9 @@
 // The configurations run round-robin, one encrypted inference each per
 // round, and the seconds column is the median over the rounds, so a host
 // whose speed drifts during the run slows every row alike instead of the
-// rows that happen to run late.
+// rows that happen to run late. Each round's seconds are printed too, and
+// beside them the inference's rescale, relinearization, key-switch and
+// limb-NTT counts: exact work a drifting host cannot blur.
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -32,6 +34,10 @@ struct Sample {
   size_t KeyBytes = 0;
   size_t KeyCount = 0;
   size_t Rotations = 0;
+  size_t Rescales = 0;
+  size_t Relins = 0;
+  size_t KeySwitches = 0;
+  size_t Ntts = 0; ///< forward + inverse, one per limb
 };
 
 Sample runOne(const BenchModel &M, const driver::CompileResult &R) {
@@ -50,8 +56,13 @@ Sample runOne(const BenchModel &M, const driver::CompileResult &R) {
   Out.Seconds = Clock.seconds();
   Out.KeyBytes = Exec.evalKeyBytes();
   Out.KeyCount = Exec.rotationKeyCount();
-  Out.Rotations =
-      Tel.counters().deltaSince(Before).get(telemetry::Counter::Rotate);
+  using telemetry::Counter;
+  telemetry::CounterSnapshot Delta = Tel.counters().deltaSince(Before);
+  Out.Rotations = Delta.get(Counter::Rotate);
+  Out.Rescales = Delta.get(Counter::Rescale);
+  Out.Relins = Delta.get(Counter::Relinearize);
+  Out.KeySwitches = Delta.get(Counter::KeySwitch);
+  Out.Ntts = Delta.get(Counter::NttForward) + Delta.get(Counter::NttInverse);
   return Out;
 }
 
@@ -67,7 +78,7 @@ int main(int argc, char **argv) {
   BenchArgs Args(argc, argv, /*DefaultModels=*/1, /*DefaultImages=*/0);
   auto Models = buildPaperModels(1);
   BenchModel &M = Models[0];
-  // The rotation column reads telemetry's op counters.
+  // The op-count columns read telemetry's counters.
   telemetry::Telemetry::instance().setEnabled(true);
 
   struct Config {
@@ -108,20 +119,36 @@ int main(int argc, char **argv) {
   std::printf("=== Ablation on %s: one encrypted inference, median of %d "
               "round-robin rounds ===\n",
               M.Spec.Name.c_str(), kRounds);
-  std::printf("%-26s | %8s %8s %9s %12s\n", "configuration", "seconds",
-              "rotkeys", "rotations", "key-memory");
+  std::printf("%-26s | %8s %-20s | %8s %9s %8s %7s %9s %9s %12s\n",
+              "configuration", "seconds", "per round", "rotkeys",
+              "rotations", "rescales", "relins", "keyswitch", "limb-ntts",
+              "key-memory");
   std::string Rows;
   for (const auto &C : Configs) {
     const Sample &S = C.Last;
     double Seconds = median(C.Seconds);
-    std::printf("%-26s | %8.2f %8zu %9zu %12s\n", C.Name, Seconds,
-                S.KeyCount, S.Rotations, formatBytes(S.KeyBytes).c_str());
-    char Row[256];
+    std::string Rounds, RoundsJson;
+    for (double R : C.Seconds) {
+      char Cell[32];
+      std::snprintf(Cell, sizeof(Cell), "%.2f", R);
+      Rounds += std::string(Rounds.empty() ? "" : " ") + Cell;
+      std::snprintf(Cell, sizeof(Cell), "%.4f", R);
+      RoundsJson += std::string(RoundsJson.empty() ? "" : ", ") + Cell;
+    }
+    std::printf("%-26s | %8.2f %-20s | %8zu %9zu %8zu %7zu %9zu %9zu %12s\n",
+                C.Name, Seconds, Rounds.c_str(), S.KeyCount, S.Rotations,
+                S.Rescales, S.Relins, S.KeySwitches, S.Ntts,
+                formatBytes(S.KeyBytes).c_str());
+    char Row[512];
     std::snprintf(Row, sizeof(Row),
                   "{\"config\": \"%s\", \"seconds\": %.4f, "
-                  "\"rounds\": %d, \"rotkeys\": %zu, \"rotations\": %zu, "
+                  "\"rounds\": %d, \"round_seconds\": [%s], "
+                  "\"rotkeys\": %zu, \"rotations\": %zu, "
+                  "\"rescales\": %zu, \"relins\": %zu, "
+                  "\"keyswitches\": %zu, \"ntts\": %zu, "
                   "\"key_bytes\": %zu}",
-                  C.Name, Seconds, kRounds, S.KeyCount, S.Rotations,
+                  C.Name, Seconds, kRounds, RoundsJson.c_str(), S.KeyCount,
+                  S.Rotations, S.Rescales, S.Relins, S.KeySwitches, S.Ntts,
                   S.KeyBytes);
     Rows += std::string(Rows.empty() ? "" : ",\n  ") + Row;
   }

@@ -10,9 +10,9 @@
 // logits are bit-identical at every count, and reports the speedup
 // (docs/performance.md quotes this table). --pipeline-sweep compiles
 // the MLP under lazy and eager (reference) rescale placement
-// (docs/compiler.md) and reports the cost model's packing, compiled op
-// budgets and measured per-image seconds per placement. --json=PATH
-// writes any mode's numbers with git-rev/build-type/threads metadata.
+// (docs/compiler.md) and reports the compiled op budgets and measured
+// per-image seconds per placement. --json=PATH writes any mode's
+// numbers with git-rev/build-type/threads metadata.
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -161,8 +161,8 @@ int runPipelineSweep(const std::string &JsonPath) {
                                               /*NoiseSigma=*/0.1, 77);
 
   std::printf("=== Pipeline policy sweep: MLP encrypted inference ===\n");
-  std::printf("%10s %-7s | %8s %8s %8s | %8s %9s\n", "rescale", "packing",
-              "rescales", "relins", "rotates", "seconds", "vs eager");
+  std::printf("%10s | %8s %8s %8s | %8s %9s\n", "rescale", "rescales",
+              "relins", "rotates", "seconds", "vs eager");
   std::string Rows;
   double EagerSeconds = 0;
   for (bool Lazy : {false, true}) {
@@ -170,13 +170,6 @@ int runPipelineSweep(const std::string &JsonPath) {
     air::CompileOptions Opt = benchOptions();
     Opt.EnableRescalePlacement = Lazy;
     auto R = compileOrDie(Model, Data, Opt);
-    // The cost model's strategies, each named once ("bsgs").
-    std::string Packing;
-    for (const air::PackingDecision &D : R->State.PackingDecisions) {
-      std::string Name = air::packingStrategyName(D.Strategy);
-      if (Packing.find(Name) == std::string::npos)
-        Packing += (Packing.empty() ? "" : "+") + Name;
-    }
     codegen::CkksExecutor Exec(R->Program, R->State);
     if (Status S = Exec.setup()) {
       std::fprintf(stderr, "setup failed: %s\n", S.message().c_str());
@@ -185,24 +178,23 @@ int runPipelineSweep(const std::string &JsonPath) {
     WallTimer Clock;
     auto Logits = Exec.infer(Data.Images[0]);
     if (!Logits.ok()) {
-      std::fprintf(stderr, "inference failed under %s/%s: %s\n", Rescale,
-                   Packing.c_str(), Logits.status().message().c_str());
+      std::fprintf(stderr, "inference failed under %s: %s\n", Rescale,
+                   Logits.status().message().c_str());
       return 1;
     }
     double Seconds = Clock.seconds();
     if (!Lazy)
       EagerSeconds = Seconds;
     const air::CkksOpBudget &B = R->State.Budget;
-    std::printf("%10s %-7s | %8zu %8zu %8zu | %8.2f %8.2fx\n", Rescale,
-                Packing.c_str(), B.Rescale, B.Relinearize, B.Rotate, Seconds,
-                EagerSeconds / Seconds);
+    std::printf("%10s | %8zu %8zu %8zu | %8.2f %8.2fx\n", Rescale, B.Rescale,
+                B.Relinearize, B.Rotate, Seconds, EagerSeconds / Seconds);
     char Row[256];
     std::snprintf(Row, sizeof(Row),
-                  "%s{\"pipeline\": {\"rescale\": \"%s\", "
-                  "\"packing\": \"%s\"}, \"budget\": {\"rescale\": %zu, "
-                  "\"relin\": %zu, \"rotate\": %zu}, \"seconds\": %.4f}",
-                  Rows.empty() ? "" : ",\n  ", Rescale, Packing.c_str(),
-                  B.Rescale, B.Relinearize, B.Rotate, Seconds);
+                  "%s{\"pipeline\": {\"rescale\": \"%s\"}, "
+                  "\"budget\": {\"rescale\": %zu, \"relin\": %zu, "
+                  "\"rotate\": %zu}, \"seconds\": %.4f}",
+                  Rows.empty() ? "" : ",\n  ", Rescale, B.Rescale,
+                  B.Relinearize, B.Rotate, Seconds);
     Rows += Row;
   }
   if (!JsonPath.empty())

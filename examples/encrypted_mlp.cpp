@@ -18,7 +18,6 @@
 //   ACE_TRACE=trace.json ./encrypted_mlp   # chrome://tracing span dump
 //   --metrics-dump writes the Prometheus exposition on exit
 //   --rescale: lazy (default) | eager (the Expert reference placement).
-//   Each gemm's packing is the cost model's choice; see docs/compiler.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -107,11 +106,6 @@ int main(int argc, char **argv) {
               LazyRescale ? "lazy" : "eager", R.State.Budget.Rescale,
               R.State.Budget.Relinearize, R.State.Budget.Rotate,
               R.State.Budget.CtCtMul, R.State.Budget.CtPtMul);
-  for (const auto &D : R.State.PackingDecisions)
-    std::printf("  gemm %-8s -> %-6s (rot %zu, keys %zu, muls %zu, "
-                "depth %zu)\n",
-                D.Layer.c_str(), air::packingStrategyName(D.Strategy),
-                D.Rotations, D.RotationKeys, D.CtPtMuls, D.RescaleDepth);
 
   codegen::CkksExecutor Exec(R.Program, R.State);
   if (Status S = Exec.setup()) {

@@ -17,10 +17,9 @@ Invariants:
      helpers, the free parsing/naming functions) and of the rotation-key
      store (the public methods of RotationKeyCache in src/fhe/Keys.h) is
      mentioned by name in docs/memory.md.
-  5. Same for the compiler's packing vocabulary: every packing name of
-     src/air/Pass.h (the PackingStrategy values and the functions that
-     take a PackingStrategy, such as packingStrategyName) is mentioned
-     by name in docs/compiler.md.
+  5. Same for the compiler's settings: every field of air::CompileOptions
+     (src/air/Pass.h) is mentioned by name in docs/compiler.md. Finding
+     no fields is itself a violation, so the rule cannot pass vacuously.
   6. The runtime settings table in docs/architecture.md lists exactly
      the ACE_* variables of the settings module's table
      (src/support/Env.cpp): one row per variable, none missing, none
@@ -152,24 +151,30 @@ def check_governor_doc():
              for name in key_cache_entry_points() if name not in text])
 
 
-def pipeline_entry_points():
-    """Packing names of src/air/Pass.h: the PackingStrategy values and
-    the functions taking a PackingStrategy."""
+def compile_option_fields():
+    """The fields of air::CompileOptions in src/air/Pass.h: every
+    `type Name = default;` declaration in the struct body."""
     header = (ROOT / "src/air/Pass.h").read_text()
-    names = set(re.findall(r"\bPS_\w+\b", header))
-    names.update(re.findall(r"(\w+)\(PackingStrategy\b", header))
-    return sorted(names - GENERIC_NAMES)
+    body = re.search(r"^struct CompileOptions \{\n(.*?)^\};", header,
+                     re.DOTALL | re.MULTILINE)
+    if not body:
+        return []
+    return re.findall(r"^\s+[\w:]+\s+(\w+)\s*(?:=[^;]*)?;", body.group(1),
+                      re.MULTILINE)
 
 
-def check_pipeline_doc():
+def check_compile_options_doc():
     doc = ROOT / "docs/compiler.md"
     if not doc.exists():
         return ["docs/compiler.md: missing (the pipeline policy contract "
                 "must be documented)"]
+    fields = compile_option_fields()
+    if not fields:
+        return ["src/air/Pass.h: no air::CompileOptions fields found"]
     text = doc.read_text()
-    return [f"docs/compiler.md: packing name '{name}' from "
+    return [f"docs/compiler.md: CompileOptions field '{name}' from "
             "src/air/Pass.h is not documented"
-            for name in pipeline_entry_points() if name not in text]
+            for name in fields if not re.search(rf"\b{name}\b", text)]
 
 
 def env_settings():
@@ -204,7 +209,7 @@ def main():
         errors.extend(check_links(path))
     errors.extend(check_backend_doc())
     errors.extend(check_governor_doc())
-    errors.extend(check_pipeline_doc())
+    errors.extend(check_compile_options_doc())
     errors.extend(check_settings_table())
     if errors:
         print("\n".join(errors), file=sys.stderr)
@@ -213,13 +218,12 @@ def main():
     entry_points = len(backend_entry_points())
     governor_points = (len(governor_entry_points()) +
                        len(key_cache_entry_points()))
-    pipeline_points = len(pipeline_entry_points())
     print(f"docs check OK: {count} markdown files, all docs/ pages "
           "indexed, all relative links resolve, all "
-          f"{entry_points} poly-backend, {governor_points} "
-          f"memory-governance and {pipeline_points} packing "
-          f"entry points and all {len(env_settings())} runtime settings "
-          "documented")
+          f"{entry_points} poly-backend and {governor_points} "
+          "memory-governance entry points, all "
+          f"{len(compile_option_fields())} compile options and all "
+          f"{len(env_settings())} runtime settings documented")
     return 0
 
 

@@ -32,8 +32,8 @@ namespace ace {
 namespace air {
 
 /// Options steering compilation: only what callers vary. Everything
-/// else (packing, scheme parameters, the bootstrap configuration, the
-/// Expert margin) is the compiler's own decision.
+/// else (the slot layout, scheme parameters, the bootstrap configuration,
+/// the Expert margin) is the compiler's own decision.
 struct CompileOptions {
   /// Composite sign-approximation iterations for ReLU (paper [36]).
   int ReluSignIterations = 3;
@@ -49,49 +49,6 @@ struct CompileOptions {
   bool EnableRescalePlacement = true;
   /// Seed of the selected parameters' key and encryption randomness.
   uint64_t Seed = 1;
-};
-
-/// Matrix-vector packing strategy of the NN->VECTOR lowering, chosen per
-/// gemm by the cost model (docs/compiler.md).
-enum class PackingStrategy {
-  /// Halevi-Shoup diagonals as an explicit rotate/mask/add chain: one
-  /// (hoistable) rotation and one ct-pt multiply per nonzero diagonal,
-  /// one rotation key per distinct diagonal.
-  PS_Diag,
-  /// Baby-step/giant-step mat_diag (O(sqrt n) rotations and keys).
-  PS_Bsgs,
-  /// Column packing: replicate the input across K padded blocks, one
-  /// wide ct-pt multiply, then a rotate-and-add reduction. Costs a slot
-  /// grid large enough for K_pad * block and two multiplicative levels;
-  /// only eligible on flat (non-spatial) layouts.
-  PS_Column,
-};
-
-/// Printable strategy name ("bsgs", ...).
-inline const char *packingStrategyName(PackingStrategy Strategy) {
-  switch (Strategy) {
-  case PackingStrategy::PS_Diag:
-    return "diag";
-  case PackingStrategy::PS_Bsgs:
-    return "bsgs";
-  case PackingStrategy::PS_Column:
-    return "column";
-  }
-  return "bsgs";
-}
-
-/// Per-layer packing choice made by the NN->VECTOR cost model
-/// (docs/compiler.md). One record per lowered gemm, in program order.
-struct PackingDecision {
-  /// NN-level layer name (the gemm's output value).
-  std::string Layer;
-  /// The strategy the cost model chose and the lowering used.
-  PackingStrategy Strategy = PackingStrategy::PS_Bsgs;
-  /// Modeled cost per candidate (arbitrary units; lower is better).
-  /// A negative value marks the candidate ineligible for this layer.
-  double CostDiag = -1.0, CostBsgs = -1.0, CostColumn = -1.0;
-  /// Modeled op footprint of the chosen strategy.
-  size_t Rotations = 0, CtPtMuls = 0, RotationKeys = 0, RescaleDepth = 0;
 };
 
 /// Static op budget of the lowered CKKS program: node counts by kind,
@@ -113,8 +70,6 @@ struct CompileState {
   CompileOptions Options;
   const onnx::Model *Model = nullptr;
 
-  /// Per-gemm packing decisions (NN->VECTOR cost model).
-  std::vector<PackingDecision> PackingDecisions;
   /// Static CKKS op budget of the compiled program.
   CkksOpBudget Budget;
 

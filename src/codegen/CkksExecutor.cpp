@@ -25,11 +25,6 @@ CkksExecutor::CkksExecutor(const IrFunction &F, const CompileState &State)
 
 CkksExecutor::~CkksExecutor() = default;
 
-void CkksExecutor::enableLazyRotationKeys(size_t CapacityBytes) {
-  LazyRotationKeys = true;
-  KeyCacheCapacity = CapacityBytes;
-}
-
 Status CkksExecutor::setup(uint64_t SeedOverride) {
   telemetry::TraceSpan Span("executor", "setup");
   WallTimer Clock;
@@ -44,7 +39,6 @@ Status CkksExecutor::setup(uint64_t SeedOverride) {
   Gen = std::make_unique<fhe::KeyGenerator>(*Ctx);
   Pub = Gen->makePublicKey();
   KeyCache = std::make_unique<fhe::RotationKeyCache>(*Ctx, *Gen);
-  KeyCache->setCapacityBytes(KeyCacheCapacity);
   Eval = std::make_unique<fhe::Evaluator>(*Ctx, *Enc, Keys, *KeyCache);
   if (Status S = makeKeys(); !S.ok()) {
     teardown();

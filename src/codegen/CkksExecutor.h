@@ -61,10 +61,10 @@ public:
   /// Galois keys; each materializes on first use, and cold keys are
   /// evicted under budget pressure (regenerating transparently on next
   /// use). Relinearization and conjugation keys stay eager — every
-  /// program needs them throughout. \p CapacityBytes bounds the
-  /// per-executor LRU (0 = only the process budget limits it). The
-  /// long-running inference service turns this on per session.
-  void enableLazyRotationKeys(size_t CapacityBytes = 0);
+  /// program needs them throughout. The process memory budget is the only
+  /// bound on the cached key bytes. The long-running inference service
+  /// turns this on per session.
+  void enableLazyRotationKeys() { LazyRotationKeys = true; }
 
   /// The store of every rotation/Galois key, or nullptr before setup().
   fhe::RotationKeyCache *keyCache() const { return KeyCache.get(); }
@@ -125,7 +125,6 @@ private:
   /// are generated.
   std::unique_ptr<fhe::RotationKeyCache> KeyCache;
   bool LazyRotationKeys = false;
-  size_t KeyCacheCapacity = 0;
   fhe::PublicKey Pub;
   fhe::EvalKeys Keys;
   std::unique_ptr<fhe::Evaluator> Eval;

@@ -346,24 +346,11 @@ RotationKeyCache::get(uint64_t Galois) {
   E.Key = Key;
   E.LastUse = ++UseClock;
   chargeLocked(E);
-  if (CapacityBytes != 0 && ResidentBytes > CapacityBytes)
-    evictColdestLocked(ResidentBytes - CapacityBytes);
   return std::shared_ptr<const SwitchKey>(Key);
-}
-
-void RotationKeyCache::setCapacityBytes(size_t Bytes) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  CapacityBytes = Bytes;
-  if (CapacityBytes != 0 && ResidentBytes > CapacityBytes)
-    evictColdestLocked(ResidentBytes - CapacityBytes);
 }
 
 size_t RotationKeyCache::evictColdest(size_t WantBytes) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return evictColdestLocked(WantBytes);
-}
-
-size_t RotationKeyCache::evictColdestLocked(size_t WantBytes) {
   size_t Released = 0;
   while (Released < WantBytes) {
     Entry *Coldest = nullptr;

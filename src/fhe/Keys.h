@@ -176,7 +176,7 @@ private:
 /// declaration at setup, in a fixed order; lazy executors (service
 /// sessions) leave it to the first op that rotates. Every resident key is
 /// charged to the ResourceGovernor under MemCategory::EvalKeys, and cold
-/// keys are evicted by the LRU capacity bound or by the governor's
+/// keys are evicted, least recently used first, by the governor's
 /// reclaim pass under budget pressure. An evicted key regenerates
 /// transparently on next use (new randomness, equally valid key material;
 /// ciphertext results are unaffected because key switching is correct
@@ -213,10 +213,6 @@ public:
   /// Errors: KeyMissing when \p Galois was never declared,
   /// ResourceExhausted when the governor refuses the generation charge.
   StatusOr<std::shared_ptr<const SwitchKey>> get(uint64_t Galois);
-
-  /// LRU capacity for cached key bytes; 0 = unbounded (the governor's
-  /// budget is then the only limit). Evicts immediately if over.
-  void setCapacityBytes(size_t Bytes);
 
   /// Evicts least-recently-used keys until at least \p WantBytes are
   /// released or nothing cold remains. Returns bytes released. This is
@@ -268,7 +264,6 @@ private:
   /// regenerates it at the right one. Caller holds Mutex.
   void widenLocked(Entry &E, size_t MaxNumQ);
   SwitchKey generate(const Entry &E, uint64_t Galois);
-  size_t evictColdestLocked(size_t WantBytes);
   /// Charges \p E's freshly set key to eval_keys. Caller holds Mutex.
   void chargeLocked(Entry &E);
   /// Drops \p E's key and its governor charge. Caller holds Mutex.
@@ -280,7 +275,6 @@ private:
   mutable std::mutex Mutex;
   std::map<uint64_t, Entry> Entries; ///< keyed by Galois element
   uint64_t UseClock = 0;
-  size_t CapacityBytes = 0;
   size_t ResidentBytes = 0;
   uint64_t ReclaimerId = 0;
 

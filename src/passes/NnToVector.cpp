@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 
 using namespace ace;
 using namespace ace::passes;
@@ -165,209 +164,26 @@ IrNode *lowerConv(Lowering &L, const IrNode *N) {
   return Acc;
 }
 
-/// Everything the gemm cost model and the three lowerings consume.
-struct GemmShape {
-  int64_t K = 0, C = 0;
-  int64_t Stride = 1;   ///< slot distance between consecutive elements
-  int64_t Capacity = 1; ///< elements a full rotation cycles through
-  size_t Slots = 0;
-  bool ChannelMode = false;
-  std::vector<int64_t> DiagIndices; ///< nonzero weight diagonals
-};
-
-/// Modeled op footprint of one packing candidate (docs/compiler.md).
-struct PackingCost {
-  bool Eligible = true;
-  double Cost = 0.0;
-  size_t Rotations = 0, CtPtMuls = 0, RotationKeys = 0, RescaleDepth = 1;
-};
-
-/// Relative runtime weights: a hoisted rotation shares one decompose /
-/// ModUp with its group, a plaintext multiply is cheap next to any key
-/// switch, an extra rescale level costs modulus-chain headroom, and each
-/// distinct rotation step costs rotation-key cache footprint.
-constexpr double WHoistedRot = 0.6;
-constexpr double WSeqRot = 1.0;
-constexpr double WCtPtMul = 0.25;
-constexpr double WDepthLevel = 2.0;
-constexpr double WRotKey = 0.15;
-
-size_t log2Of(size_t X) {
-  size_t L = 0;
-  while ((size_t(1) << L) < X)
-    ++L;
-  return L;
-}
-
-/// Explicit Halevi-Shoup chain: one hoistable rotation + one mask
-/// multiply per nonzero diagonal, one key per distinct nonzero step.
-PackingCost costOfDiag(const GemmShape &S) {
-  PackingCost P;
-  size_t ND = S.DiagIndices.size();
-  size_t ND0 = ND - (std::count(S.DiagIndices.begin(), S.DiagIndices.end(),
-                                int64_t(0))
-                         ? 1
-                         : 0);
-  P.Rotations = ND0;
-  P.CtPtMuls = ND;
-  P.RotationKeys = ND0;
-  P.RescaleDepth = 1;
-  P.Cost = WHoistedRot * ND0 + WCtPtMul * ND + WRotKey * ND0;
-  return P;
-}
-
-/// Baby-step/giant-step mat_diag: hoisted babies, sequential giants,
-/// O(sqrt n) keys.
-PackingCost costOfBsgs(const GemmShape &S) {
-  size_t BS = 1;
-  while (BS * BS < static_cast<size_t>(S.Capacity))
-    BS <<= 1;
-  std::set<int64_t> Babies, Giants;
-  for (int64_t D : S.DiagIndices) {
-    if (D % static_cast<int64_t>(BS))
-      Babies.insert(D % static_cast<int64_t>(BS));
-    if (D / static_cast<int64_t>(BS))
-      Giants.insert(D / static_cast<int64_t>(BS));
-  }
-  PackingCost P;
-  P.Rotations = Babies.size() + Giants.size();
-  P.CtPtMuls = S.DiagIndices.size();
-  P.RotationKeys = Babies.size() + Giants.size();
-  P.RescaleDepth = 1;
-  P.Cost = WHoistedRot * Babies.size() + WSeqRot * Giants.size() +
-           WCtPtMul * P.CtPtMuls + WRotKey * P.RotationKeys;
-  return P;
-}
-
-/// Column packing: replicate the input across nextPow2(K) blocks of
-/// nextPow2(C) elements, one wide weight multiply, rotate-and-add block
-/// reduction, then a mandatory base-slot select. The doubling rotations
-/// are sequentially dependent, and the extra multiply costs a level.
-PackingCost costOfColumn(const GemmShape &S) {
-  PackingCost P;
-  size_t Kp = nextPow2(S.K), Cp = nextPow2(S.C);
-  size_t BlockB = Cp * static_cast<size_t>(S.Stride);
-  P.Eligible = !S.ChannelMode && Kp * BlockB <= S.Slots;
-  size_t R = log2Of(Kp) + log2Of(Cp);
-  P.Rotations = R;
-  P.CtPtMuls = 2;
-  P.RotationKeys = R;
-  P.RescaleDepth = 2;
-  P.Cost = WSeqRot * R + WCtPtMul * P.CtPtMuls +
-           WDepthLevel * (P.RescaleDepth - 1) + WRotKey * R;
-  return P;
-}
-
-/// Fills one weight diagonal at the layout stride.
-std::vector<double> diagMask(const GemmShape &S, const IrNode *W,
-                             double Ratio, int64_t D) {
-  std::vector<double> Diag(S.Slots, 0.0);
-  for (int64_t Ko = 0; Ko < S.K; ++Ko) {
-    int64_t Ci = (Ko + D) % S.Capacity;
-    if (Ci >= S.C)
-      continue;
-    double V = W->Data[Ko * S.C + Ci] * Ratio;
-    if (V != 0.0)
-      Diag[Ko * S.Stride] = V;
-  }
-  return Diag;
-}
-
-/// Single mat_diag node; the SIHE lowering expands it into the BSGS
-/// rotation plan whose baby rotations are hoisted at runtime.
-IrNode *lowerGemmBsgs(Lowering &L, IrNode *X, const IrNode *W,
-                      const GemmShape &S, double Ratio) {
-  std::vector<double> StackedMasks;
-  for (int64_t D : S.DiagIndices) {
-    std::vector<double> Diag = diagMask(S, W, Ratio, D);
-    StackedMasks.insert(StackedMasks.end(), Diag.begin(), Diag.end());
-  }
-  IrNode *Masks = L.constVec(std::move(StackedMasks), OriginKind::OR_Gemm);
-  IrNode *Acc = L.Out.create(NodeKind::NK_VecMatDiag, TypeKind::TK_Cipher,
-                             {X, Masks}, OriginKind::OR_Gemm);
-  Acc->Ints = {S.Stride, S.Capacity,
-               static_cast<int64_t>(S.DiagIndices.size())};
-  Acc->Ints.insert(Acc->Ints.end(), S.DiagIndices.begin(),
-                   S.DiagIndices.end());
-  return Acc;
-}
-
-/// Explicit roll/mask/add chain, one term per nonzero diagonal. All
-/// rotations read the same operand, so the runtime hoists them into one
-/// shared-ModUp group.
-IrNode *lowerGemmDiag(Lowering &L, IrNode *X, const IrNode *W,
-                      const GemmShape &S, double Ratio) {
-  IrNode *Acc = nullptr;
-  int64_t Slots = static_cast<int64_t>(S.Slots);
-  for (int64_t D : S.DiagIndices) {
-    IrNode *R = L.roll(X, (D * S.Stride) % Slots, OriginKind::OR_Gemm);
-    IrNode *Term =
-        L.mulMask(R, diagMask(S, W, Ratio, D), OriginKind::OR_Gemm);
-    Acc = Acc ? L.add(Acc, Term, OriginKind::OR_Gemm) : Term;
-  }
-  return Acc;
-}
-
-/// Column packing. The final select multiply is mandatory: the doubling
-/// reduction leaves wrapped partial sums in every non-base slot, and
-/// unmasked garbage would blow past the calibrated activation bounds
-/// that keep the ReLU approximation and bootstrap stable.
-IrNode *lowerGemmColumn(Lowering &L, IrNode *X, const IrNode *W,
-                        const GemmShape &S, double Ratio,
-                        int64_t &OutStride) {
-  size_t Kp = nextPow2(S.K), Cp = nextPow2(S.C);
-  int64_t BlockB = static_cast<int64_t>(Cp) * S.Stride;
-  int64_t Slots = static_cast<int64_t>(S.Slots);
-  OutStride = BlockB;
-
-  IrNode *Rep = X;
-  for (size_t T = 1; T < Kp; T <<= 1)
-    Rep = L.add(Rep,
-                L.roll(Rep, Slots - BlockB * static_cast<int64_t>(T),
-                       OriginKind::OR_Gemm),
-                OriginKind::OR_Gemm);
-
-  std::vector<double> WMask(S.Slots, 0.0);
-  for (int64_t Ko = 0; Ko < S.K; ++Ko)
-    for (int64_t Ci = 0; Ci < S.C; ++Ci)
-      WMask[Ko * BlockB + Ci * S.Stride] = W->Data[Ko * S.C + Ci] * Ratio;
-  IrNode *Prod = L.mulMask(Rep, std::move(WMask), OriginKind::OR_Gemm);
-
-  for (size_t T = 1; T < Cp; T <<= 1)
-    Prod = L.add(Prod,
-                 L.roll(Prod, S.Stride * static_cast<int64_t>(T),
-                        OriginKind::OR_Gemm),
-                 OriginKind::OR_Gemm);
-
-  std::vector<double> Sel(S.Slots, 0.0);
-  for (int64_t Ko = 0; Ko < S.K; ++Ko)
-    Sel[Ko * BlockB] = 1.0;
-  return L.mulMask(Prod, std::move(Sel), OriginKind::OR_Gemm);
-}
-
 /// Lowers GEMM over the element stride of the current layout (paper
-/// Listing 2), choosing diagonal vs BSGS mat_diag vs column packing per
-/// layer via the cost model above.
+/// Listing 2) as one mat_diag node over the nonzero weight diagonals; the
+/// SIHE lowering expands it into the baby-step/giant-step rotation plan
+/// whose baby rotations are hoisted at runtime.
 IrNode *lowerGemm(Lowering &L, const IrNode *N) {
   IrNode *X = L.Map.at(N->Operands[0]);
   const IrNode *W = N->Operands[1];
   const IrNode *B = N->Operands.size() > 2 ? N->Operands[2] : nullptr;
   const CipherLayout In = L.Layouts.at(X);
 
-  GemmShape S;
-  S.K = W->Ints[0];
-  S.C = W->Ints[1];
+  int64_t K = W->Ints[0], C = W->Ints[1];
   // Elements live either at channel bases (after pooling) or strided
-  // along W (pure vector models; column packing widens the stride).
-  S.ChannelMode = In.C0 > 1;
-  S.Stride = S.ChannelMode ? static_cast<int64_t>(In.channelStride())
-                           : static_cast<int64_t>(In.StrideW);
-  S.Capacity = S.ChannelMode
-                   ? static_cast<int64_t>(In.C0)
-                   : static_cast<int64_t>(In.W0 / In.StrideW);
-  S.Slots = In.slotCount();
-  assert(S.C <= S.Capacity && S.K <= S.Capacity &&
-         "gemm exceeds layout capacity");
+  // along W (pure vector models).
+  bool ChannelMode = In.C0 > 1;
+  int64_t Stride = ChannelMode ? static_cast<int64_t>(In.channelStride())
+                               : static_cast<int64_t>(In.StrideW);
+  int64_t Capacity = ChannelMode ? static_cast<int64_t>(In.C0)
+                                 : static_cast<int64_t>(In.W0 / In.StrideW);
+  size_t Slots = In.slotCount();
+  assert(C <= Capacity && K <= Capacity && "gemm exceeds layout capacity");
 
   double SIn = L.Scales.at(X);
   double SOut = std::fmax(L.State.Bounds.count(N->Name)
@@ -376,71 +192,47 @@ IrNode *lowerGemm(Lowering &L, const IrNode *N) {
                           1e-6);
   double Ratio = SIn / SOut;
 
-  for (int64_t D = 0; D < S.Capacity; ++D) {
+  // Diagonal D holds W[ko][(ko + D) mod Capacity] at output slot ko; the
+  // masks of the nonzero diagonals are stacked in diagonal order.
+  std::vector<int64_t> DiagIndices;
+  std::vector<double> StackedMasks;
+  for (int64_t D = 0; D < Capacity; ++D) {
+    std::vector<double> Diag(Slots, 0.0);
     bool Any = false;
-    for (int64_t Ko = 0; Ko < S.K && !Any; ++Ko) {
-      int64_t Ci = (Ko + D) % S.Capacity;
-      Any = Ci < S.C && W->Data[Ko * S.C + Ci] * Ratio != 0.0;
+    for (int64_t Ko = 0; Ko < K; ++Ko) {
+      int64_t Ci = (Ko + D) % Capacity;
+      if (Ci >= C)
+        continue;
+      double V = W->Data[Ko * C + Ci] * Ratio;
+      if (V != 0.0) {
+        Diag[Ko * Stride] = V;
+        Any = true;
+      }
     }
-    if (Any)
-      S.DiagIndices.push_back(D);
+    if (!Any)
+      continue;
+    DiagIndices.push_back(D);
+    StackedMasks.insert(StackedMasks.end(), Diag.begin(), Diag.end());
   }
-  assert(!S.DiagIndices.empty() && "gemm lowered to nothing");
+  assert(!DiagIndices.empty() && "gemm lowered to nothing");
 
-  PackingCost CDiag = costOfDiag(S);
-  PackingCost CBsgs = costOfBsgs(S);
-  PackingCost CColumn = costOfColumn(S);
-  PackingDecision Dec;
-  Dec.Layer = N->Name.empty() ? "gemm" : N->Name;
-  Dec.CostDiag = CDiag.Cost;
-  Dec.CostBsgs = CBsgs.Cost;
-  Dec.CostColumn = CColumn.Eligible ? CColumn.Cost : -1.0;
-  PackingStrategy Choice = PackingStrategy::PS_Bsgs;
-  double Best = CBsgs.Cost;
-  if (CDiag.Cost < Best) {
-    Choice = PackingStrategy::PS_Diag;
-    Best = CDiag.Cost;
-  }
-  if (CColumn.Eligible && CColumn.Cost < Best)
-    Choice = PackingStrategy::PS_Column;
-  Dec.Strategy = Choice;
-  const PackingCost &Chosen = Choice == PackingStrategy::PS_Diag ? CDiag
-                              : Choice == PackingStrategy::PS_Column
-                                  ? CColumn
-                                  : CBsgs;
-  Dec.Rotations = Chosen.Rotations;
-  Dec.CtPtMuls = Chosen.CtPtMuls;
-  Dec.RotationKeys = Chosen.RotationKeys;
-  Dec.RescaleDepth = Chosen.RescaleDepth;
-  L.State.PackingDecisions.push_back(Dec);
-
-  int64_t OutStride = S.Stride;
-  IrNode *Acc = nullptr;
-  switch (Choice) {
-  case PackingStrategy::PS_Diag:
-    Acc = lowerGemmDiag(L, X, W, S, Ratio);
-    break;
-  case PackingStrategy::PS_Column:
-    Acc = lowerGemmColumn(L, X, W, S, Ratio, OutStride);
-    break;
-  default:
-    Acc = lowerGemmBsgs(L, X, W, S, Ratio);
-    break;
-  }
+  IrNode *Masks = L.constVec(std::move(StackedMasks), OriginKind::OR_Gemm);
+  IrNode *Acc = L.Out.create(NodeKind::NK_VecMatDiag, TypeKind::TK_Cipher,
+                             {X, Masks}, OriginKind::OR_Gemm);
+  Acc->Ints = {Stride, Capacity, static_cast<int64_t>(DiagIndices.size())};
+  Acc->Ints.insert(Acc->Ints.end(), DiagIndices.begin(), DiagIndices.end());
 
   if (B) {
-    std::vector<double> Bias(S.Slots, 0.0);
-    for (int64_t Ko = 0; Ko < S.K; ++Ko)
-      Bias[Ko * OutStride] = B->Data[Ko] / SOut;
+    std::vector<double> Bias(Slots, 0.0);
+    for (int64_t Ko = 0; Ko < K; ++Ko)
+      Bias[Ko * Stride] = B->Data[Ko] / SOut;
     Acc = L.addMask(Acc, std::move(Bias), OriginKind::OR_Gemm);
   }
 
   CipherLayout OutL = In;
-  OutL.C = S.ChannelMode ? S.K : 1;
-  if (!S.ChannelMode) {
-    OutL.W = S.K;
-    OutL.StrideW = static_cast<size_t>(OutStride);
-  }
+  OutL.C = ChannelMode ? K : 1;
+  if (!ChannelMode)
+    OutL.W = K;
   L.Layouts[Acc] = OutL;
   L.Scales[Acc] = SOut;
   return Acc;
@@ -515,8 +307,6 @@ IrNode *lowerAvgPool(Lowering &L, const IrNode *N) {
 } // namespace
 
 Status NnToVectorPass::run(IrFunction &F, CompileState &State) {
-  State.PackingDecisions.clear();
-
   // Layout selection: one padded grid covering every tensor in the model.
   size_t MaxC = 1, MaxH = 1, MaxW = 1, MaxFlat = 1;
   bool Spatial = false;

@@ -9,8 +9,9 @@
 /// \file
 /// NN -> VECTOR lowering (paper Sec. 4.2): selects the packed data layout,
 /// turns convolutions into rotate/multiply-mask accumulations across
-/// channel shifts and kernel taps, GEMM into the Halevi-Shoup diagonal
-/// method (paper Listing 2's roll/mul/add loop), pooling into rotation
+/// channel shifts and kernel taps, each GEMM into one Halevi-Shoup
+/// diagonal mat_diag node (paper Listing 2's roll/mul/add loop, which the
+/// SIHE lowering expands baby-step/giant-step), pooling into rotation
 /// trees with layout dilation, and absorbs activation-normalization scale
 /// ratios into the weight masks. Weight processing is evaluated eagerly at
 /// compile time - masks become VECTOR constants, matching how ANT-ACE

@@ -193,7 +193,7 @@ StatusOr<uint64_t> InferenceService::openSession() {
   // Resident-server key discipline: rotation keys materialize on first
   // use instead of all at setup (docs/memory.md). Relin/conjugation keys
   // stay eager.
-  S->Exec->enableLazyRotationKeys(Config.KeyCacheBytesPerSession);
+  S->Exec->enableLazyRotationKeys();
   S->LastUsedUs.store(steadyNowUs(), std::memory_order_relaxed);
   // Reseed key generation per session: the compiled parameters carry one
   // deterministic seed, and two sessions sharing it would generate

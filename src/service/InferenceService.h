@@ -121,9 +121,6 @@ struct ServiceConfig {
   /// Deadline applied to requests that carry none (0 = no default). A
   /// client opts out explicitly with encryptRequest(DeadlineSeconds=0).
   double DefaultDeadlineSeconds = 0.0;
-  /// Per-session LRU bound on cached rotation-key bytes (0 = only the
-  /// process memory budget limits them).
-  size_t KeyCacheBytesPerSession = 0;
   /// When > 0, the dispatcher evicts the cached rotation keys of
   /// sessions idle longer than this many seconds (the keys regenerate
   /// transparently on the session's next request). 0 disables the

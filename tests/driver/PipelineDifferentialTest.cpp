@@ -74,10 +74,6 @@ std::vector<double> runModel(const ZooModel &Z, bool Lazy, size_t Threads) {
   EXPECT_TRUE(R.ok()) << Z.Name << ": " << R.status().message();
   if (!R.ok())
     return {};
-  // Both placements are compared under the same packing: the cost model
-  // lowers every gemm of these models as BSGS.
-  for (const air::PackingDecision &D : (*R)->State.PackingDecisions)
-    EXPECT_EQ(D.Strategy, air::PackingStrategy::PS_Bsgs) << Z.Name;
   codegen::CkksExecutor Exec((*R)->Program, (*R)->State);
   EXPECT_FALSE(Exec.setup());
   ThreadPool::instance().setNumThreads(Threads);

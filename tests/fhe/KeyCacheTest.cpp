@@ -1,6 +1,6 @@
 //===----------------------------------------------------------------------===//
 // Rotation-key cache tests: declare/generate-on-first-use semantics, LRU
-// and capacity eviction, transparent regeneration, truncation widening,
+// eviction, transparent regeneration, truncation widening,
 // pinning via shared_ptr handles, adopted keys, concurrent lookups racing
 // the reclaim pass, lookups from inside and outside pool tasks, and
 // budget refusals propagating as clean ResourceExhausted through the
@@ -133,24 +133,26 @@ TEST_F(KeyCacheTest, EvictionRegeneratesTransparently) {
   EXPECT_EQ(Cache->stats().Misses, 2u);
 }
 
-TEST_F(KeyCacheTest, CapacityBoundEvictsLeastRecentlyUsed) {
+TEST_F(KeyCacheTest, EvictColdestDropsLeastRecentlyUsedFirst) {
   uint64_t G1 = Cache->declareRotation(1);
   uint64_t G2 = Cache->declareRotation(2);
-  auto K1 = Cache->get(G1);
-  ASSERT_TRUE(K1.ok());
+  ASSERT_TRUE(Cache->get(G1).ok());
   size_t OneKeyBytes = Cache->stats().ResidentBytes;
-  // Room for one key only; drop our handle so G1 is evictable.
-  *K1 = nullptr;
-  Cache->setCapacityBytes(OneKeyBytes);
+  ASSERT_TRUE(Cache->get(G2).ok());
+  // Using G1 again leaves G2 the least recently used key.
+  ASSERT_TRUE(Cache->get(G1).ok());
 
-  auto K2 = Cache->get(G2);
-  ASSERT_TRUE(K2.ok());
+  // A one-byte request releases exactly the coldest key.
+  EXPECT_EQ(Cache->evictColdest(1), OneKeyBytes);
   EXPECT_EQ(Cache->stats().ResidentCount, 1u);
-  EXPECT_GE(Cache->stats().Evictions, 1u);
-  EXPECT_LE(Cache->stats().ResidentBytes, OneKeyBytes);
-  // G1 is still declared and regenerates on demand.
-  EXPECT_TRUE(Cache->declared(G1));
+  EXPECT_EQ(Cache->stats().Evictions, 1u);
+  // G1 is still resident; G2 is still declared and regenerates on demand.
+  uint64_t Misses = Cache->stats().Misses;
   EXPECT_TRUE(Cache->get(G1).ok());
+  EXPECT_EQ(Cache->stats().Misses, Misses);
+  EXPECT_TRUE(Cache->declared(G2));
+  EXPECT_TRUE(Cache->get(G2).ok());
+  EXPECT_EQ(Cache->stats().Misses, Misses + 1);
 }
 
 TEST_F(KeyCacheTest, PinnedKeysAreNotEvicted) {

@@ -16,7 +16,6 @@
 #include <cstdlib>
 
 using namespace ace;
-using air::PackingStrategy;
 
 namespace {
 
@@ -78,11 +77,6 @@ TEST(PipelineTest, RotationAnalysisFindsGemvDiagonals) {
   driver::AceCompiler Compiler(air::CompileOptions{});
   auto R = Compiler.compile(M, randomInputs(84, 2, 3));
   ASSERT_TRUE(R.ok());
-  // The step bounds below are BSGS facts: the cost model lowers this
-  // dense gemv as BSGS.
-  ASSERT_EQ((*R)->State.PackingDecisions.size(), 1u);
-  ASSERT_EQ((*R)->State.PackingDecisions[0].Strategy,
-            PackingStrategy::PS_Bsgs);
   // Halevi-Shoup over a 128-wide layout: steps are multiples of the
   // element stride, bounded by the padded capacity.
   EXPECT_FALSE((*R)->State.RotationSteps.empty());
@@ -154,7 +148,7 @@ TEST(PolyLoweringTest, FusionReducesLoopAndOpCounts) {
 }
 
 // A single-gemm model with explicit control over the weight matrix, for
-// exercising the cost model's degenerate branches (docs/compiler.md).
+// exercising the gemm lowering's degenerate shapes (docs/compiler.md).
 onnx::Model singleGemm(int64_t C, int64_t K, bool WithBias, uint64_t Seed,
                        double BandWidth = -1.0) {
   onnx::Model M;
@@ -168,9 +162,8 @@ onnx::Model singleGemm(int64_t C, int64_t K, bool WithBias, uint64_t Seed,
   W.Values.resize(K * C);
   for (int64_t Ko = 0; Ko < K; ++Ko)
     for (int64_t Ci = 0; Ci < C; ++Ci) {
-      // BandWidth >= 0 zeroes everything off the band: few distinct
-      // diagonals survive, which is the regime where explicit diagonal
-      // lowering beats BSGS.
+      // BandWidth >= 0 zeroes everything off the band, so only a few
+      // distinct diagonals survive.
       bool OnBand = BandWidth < 0 || std::llabs(Ko - Ci) <= BandWidth;
       W.Values[Ko * C + Ci] =
           OnBand ? static_cast<float>(R.uniformReal(-1, 1)) : 0.0f;
@@ -195,21 +188,30 @@ onnx::Model singleGemm(int64_t C, int64_t K, bool WithBias, uint64_t Seed,
   return M;
 }
 
-// Compiles under the per-layer cost model and checks encrypted inference
+size_t occurrences(const std::string &Text, const std::string &Word) {
+  size_t Count = 0;
+  for (size_t At = Text.find(Word); At != std::string::npos;
+       At = Text.find(Word, At + Word.size()))
+    ++Count;
+  return Count;
+}
+
+// Compiles one gemm, checks that it lowers to a single mat_diag with the
+// pinned rotation count and chain length, and checks encrypted inference
 // against the cleartext executor.
-void checkGemmEdgeCase(const onnx::Model &M, int64_t C,
-                       PackingStrategy Expect) {
+void checkGemmEdgeCase(const onnx::Model &M, int64_t C, size_t Rotations,
+                       int Primes, uint64_t InputSeed = 23) {
   air::CompileOptions Opt;
   Opt.Seed = 11;
   driver::AceCompiler Compiler(Opt);
-  auto Inputs = randomInputs(C, 2, 23);
-  auto R = Compiler.compile(M, Inputs);
+  auto Inputs = randomInputs(C, 2, InputSeed);
+  auto R = Compiler.compile(M, Inputs, /*KeepDumps=*/true);
   ASSERT_TRUE(R.ok()) << R.status().message();
-  ASSERT_EQ((*R)->State.PackingDecisions.size(), 1u);
-  const air::PackingDecision &D = (*R)->State.PackingDecisions[0];
-  EXPECT_EQ(D.Strategy, Expect)
-      << "costs diag=" << D.CostDiag << " bsgs=" << D.CostBsgs
-      << " column=" << D.CostColumn;
+  const std::string &Vector = (*R)->PhaseDumps["VECTOR"];
+  EXPECT_EQ(occurrences(Vector, "VECTOR.mat_diag"), 1u) << Vector;
+  EXPECT_EQ(occurrences(Vector, "VECTOR.roll"), 0u) << Vector;
+  EXPECT_EQ((*R)->State.Budget.Rotate, Rotations);
+  EXPECT_EQ((*R)->State.SelectedParams.NumRescaleModuli + 1, Primes);
 
   codegen::CkksExecutor Exec((*R)->Program, (*R)->State);
   ASSERT_FALSE(Exec.setup());
@@ -222,55 +224,41 @@ void checkGemmEdgeCase(const onnx::Model &M, int64_t C,
     EXPECT_NEAR((*Logits)[I], Clear->Values[I], 0.02) << "logit " << I;
 }
 
-TEST(PackingCostModelTest, OneRowGemmPrefersColumnPacking) {
-  // K=1: a single output replicated from every input element. Column
-  // packing does the whole reduction in log2(C) rotations with one wide
-  // ct-pt mul; the diagonal forms need a rotation per diagonal.
+TEST(GemmLoweringTest, OneRowGemmIsOneMatDiag) {
+  // K=1: the single output sums all 16 inputs, one nonzero diagonal per
+  // input element: 3 baby and 3 giant rotations.
   checkGemmEdgeCase(singleGemm(/*C=*/16, /*K=*/1, /*WithBias=*/true, 41),
-                    16, PackingStrategy::PS_Column);
+                    16, /*Rotations=*/6, /*Primes=*/3);
 }
 
-TEST(PackingCostModelTest, OneColumnGemmCompilesAndMatches) {
-  // C=1: every output is a scalar multiple of the one input element.
-  // The shape degenerates to a single diagonal; any strategy is one
-  // mask-multiply, the contract is just correctness.
-  onnx::Model M = singleGemm(/*C=*/1, /*K=*/6, /*WithBias=*/true, 43);
-  air::CompileOptions Opt;
-  Opt.Seed = 11;
-  driver::AceCompiler Compiler(Opt);
-  auto Inputs = randomInputs(1, 2, 29);
-  auto R = Compiler.compile(M, Inputs);
-  ASSERT_TRUE(R.ok()) << R.status().message();
-  codegen::CkksExecutor Exec((*R)->Program, (*R)->State);
-  ASSERT_FALSE(Exec.setup());
-  auto Clear = nn::executeSingle(M.MainGraph, Inputs[0]);
-  auto Logits = Exec.infer(Inputs[0]);
-  ASSERT_TRUE(Clear.ok() && Logits.ok());
-  for (size_t I = 0; I < Logits->size(); ++I)
-    EXPECT_NEAR((*Logits)[I], Clear->Values[I], 0.02) << "logit " << I;
+TEST(GemmLoweringTest, OneColumnGemmIsOneMatDiag) {
+  // C=1: every output is a scalar multiple of the one input element, so
+  // each output row has a diagonal of its own (6 of 8): 3 baby rotations
+  // and 1 giant.
+  checkGemmEdgeCase(singleGemm(/*C=*/1, /*K=*/6, /*WithBias=*/true, 43), 1,
+                    /*Rotations=*/4, /*Primes=*/3,
+                    /*InputSeed=*/29);
 }
 
-TEST(PackingCostModelTest, BandedGemmPrefersExplicitDiagonals) {
-  // A tridiagonal 24x24 weight matrix populates 3 of 32 diagonals; the
-  // explicit diagonal form pays 3 rotations against BSGS's baby/giant
-  // fixed cost, so the cost model must pick it.
+TEST(GemmLoweringTest, TridiagonalGemmIsOneMatDiag) {
+  // A tridiagonal 24x24 weight matrix populates 3 of 32 diagonals (0, 1
+  // and 31): 2 baby rotations and 1 giant.
   checkGemmEdgeCase(singleGemm(/*C=*/24, /*K=*/24, /*WithBias=*/true, 47,
                                /*BandWidth=*/1.0),
-                    24, PackingStrategy::PS_Diag);
+                    24, /*Rotations=*/3, /*Primes=*/3);
 }
 
-TEST(PackingCostModelTest, RaggedAndZeroBiasGemmsMatchCleartext) {
+TEST(GemmLoweringTest, RaggedAndZeroBiasGemmsAreOneMatDiag) {
   // Ragged (non-power-of-two, K != C) and bias-less shapes walk the
-  // padding and optional-operand branches of every lowering: the dense
-  // 13x7 gemm goes to BSGS, its tridiagonal band to explicit diagonals,
-  // and the one-row 13x1 gemm to column packing.
+  // padding and optional-operand branches: a dense 13x7 gemm, its
+  // tridiagonal band, and a one-row 13x1 gemm.
   checkGemmEdgeCase(singleGemm(/*C=*/13, /*K=*/7, /*WithBias=*/false, 53),
-                    13, PackingStrategy::PS_Bsgs);
+                    13, /*Rotations=*/6, /*Primes=*/3);
   checkGemmEdgeCase(singleGemm(/*C=*/13, /*K=*/7, /*WithBias=*/false, 53,
                                /*BandWidth=*/1.0),
-                    13, PackingStrategy::PS_Diag);
+                    13, /*Rotations=*/3, /*Primes=*/3);
   checkGemmEdgeCase(singleGemm(/*C=*/13, /*K=*/1, /*WithBias=*/false, 53),
-                    13, PackingStrategy::PS_Column);
+                    13, /*Rotations=*/6, /*Primes=*/3);
 }
 
 } // namespace
