@@ -24,6 +24,10 @@ Invariants:
      the ACE_* variables of the settings module's table
      (src/support/Env.cpp): one row per variable, none missing, none
      extra.
+  7. Every ace_* entry declared in the C API headers (src/fhe/CApi.h,
+     src/service/ServiceCApi.h) is named under tests/ or in the code
+     emitter (src/codegen/CodeEmitter.cpp), so no entry outlives its
+     last caller. Finding no entries is itself a violation, as in 5.
 
 Exits nonzero listing every violation.
 """
@@ -198,6 +202,32 @@ def check_settings_table():
              for name in sorted(rows - module)])
 
 
+C_API_HEADERS = ("src/fhe/CApi.h", "src/service/ServiceCApi.h")
+# A declaration names its entry before the "(" on a non-comment line.
+C_API_DECL = re.compile(r"^(?!\s*(?://|/\*|\*|#))[^(;]*?\b(ace_\w+)\s*\(",
+                        re.MULTILINE)
+
+
+def c_api_entries():
+    """The ace_* entries the C API headers declare."""
+    names = set()
+    for header in C_API_HEADERS:
+        names.update(C_API_DECL.findall((ROOT / header).read_text()))
+    return sorted(names)
+
+
+def check_c_api_callers():
+    entries = c_api_entries()
+    if not entries:
+        return [f"{', '.join(C_API_HEADERS)}: no ace_* entries found"]
+    callers = [p for p in sorted((ROOT / "tests").rglob("*")) if p.is_file()]
+    callers.append(ROOT / "src/codegen/CodeEmitter.cpp")
+    text = "\n".join(p.read_text(errors="ignore") for p in callers)
+    return [f"C API entry '{name}' is named by no test and not emitted "
+            "by src/codegen/CodeEmitter.cpp"
+            for name in entries if not re.search(rf"\b{name}\b", text)]
+
+
 def main():
     errors = []
     readme = (ROOT / "README.md").read_text()
@@ -211,6 +241,7 @@ def main():
     errors.extend(check_governor_doc())
     errors.extend(check_compile_options_doc())
     errors.extend(check_settings_table())
+    errors.extend(check_c_api_callers())
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 1
@@ -223,7 +254,8 @@ def main():
           f"{entry_points} poly-backend and {governor_points} "
           "memory-governance entry points, all "
           f"{len(compile_option_fields())} compile options and all "
-          f"{len(env_settings())} runtime settings documented")
+          f"{len(env_settings())} runtime settings documented, all "
+          f"{len(c_api_entries())} C API entries called")
     return 0
 
 

@@ -2,7 +2,7 @@
 # Table 8-style lines-of-code breakdown of this repository.
 cd "$(dirname "$0")/.."
 echo "component            code   tests"
-for d in support fhe onnx nn air passes codegen expert driver; do
+for d in support fhe onnx nn air passes codegen expert driver service; do
   code=$(cat src/$d/*.h src/$d/*.cpp 2>/dev/null | wc -l)
   printf "%-18s %7d\n" "src/$d" "$code"
 done

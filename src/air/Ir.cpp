@@ -8,7 +8,11 @@
 
 #include "air/Ir.h"
 
+#include "support/Crc32c.h"
+
 #include <cassert>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -40,7 +44,6 @@ DialectKind ace::air::dialectOf(NodeKind Kind) {
     return DialectKind::DK_Vector;
   case NodeKind::NK_SiheRotate:
   case NodeKind::NK_SiheAdd:
-  case NodeKind::NK_SiheSub:
   case NodeKind::NK_SiheMul:
   case NodeKind::NK_SiheEncode:
   case NodeKind::NK_SiheAddConst:
@@ -48,7 +51,6 @@ DialectKind ace::air::dialectOf(NodeKind Kind) {
     return DialectKind::DK_Sihe;
   case NodeKind::NK_CkksRotate:
   case NodeKind::NK_CkksAdd:
-  case NodeKind::NK_CkksSub:
   case NodeKind::NK_CkksMul:
   case NodeKind::NK_CkksEncode:
   case NodeKind::NK_CkksAddConst:
@@ -58,18 +60,6 @@ DialectKind ace::air::dialectOf(NodeKind Kind) {
   case NodeKind::NK_CkksModSwitch:
   case NodeKind::NK_CkksBootstrap:
     return DialectKind::DK_Ckks;
-  case NodeKind::NK_PolyDecomp:
-  case NodeKind::NK_PolyModUp:
-  case NodeKind::NK_PolyModDown:
-  case NodeKind::NK_PolyRescale:
-  case NodeKind::NK_PolyAutomorphism:
-  case NodeKind::NK_HwNtt:
-  case NodeKind::NK_HwIntt:
-  case NodeKind::NK_HwModAdd:
-  case NodeKind::NK_HwModMul:
-  case NodeKind::NK_HwModMulAdd:
-  case NodeKind::NK_PolyRnsLoop:
-    return DialectKind::DK_Poly;
   }
   return DialectKind::DK_Common;
 }
@@ -114,8 +104,6 @@ const char *ace::air::nodeKindName(NodeKind Kind) {
     return "SIHE.rotate";
   case NodeKind::NK_SiheAdd:
     return "SIHE.add";
-  case NodeKind::NK_SiheSub:
-    return "SIHE.sub";
   case NodeKind::NK_SiheMul:
     return "SIHE.mul";
   case NodeKind::NK_SiheEncode:
@@ -128,8 +116,6 @@ const char *ace::air::nodeKindName(NodeKind Kind) {
     return "CKKS.rotate";
   case NodeKind::NK_CkksAdd:
     return "CKKS.add";
-  case NodeKind::NK_CkksSub:
-    return "CKKS.sub";
   case NodeKind::NK_CkksMul:
     return "CKKS.mul";
   case NodeKind::NK_CkksEncode:
@@ -146,28 +132,6 @@ const char *ace::air::nodeKindName(NodeKind Kind) {
     return "CKKS.modswitch";
   case NodeKind::NK_CkksBootstrap:
     return "CKKS.bootstrap";
-  case NodeKind::NK_PolyDecomp:
-    return "POLY.decomp";
-  case NodeKind::NK_PolyModUp:
-    return "POLY.mod_up";
-  case NodeKind::NK_PolyModDown:
-    return "POLY.mod_down";
-  case NodeKind::NK_PolyRescale:
-    return "POLY.rescale";
-  case NodeKind::NK_PolyAutomorphism:
-    return "POLY.automorphism";
-  case NodeKind::NK_HwNtt:
-    return "POLY.hw_ntt";
-  case NodeKind::NK_HwIntt:
-    return "POLY.hw_intt";
-  case NodeKind::NK_HwModAdd:
-    return "POLY.hw_modadd";
-  case NodeKind::NK_HwModMul:
-    return "POLY.hw_modmul";
-  case NodeKind::NK_HwModMulAdd:
-    return "POLY.hw_modmuladd";
-  case NodeKind::NK_PolyRnsLoop:
-    return "POLY.rns_loop";
   }
   return "unknown";
 }
@@ -184,8 +148,6 @@ const char *ace::air::typeKindName(TypeKind Kind) {
     return "Cipher";
   case TypeKind::TK_Cipher3:
     return "Cipher3";
-  case TypeKind::TK_Poly:
-    return "Poly";
   case TypeKind::TK_None:
     return "None";
   }
@@ -241,13 +203,6 @@ void IrFunction::setReturn(IrNode *Value) {
     ReturnNode->Operands = {Value};
 }
 
-void IrFunction::clear() {
-  Nodes.clear();
-  Inputs.clear();
-  ReturnNode = nullptr;
-  NextId = 0;
-}
-
 size_t IrFunction::countDialect(DialectKind Dialect) const {
   size_t Count = 0;
   for (const auto &N : Nodes)
@@ -264,6 +219,8 @@ void IrFunction::renumber() {
 
 std::string ace::air::printFunction(const IrFunction &F) {
   std::ostringstream Out;
+  // Round-trip precision: a dump changes whenever a scalar or scale does.
+  Out.precision(std::numeric_limits<double>::max_digits10);
   Out << "func " << F.name() << "(";
   for (size_t I = 0; I < F.inputs().size(); ++I) {
     if (I)
@@ -287,8 +244,14 @@ std::string ace::air::printFunction(const IrFunction &F) {
     }
     if (N->Scalar != 0.0)
       Out << " scalar=" << N->Scalar;
-    if (!N->Data.empty())
-      Out << " data<" << N->Data.size() << ">";
+    if (!N->Data.empty()) {
+      // The checksum covers every constant's bytes, so a dump changes
+      // whenever a weight does.
+      char Crc[9];
+      std::snprintf(Crc, sizeof(Crc), "%08x",
+                    crc32c(N->Data.data(), N->Data.size() * sizeof(double)));
+      Out << " data<" << N->Data.size() << " crc32c=" << Crc << ">";
+    }
     if (N->CkksLevel >= 0)
       Out << " level=" << N->CkksLevel << " scale=" << N->CkksScale;
     if (!N->Name.empty())
@@ -324,7 +287,7 @@ ace::air::verifyFunction(const IrFunction &F,
                              ") outside the allowed dialects");
     }
 
-    // Kind-specific signature checks (paper Tables 3-7).
+    // Kind-specific signature checks (paper Tables 3-6).
     auto Expect = [&](bool Cond, const char *Message) {
       return Cond ? Status::success()
                   : Status::error("node %" + std::to_string(N->Id) + " (" +
@@ -365,7 +328,6 @@ ace::air::verifyFunction(const IrFunction &F,
                    "degree");
       break;
     case NodeKind::NK_CkksAdd:
-    case NodeKind::NK_CkksSub:
       // Additions carry the widest operand degree so a deferred (fused)
       // relinearization downstream sees a Cipher3-typed value.
       if (N->Operands.size() == 2 &&
@@ -374,11 +336,11 @@ ace::air::verifyFunction(const IrFunction &F,
                      N->Operands[1]->Type == TypeKind::TK_Cipher3;
         S = Expect(N->Type == (AnyC3 ? TypeKind::TK_Cipher3
                                      : TypeKind::TK_Cipher),
-                   "add/sub must carry the widest operand degree");
+                   "add must carry the widest operand degree");
       } else {
         S = Expect(N->Operands.size() == 2 &&
                        N->Type == N->Operands[0]->Type,
-                   "plaintext add/sub must keep the ciphertext operand's "
+                   "plaintext add must keep the ciphertext operand's "
                    "degree");
       }
       break;

@@ -8,14 +8,15 @@
 ///
 /// \file
 /// The multi-level IR at the heart of the compiler (paper Secs. 3.2, 4).
-/// One node class carries all five dialects - NN, VECTOR, SIHE, CKKS, POLY
-/// (paper Tables 3-7) - discriminated by NodeKind, LLVM-style. A function
-/// is a topologically ordered list of SSA nodes; lowering passes rewrite
-/// functions from one dialect into the next while several dialects may
-/// coexist mid-pipeline (e.g. SIHE.encode wrapping a VECTOR constant, as
-/// in paper Listing 3). Every node keeps an OriginKind tag naming the NN
-/// operator it descends from, which powers the Figure 6 per-operator time
-/// breakdown.
+/// One node class carries the four dialects the passes build - NN, VECTOR,
+/// SIHE, CKKS (paper Tables 3-6) - discriminated by NodeKind, LLVM-style;
+/// the POLY level (Table 7) is counted, not built (passes/CkksToPoly.h).
+/// A function is a topologically ordered list of SSA nodes; lowering
+/// passes rewrite functions from one dialect into the next while several
+/// dialects may coexist mid-pipeline (e.g. SIHE.encode wrapping a VECTOR
+/// constant, as in paper Listing 3). Every node keeps an OriginKind tag
+/// naming the NN operator it descends from, which powers the Figure 6
+/// per-operator time breakdown.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,10 +40,9 @@ enum class DialectKind {
   DK_Vector,
   DK_Sihe,
   DK_Ckks,
-  DK_Poly,
 };
 
-/// All node kinds across the five dialects.
+/// All node kinds across the four dialects.
 enum class NodeKind {
   // Common.
   NK_Input,      ///< encrypted function argument (Cipher)
@@ -78,7 +78,6 @@ enum class NodeKind {
   // SIHE dialect (paper Table 5) - scheme-independent homomorphic ops.
   NK_SiheRotate,
   NK_SiheAdd,
-  NK_SiheSub,
   NK_SiheMul,
   NK_SiheEncode,
   NK_SiheAddConst, ///< fold-in of scalar constants
@@ -87,7 +86,6 @@ enum class NodeKind {
   // CKKS dialect (paper Table 6).
   NK_CkksRotate,
   NK_CkksAdd,
-  NK_CkksSub,
   NK_CkksMul, ///< ct*ct -> Cipher3, ct*pt -> Cipher
   NK_CkksEncode,
   NK_CkksAddConst,
@@ -96,19 +94,6 @@ enum class NodeKind {
   NK_CkksRescale,
   NK_CkksModSwitch,
   NK_CkksBootstrap,
-
-  // POLY dialect (paper Table 7).
-  NK_PolyDecomp,
-  NK_PolyModUp,
-  NK_PolyModDown,
-  NK_PolyRescale,
-  NK_PolyAutomorphism,
-  NK_HwNtt,
-  NK_HwIntt,
-  NK_HwModAdd,
-  NK_HwModMul,
-  NK_HwModMulAdd, ///< fused (paper Sec. 4.5)
-  NK_PolyRnsLoop, ///< loop over RNS components wrapping hw_* body nodes
 };
 
 /// The dialect a kind belongs to.
@@ -117,15 +102,14 @@ DialectKind dialectOf(NodeKind Kind);
 /// Printable mnemonic ("CKKS.mul", "VECTOR.roll", ...).
 const char *nodeKindName(NodeKind Kind);
 
-/// Value types (paper Tables 3-7: Tensor, Vector, Plain, Cipher, Cipher3,
-/// Poly).
+/// Value types (paper Tables 3-6: Tensor, Vector, Plain, Cipher,
+/// Cipher3).
 enum class TypeKind {
   TK_Tensor,
   TK_Vector,
   TK_Plain,
   TK_Cipher,
   TK_Cipher3,
-  TK_Poly,
   TK_None,
 };
 
@@ -209,10 +193,6 @@ public:
   /// Function inputs in declaration order.
   const std::vector<IrNode *> &inputs() const { return Inputs; }
   IrNode *addInput(const std::string &Name, TypeKind Type);
-
-  /// Replaces the node list with \p NewNodes (used by lowering passes
-  /// that rebuild the function); inputs/return must be re-established.
-  void clear();
 
   /// Counts nodes of each dialect (drives the Table 8-style statistics
   /// and phase assertions).

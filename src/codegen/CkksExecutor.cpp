@@ -324,25 +324,18 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
           Eval->checkedAddConst(Values.at(N->Operands[0]->Id), N->Scalar));
       break;
     }
-    case NodeKind::NK_CkksAdd:
-    case NodeKind::NK_CkksSub: {
+    case NodeKind::NK_CkksAdd: {
       Ciphertext A = Values.at(N->Operands[0]->Id);
       if (N->Operands[1]->Type == TypeKind::TK_Plain) {
         ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, A, "addPlain"));
         const Plaintext &P = encodedConst(ConstOperand(N->Operands[1]), A,
                                           /*ForMul=*/false);
-        if (N->Kind == NodeKind::NK_CkksAdd)
-          Eval->addPlainInPlace(A, P);
-        else
-          return Status::error("plaintext subtraction not emitted");
+        Eval->addPlainInPlace(A, P);
         Values[N->Id] = std::move(A);
       } else {
         Ciphertext B = Values.at(N->Operands[1]->Id);
         ACE_RETURN_IF_ERROR(Eval->checkedMatchForAdd(A, B));
-        if (N->Kind == NodeKind::NK_CkksAdd)
-          Eval->addInPlace(A, B);
-        else
-          Eval->subInPlace(A, B);
+        Eval->addInPlace(A, B);
         Values[N->Id] = std::move(A);
       }
       break;

@@ -14,11 +14,7 @@
 #include "fhe/Evaluator.h"
 #include "fhe/PolyBackend.h"
 #include "fhe/Serializer.h"
-#include "support/LimbPool.h"
-#include "support/MetricsRegistry.h"
-#include "support/ResourceGovernor.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -631,29 +627,6 @@ void ace_telemetry_enable(int On) {
   telemetry::Telemetry::instance().setEnabled(On != 0);
 }
 
-int ace_telemetry_enabled(void) { return telemetry::enabled() ? 1 : 0; }
-
-void ace_telemetry_reset(void) { telemetry::Telemetry::instance().clear(); }
-
-uint64_t ace_telemetry_counter(const char *Name) {
-  if (!Name) {
-    setLastError(ACE_ERR_INVALID_ARGUMENT, "telemetry_counter: NULL name");
-    return 0;
-  }
-  telemetry::Counter C;
-  if (!telemetry::counterFromName(Name, C)) {
-    setLastError(ACE_ERR_INVALID_ARGUMENT,
-                 std::string("telemetry_counter: unknown counter '") +
-                     Name + "'");
-    return 0;
-  }
-  return telemetry::Telemetry::instance().counterValue(C);
-}
-
-void ace_telemetry_snapshot(const char *Label) {
-  telemetry::Telemetry::instance().recordSnapshot(Label ? Label : "");
-}
-
 char *ace_telemetry_report(int AsJson) {
   std::string R =
       telemetry::Telemetry::instance().reportString(AsJson != 0);
@@ -665,68 +638,6 @@ char *ace_telemetry_report(int AsJson) {
   }
   std::memcpy(Out, R.c_str(), R.size() + 1);
   return Out;
-}
-
-int ace_telemetry_write_trace(const char *Path) {
-  if (!Path) {
-    setLastError(ACE_ERR_INVALID_ARGUMENT,
-                 "telemetry_write_trace: NULL path");
-    return ACE_ERR_INVALID_ARGUMENT;
-  }
-  Status S = telemetry::Telemetry::instance().writeChromeTraceFile(Path);
-  if (!S.ok()) {
-    setLastError(S);
-    return toCCode(S.code());
-  }
-  return ACE_OK;
-}
-
-char *ace_metrics_prometheus(void) {
-  std::string R = metrics::MetricsRegistry::instance().prometheusString();
-  char *Out = static_cast<char *>(std::malloc(R.size() + 1));
-  if (!Out) {
-    setLastError(ACE_ERR_RESOURCE_EXHAUSTED,
-                 "metrics_prometheus: cannot allocate exposition buffer");
-    return nullptr;
-  }
-  std::memcpy(Out, R.c_str(), R.size() + 1);
-  return Out;
-}
-
-int ace_metrics_write(const char *Path) {
-  if (!Path) {
-    setLastError(ACE_ERR_INVALID_ARGUMENT, "metrics_write: NULL path");
-    return ACE_ERR_INVALID_ARGUMENT;
-  }
-  Status S = metrics::MetricsRegistry::instance().writePrometheusFile(Path);
-  if (!S.ok()) {
-    setLastError(S);
-    return toCCode(S.code());
-  }
-  return ACE_OK;
-}
-
-//===----------------------------------------------------------------------===//
-// Threading
-//===----------------------------------------------------------------------===//
-
-int ace_set_num_threads(int N) {
-  if (N < 0) {
-    setLastError(ACE_ERR_INVALID_ARGUMENT,
-                 "set_num_threads: negative thread count " +
-                     std::to_string(N));
-    return ACE_ERR_INVALID_ARGUMENT;
-  }
-  if (Status S = ThreadPool::instance().setNumThreads(
-          static_cast<size_t>(N))) {
-    setLastError(S);
-    return ace_last_error();
-  }
-  return ACE_OK;
-}
-
-int ace_num_threads(void) {
-  return static_cast<int>(ThreadPool::instance().numThreads());
 }
 
 //===----------------------------------------------------------------------===//
@@ -747,27 +658,3 @@ int ace_set_poly_backend(const char *Name) {
 }
 
 const char *ace_poly_backend(void) { return activePolyBackendName(); }
-
-//===----------------------------------------------------------------------===//
-// Memory governance
-//===----------------------------------------------------------------------===//
-
-int ace_set_memory_budget(uint64_t Bytes) {
-  ResourceGovernor::instance().setBudgetBytes(
-      static_cast<size_t>(Bytes));
-  return ACE_OK;
-}
-
-uint64_t ace_memory_budget(void) {
-  return static_cast<uint64_t>(ResourceGovernor::instance().budgetBytes());
-}
-
-int ace_set_limb_pool(int Enabled) {
-  LimbPool::instance().setEnabled(Enabled != 0);
-  return ACE_OK;
-}
-
-int ace_limb_pool(void) {
-  return LimbPool::instance().enabled() ? 1 : 0;
-}
-

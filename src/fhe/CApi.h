@@ -19,6 +19,13 @@
 /// offending levels, scales, or rotation steps. Passing a freed or
 /// corrupted handle is detected best-effort via handle magic tags.
 ///
+/// Process settings - worker threads, the memory budget, the limb pool,
+/// traces and the Prometheus exposition - come from the ACE_*
+/// environment variables (docs/architecture.md §5). Under a memory
+/// budget, an allocation that does not fit even after reclaiming cold
+/// rotation keys fails the call with ACE_ERR_RESOURCE_EXHAUSTED instead
+/// of aborting the process (docs/memory.md).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ACE_FHE_CAPI_H
@@ -165,46 +172,9 @@ double *ace_load_weights(const char *path, size_t *count);
 
 /// Enables (nonzero) or disables (zero) telemetry collection.
 void ace_telemetry_enable(int on);
-/// Nonzero when telemetry collection is enabled.
-int ace_telemetry_enabled(void);
-/// Drops all recorded telemetry (counters, events, health, snapshots).
-void ace_telemetry_reset(void);
-/// Value of the named counter ("ct-ct-mul", "rotate", "bootstrap", ...).
-/// Returns 0 and sets the error channel for unknown names.
-uint64_t ace_telemetry_counter(const char *name);
-/// Records a named snapshot of all counters (per-phase reporting).
-void ace_telemetry_snapshot(const char *label);
 /// Telemetry summary as a malloc'd string the caller frees; text, or
 /// JSON when as_json is nonzero.
 char *ace_telemetry_report(int as_json);
-/// Writes the Chrome trace-event JSON to path. Returns ACE_OK or an
-/// error code.
-int ace_telemetry_write_trace(const char *path);
-
-/// Full Prometheus text exposition (every counter, gauge, and histogram
-/// the process knows about; see docs/observability.md) as a malloc'd
-/// string the caller frees. NULL on allocation failure.
-char *ace_metrics_prometheus(void);
-/// Writes the Prometheus exposition to path. Returns ACE_OK or an
-/// error code.
-int ace_metrics_write(const char *path);
-
-/// @}
-
-/// \name Threading (see docs/performance.md)
-/// The runtime parallelizes its FHE hot loops (per-limb NTT batches,
-/// pointwise limb ops, key-switch digits, bootstrap stages) over a
-/// process-wide worker pool. Results are bit-identical at every thread
-/// count. The default comes from the ACE_THREADS environment variable
-/// (unset = 1 = serial).
-/// @{
-
-/// Sets the worker-thread count. n = 0 re-reads the ACE_THREADS default;
-/// values above 256 clamp. Returns ACE_OK, or ACE_ERR_INVALID_ARGUMENT
-/// for negative n. Safe to call between (not during) runtime calls.
-int ace_set_num_threads(int n);
-/// The configured worker-thread count (>= 1; 1 = serial).
-int ace_num_threads(void);
 
 /// @}
 
@@ -225,31 +195,6 @@ int ace_num_threads(void);
 int ace_set_poly_backend(const char *name);
 /// The active backend name ("scalar" or "simd"); never NULL.
 const char *ace_poly_backend(void);
-
-/// @}
-
-/// \name Memory governance (see docs/memory.md)
-/// A process-wide resource governor meters the big FHE allocations
-/// (pooled RNS limb storage, cached rotation keys, service sessions)
-/// against a hard byte budget. Over-budget charges first reclaim cold
-/// key-cache entries and trim the limb pool; what still does not fit is
-/// refused with ACE_ERR_RESOURCE_EXHAUSTED instead of aborting the
-/// process. The defaults come from ACE_MEMORY_BUDGET and ACE_LIMB_POOL
-/// (docs/architecture.md §5).
-/// @{
-
-/// Sets the process memory budget in bytes (0 = unlimited). Takes
-/// effect at the next admission check; already-resident allocations are
-/// never forcibly freed, only reclaimed lazily. Returns ACE_OK.
-int ace_set_memory_budget(uint64_t bytes);
-/// The configured budget in bytes (0 = unlimited).
-uint64_t ace_memory_budget(void);
-/// Enables (nonzero) or disables (zero) the RNS limb pool. Disabling
-/// routes new acquisitions to plain heap allocation; blocks already
-/// drawn from the pool return to it safely. Returns ACE_OK.
-int ace_set_limb_pool(int enabled);
-/// 1 when the limb pool is active, 0 when bypassed.
-int ace_limb_pool(void);
 
 /// @}
 

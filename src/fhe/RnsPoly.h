@@ -12,8 +12,8 @@
 /// correspond to the chain primes q_0..q_{NumQ-1}; optional trailing
 /// components hold the K key-switching special primes. Polynomials track
 /// whether they are in coefficient or NTT (evaluation) domain; arithmetic
-/// asserts domain compatibility. These are the values the POLY IR operates
-/// on (paper Table 7).
+/// asserts domain compatibility. These are the values the POLY level of
+/// paper Table 7 operates on.
 ///
 //===----------------------------------------------------------------------===//
 

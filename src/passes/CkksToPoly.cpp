@@ -9,7 +9,6 @@
 #include "passes/CkksToPoly.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace ace;
 using namespace ace::passes;
@@ -17,73 +16,39 @@ using namespace ace::air;
 
 namespace {
 
-/// Emission helper tracking the open RNS loop for loop fusion.
-struct PolyBuilder {
-  IrFunction &Out;
+/// Adds up POLY operations while tracking the open RNS loop for loop
+/// fusion.
+struct PolyCounter {
   bool EnableFusion;
-  PolyStats &Stats;
   /// The runtime's hybrid key-switching shape for the selected
   /// parameters.
   fhe::KeySwitchShape Shape;
-  IrNode *OpenLoop = nullptr;
+  PolyStats Stats{};
+  /// Trip count of the open RNS loop; -1 when none is open.
   int64_t OpenTrip = -1;
 
-  /// Returns an RNS loop with trip count \p Trip, fusing into the open
+  /// Enters an RNS loop with trip count \p Trip, fusing into the open
   /// loop when the trip counts match (compile-time constants, paper
   /// Sec. 4.5).
-  IrNode *loop(int64_t Trip, OriginKind Origin) {
-    if (EnableFusion && OpenLoop && OpenTrip == Trip)
-      return OpenLoop;
-    IrNode *L = Out.create(NodeKind::NK_PolyRnsLoop, TypeKind::TK_Poly, {},
-                           Origin);
-    L->Ints = {Trip};
-    OpenLoop = L;
+  void loop(int64_t Trip) {
+    if (EnableFusion && OpenTrip == Trip)
+      return;
     OpenTrip = Trip;
     ++Stats.RnsLoops;
-    return L;
   }
 
   /// Ends the fusable region (key switches and domain changes act as
   /// barriers).
-  void barrier() {
-    OpenLoop = nullptr;
-    OpenTrip = -1;
-  }
-
-  IrNode *hw(NodeKind Kind, IrNode *Loop, int64_t Count,
-             OriginKind Origin) {
-    IrNode *N = Out.create(Kind, TypeKind::TK_Poly, {Loop}, Origin);
-    N->Ints = {Count};
-    switch (Kind) {
-    case NodeKind::NK_HwModMul:
-      Stats.HwModMul += Count;
-      break;
-    case NodeKind::NK_HwModAdd:
-      Stats.HwModAdd += Count;
-      break;
-    case NodeKind::NK_HwModMulAdd:
-      Stats.HwModMulAdd += Count;
-      break;
-    case NodeKind::NK_HwNtt:
-      Stats.HwNtt += Count;
-      break;
-    case NodeKind::NK_HwIntt:
-      Stats.HwIntt += Count;
-      break;
-    default:
-      break;
-    }
-    return N;
-  }
+  void barrier() { OpenTrip = -1; }
 
   /// \p Count limb multiply-accumulates: one fused kernel, or a
   /// multiply and an add without fusion.
-  void mulAdd(IrNode *Loop, int64_t Count, OriginKind Origin) {
+  void mulAdd(int64_t Count) {
     if (EnableFusion) {
-      hw(NodeKind::NK_HwModMulAdd, Loop, Count, Origin);
+      Stats.HwModMulAdd += Count;
     } else {
-      hw(NodeKind::NK_HwModMul, Loop, Count, Origin);
-      hw(NodeKind::NK_HwModAdd, Loop, Count, Origin);
+      Stats.HwModMul += Count;
+      Stats.HwModAdd += Count;
     }
   }
 
@@ -92,19 +57,11 @@ struct PolyBuilder {
   /// raises each of the ceil(L/alpha) digits to the other active primes
   /// and the K special primes, inner products run against both key
   /// polynomials of every digit, mod_down divides both results by P.
-  void keySwitch(int64_t L, OriginKind Origin) {
+  void keySwitch(int64_t L) {
     barrier();
     if (EnableFusion) {
-      IrNode *N = Out.create(NodeKind::NK_PolyDecomp, TypeKind::TK_Poly,
-                             {}, Origin);
-      N->Name = "decomp_modup"; // fused ACEfhe API (paper Sec. 4.5)
-      N->Ints = {L};
-      ++Stats.FusedDecompModUp;
+      ++Stats.FusedDecompModUp; // fused ACEfhe API (paper Sec. 4.5)
     } else {
-      Out.create(NodeKind::NK_PolyDecomp, TypeKind::TK_Poly, {}, Origin)
-          ->Ints = {L};
-      Out.create(NodeKind::NK_PolyModUp, TypeKind::TK_Poly, {}, Origin)
-          ->Ints = {L};
       ++Stats.Decomp;
       ++Stats.ModUp;
     }
@@ -121,39 +78,33 @@ struct PolyBuilder {
       Raised += L - S + K;
       Products += (S > 1 ? S + 1 : S) * (L - S + K);
     }
-    IrNode *Lp = loop(L, Origin);
-    hw(NodeKind::NK_HwIntt, Lp, L, Origin);
+    loop(L);
+    Stats.HwIntt += L;
     if (Alpha > 1)
-      hw(NodeKind::NK_HwModMul, Lp, L, Origin); // inverse digit hats
-    mulAdd(Lp, Products, Origin);
-    hw(NodeKind::NK_HwNtt, Lp, Raised, Origin);
-    mulAdd(Lp, 2 * Digits * (L + K), Origin);
-    Out.create(NodeKind::NK_PolyModDown, TypeKind::TK_Poly, {}, Origin)
-        ->Ints = {L};
+      Stats.HwModMul += L; // inverse digit hats
+    mulAdd(Products);
+    Stats.HwNtt += Raised;
+    mulAdd(2 * Digits * (L + K));
     ++Stats.ModDown;
     // Both results: the K special limbs to coefficients, their exact
     // conversion into the L chain primes, NTT, and (acc - t) * P^{-1}.
-    IrNode *Md = loop(L, Origin);
-    hw(NodeKind::NK_HwIntt, Md, 2 * K, Origin);
+    loop(L);
+    Stats.HwIntt += 2 * K;
     if (K > 1)
-      hw(NodeKind::NK_HwModMul, Md, 2 * K, Origin); // inverse special hats
-    mulAdd(Md, 2 * (K > 1 ? K + 1 : K) * L, Origin);
-    hw(NodeKind::NK_HwNtt, Md, 2 * L, Origin);
-    hw(NodeKind::NK_HwModMul, Md, 2 * L, Origin);
+      Stats.HwModMul += 2 * K; // inverse special hats
+    mulAdd(2 * (K > 1 ? K + 1 : K) * L);
+    Stats.HwNtt += 2 * L;
+    Stats.HwModMul += 2 * L;
     barrier();
   }
 };
 
 } // namespace
 
-Status ace::passes::lowerToPoly(const IrFunction &F,
-                                const CompileState &State,
-                                bool EnableFusion, IrFunction &Poly,
-                                PolyStats *StatsOut) {
-  Poly.clear();
-  PolyStats Stats;
-  PolyBuilder B{Poly, EnableFusion, Stats,
-                fhe::keySwitchShape(State.SelectedParams)};
+StatusOr<PolyStats> ace::passes::countPolyOps(const IrFunction &F,
+                                              const CompileState &State,
+                                              bool EnableFusion) {
+  PolyCounter C{EnableFusion, fhe::keySwitchShape(State.SelectedParams)};
 
   auto NumQOf = [](const IrNode *N) -> int64_t {
     return N->CkksLevel >= 0 ? N->CkksLevel + 1 : 1;
@@ -161,86 +112,68 @@ Status ace::passes::lowerToPoly(const IrFunction &F,
 
   for (const auto &NPtr : F.nodes()) {
     const IrNode *N = NPtr.get();
-    OriginKind O = N->Origin;
+    int64_t L = NumQOf(N);
     switch (N->Kind) {
     case NodeKind::NK_Input:
-      Poly.addInput(N->Name, TypeKind::TK_Poly);
-      break;
     case NodeKind::NK_ConstVec:
     case NodeKind::NK_CkksEncode:
     case NodeKind::NK_Return:
+    case NodeKind::NK_CkksModSwitch: // drops components; no arithmetic
       break;
     case NodeKind::NK_CkksAdd:
-    case NodeKind::NK_CkksSub: {
-      int64_t L = NumQOf(N);
       // Two ciphertext polynomials, element-wise (the paper's
       // ciphertext-addition example of Sec. 4.5).
-      B.hw(NodeKind::NK_HwModAdd, B.loop(L, O), 2 * L, O);
+      C.loop(L);
+      C.Stats.HwModAdd += 2 * L;
       break;
-    }
     case NodeKind::NK_CkksAddConst:
-      B.hw(NodeKind::NK_HwModAdd, B.loop(NumQOf(N), O), NumQOf(N), O);
+      C.loop(L);
+      C.Stats.HwModAdd += L;
       break;
     case NodeKind::NK_CkksMulConst:
-      B.hw(NodeKind::NK_HwModMul, B.loop(NumQOf(N), O), 2 * NumQOf(N), O);
+      C.loop(L);
+      C.Stats.HwModMul += 2 * L;
       break;
-    case NodeKind::NK_CkksRotate: {
+    case NodeKind::NK_CkksRotate:
       // The automorphism is an NTT-domain permutation (c0 directly, c1's
       // raised digits inside the key switch).
-      int64_t L = NumQOf(N);
-      B.barrier();
-      Poly.create(NodeKind::NK_PolyAutomorphism, TypeKind::TK_Poly, {}, O)
-          ->Ints = {L};
-      B.keySwitch(L, O);
+      C.keySwitch(L);
       break;
-    }
-    case NodeKind::NK_CkksMul: {
-      int64_t L = NumQOf(N);
+    case NodeKind::NK_CkksMul:
+      C.loop(L);
       if (N->Operands[1]->Type == TypeKind::TK_Plain) {
         // ct * pt feeding an accumulation fuses into hw_modmuladd.
         if (EnableFusion)
-          B.hw(NodeKind::NK_HwModMulAdd, B.loop(L, O), 2 * L, O);
-        else {
-          B.hw(NodeKind::NK_HwModMul, B.loop(L, O), 2 * L, O);
-        }
+          C.Stats.HwModMulAdd += 2 * L;
+        else
+          C.Stats.HwModMul += 2 * L;
       } else {
-        B.hw(NodeKind::NK_HwModMul, B.loop(L, O), 4 * L, O);
-        B.hw(NodeKind::NK_HwModAdd, B.OpenLoop ? B.OpenLoop
-                                               : B.loop(L, O),
-             L, O);
+        C.Stats.HwModMul += 4 * L;
+        C.Stats.HwModAdd += L;
       }
       break;
-    }
     case NodeKind::NK_CkksRelin:
-      B.keySwitch(NumQOf(N), O);
+      C.keySwitch(L);
       break;
     case NodeKind::NK_CkksRescale: {
-      int64_t L = NumQOf(N->Operands[0]);
-      B.barrier();
-      Poly.create(NodeKind::NK_PolyRescale, TypeKind::TK_Poly, {}, O)
-          ->Ints = {L};
-      B.hw(NodeKind::NK_HwIntt, B.loop(L, O), 2, O);
-      B.hw(NodeKind::NK_HwNtt, B.OpenLoop, 2 * (L - 1), O);
-      B.hw(NodeKind::NK_HwModMul, B.OpenLoop, 2 * (L - 1), O);
-      B.barrier();
+      int64_t In = NumQOf(N->Operands[0]);
+      C.barrier();
+      C.loop(In);
+      C.Stats.HwIntt += 2;
+      C.Stats.HwNtt += 2 * (In - 1);
+      C.Stats.HwModMul += 2 * (In - 1);
+      C.barrier();
       break;
     }
-    case NodeKind::NK_CkksModSwitch:
-      break; // drops components; no polynomial arithmetic
-    case NodeKind::NK_CkksBootstrap: {
-      // Coarse node: the bootstrap pipeline is itself a CKKS program
+    case NodeKind::NK_CkksBootstrap:
+      // Coarse op: the bootstrap pipeline is itself a CKKS program
       // (matvecs + EvalMod) executed by the runtime.
-      Poly.create(NodeKind::NK_PolyModUp, TypeKind::TK_Poly, {}, O)->Name =
-          "bootstrap";
-      B.barrier();
+      C.barrier();
       break;
-    }
     default:
       return Status::error(std::string("unexpected CKKS node: ") +
                            nodeKindName(N->Kind));
     }
   }
-  if (StatsOut)
-    *StatsOut = Stats;
-  return Status::success();
+  return C.Stats;
 }

@@ -7,9 +7,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// CKKS -> POLY lowering (paper Sec. 4.5): every CKKS operation expands
-/// into RNS loops over hw_* polynomial primitives (paper Table 7), with
-/// two POLY-level optimizations:
+/// POLY-level statistics of a CKKS program (paper Sec. 4.5). The paper
+/// lowers every CKKS operation into RNS loops over hw_* polynomial
+/// primitives (paper Table 7), with two POLY-level optimizations:
 ///
 ///  - operator fusion: multiply-then-accumulate pairs become
 ///    hw_modmuladd, and decomp+mod_up become one fused traversal
@@ -18,9 +18,10 @@
 ///    counts merge, eliminating intermediate polynomial buffers (the
 ///    paper's 10 MB -> 512 KB example).
 ///
-/// The POLY program drives code-generation statistics and the fusion
-/// ablation; execution happens at the CKKS level against the runtime
-/// (whose kernels implement exactly these hw_* loops).
+/// Execution happens at the CKKS level against the runtime (whose kernels
+/// implement exactly these hw_* loops), so no POLY program is built:
+/// countPolyOps walks the CKKS program once and adds up the loops and
+/// primitives that lowering would produce.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,12 +51,17 @@ struct PolyStats {
   }
 };
 
-/// Lowers a CKKS-dialect function into the POLY-dialect function \p Out.
-/// With \p EnableFusion the two fusion optimizations apply. \p Stats
-/// (optional) receives the op counts.
-Status lowerToPoly(const air::IrFunction &F, const air::CompileState &State,
-                   bool EnableFusion, air::IrFunction &Out,
-                   PolyStats *Stats = nullptr);
+/// Counts the POLY operations of the CKKS-dialect function \p F, with or
+/// without the two fusion optimizations. A new RNS loop opens when the
+/// trip count changes or after a barrier (key switches, rescales and
+/// bootstraps). The counts model the program codegen::emitC writes, in
+/// which every rotation and relinearization pays its own key switch
+/// (decomp + mod_up, then mod_down); the in-process CkksExecutor hoists a
+/// matvec's baby-step rotations onto one shared ModUp, so it runs fewer
+/// ModUps than counted.
+StatusOr<PolyStats> countPolyOps(const air::IrFunction &F,
+                                 const air::CompileState &State,
+                                 bool EnableFusion);
 
 } // namespace passes
 } // namespace ace

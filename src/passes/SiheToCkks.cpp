@@ -367,18 +367,15 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
       B.finish(Lowered, B.NumQ[A], B.Pending[A], B.degreeOf(A));
       break;
     }
-    case NodeKind::NK_SiheAdd:
-    case NodeKind::NK_SiheSub: {
+    case NodeKind::NK_SiheAdd: {
       IrNode *A = B.Map.at(N->Operands[0]);
       IrNode *C = B.Map.at(N->Operands[1]);
-      NodeKind Kind = N->Kind == NodeKind::NK_SiheAdd
-                          ? NodeKind::NK_CkksAdd
-                          : NodeKind::NK_CkksSub;
       if (C->Type == TypeKind::TK_Plain) {
         // Plaintexts are encoded at the ciphertext scale; a pending
         // Delta^2 scale would overflow the encoder, so settle first.
         A = B.settle(A);
-        Lowered = NewF.create(Kind, A->Type, {A, C}, N->Origin);
+        Lowered = NewF.create(NodeKind::NK_CkksAdd, A->Type, {A, C},
+                              N->Origin);
         B.finish(Lowered, B.NumQ[A], B.Pending[A], B.degreeOf(A));
       } else {
         // Pending operands add directly: the rescale primes are balanced
@@ -393,7 +390,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
         A = B.dropTo(A, Target);
         C = B.dropTo(C, Target);
         int Deg = std::max(B.degreeOf(A), B.degreeOf(C));
-        Lowered = NewF.create(Kind,
+        Lowered = NewF.create(NodeKind::NK_CkksAdd,
                               Deg == 3 ? TypeKind::TK_Cipher3
                                        : TypeKind::TK_Cipher,
                               {A, C}, N->Origin);

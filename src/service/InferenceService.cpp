@@ -57,8 +57,7 @@ std::string ServiceStats::json() const {
       "{\"accepted\":%llu,\"rejected\":%llu,\"completed\":%llu,"
       "\"failed\":%llu,\"deadline_expired\":%llu,\"cancelled\":%llu,"
       "\"queue_depth\":%zu,\"in_flight\":%zu,\"open_sessions\":%zu,"
-      "\"budget_shed\":%llu,\"idle_key_evictions\":%llu,"
-      "\"key_cache_bytes\":%zu,"
+      "\"budget_shed\":%llu,\"key_cache_bytes\":%zu,"
       "\"p50_latency_seconds\":%.6f,\"p99_latency_seconds\":%.6f}",
       static_cast<unsigned long long>(Accepted),
       static_cast<unsigned long long>(Rejected),
@@ -67,8 +66,7 @@ std::string ServiceStats::json() const {
       static_cast<unsigned long long>(DeadlineExpired),
       static_cast<unsigned long long>(Cancelled), QueueDepth, InFlight,
       OpenSessions, static_cast<unsigned long long>(BudgetShed),
-      static_cast<unsigned long long>(IdleKeyEvictions), KeyCacheBytes,
-      P50LatencySeconds, P99LatencySeconds);
+      KeyCacheBytes, P50LatencySeconds, P99LatencySeconds);
   return Buf;
 }
 
@@ -81,18 +79,7 @@ struct InferenceService::Session {
   std::unique_ptr<codegen::CkksExecutor> Exec;
   uint32_t Fingerprint = 0;
   std::mutex RunMutex;
-  /// steady_clock micros of the last request activity; the dispatcher's
-  /// idle sweep evicts cached keys of sessions cold past the TTL.
-  std::atomic<int64_t> LastUsedUs{0};
 };
-
-namespace {
-int64_t steadyNowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-} // namespace
 
 struct InferenceService::Request {
   uint64_t Id = 0;
@@ -194,7 +181,6 @@ StatusOr<uint64_t> InferenceService::openSession() {
   // use instead of all at setup (docs/memory.md). Relin/conjugation keys
   // stay eager.
   S->Exec->enableLazyRotationKeys();
-  S->LastUsedUs.store(steadyNowUs(), std::memory_order_relaxed);
   // Reseed key generation per session: the compiled parameters carry one
   // deterministic seed, and two sessions sharing it would generate
   // IDENTICAL keys - indistinguishable fingerprints, no client isolation.
@@ -405,66 +391,14 @@ Status InferenceService::cancel(uint64_t RequestId) {
   return Status::success();
 }
 
-void InferenceService::sweepIdleSessions() {
-  const int64_t TtlUs =
-      static_cast<int64_t>(Config.SessionIdleSeconds * 1e6);
-  const int64_t Now = steadyNowUs();
-  std::vector<std::shared_ptr<Session>> Snapshot;
-  {
-    std::lock_guard<std::mutex> Lock(SessionsMutex);
-    for (const auto &[Id, S] : Sessions)
-      Snapshot.push_back(S);
-  }
-  for (const auto &S : Snapshot) {
-    if (Now - S->LastUsedUs.load(std::memory_order_relaxed) < TtlUs)
-      continue;
-    // Never block on a busy session: try_lock skips one mid-request (it
-    // is not idle anyway) and a session a client is encrypting under.
-    std::unique_lock<std::mutex> Run(S->RunMutex, std::try_to_lock);
-    if (!Run.owns_lock())
-      continue;
-    if (S->Exec->keyCache()->releaseAll() > 0) {
-      std::lock_guard<std::mutex> SLock(StatsMutex);
-      ++Counters.IdleKeyEvictions;
-    }
-  }
-}
-
 void InferenceService::dispatchLoop() {
   telemetry::Telemetry::instance().nameThread("ace-svc-dispatcher");
-  // Idle-session sweeps run on a fixed cadence (TTL/2, capped at 1 s)
-  // checked at the top of every iteration, not only when the queue wait
-  // times out: under sustained load the queue never goes quiet, and cold
-  // sessions' keys must still age out on schedule rather than waiting
-  // for budget pressure.
-  const double SweepPeriod =
-      Config.SessionIdleSeconds > 0.0
-          ? std::min(Config.SessionIdleSeconds / 2.0, 1.0)
-          : 0.0;
-  auto LastSweep = std::chrono::steady_clock::now();
   while (true) {
-    if (SweepPeriod > 0.0 &&
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      LastSweep)
-                .count() >= SweepPeriod) {
-      sweepIdleSessions();
-      LastSweep = std::chrono::steady_clock::now();
-    }
     std::vector<std::shared_ptr<Request>> Batch;
     bool Draining = false;
     {
       std::unique_lock<std::mutex> Lock(QueueMutex);
-      if (SweepPeriod > 0.0) {
-        // Bounded wait so the sweep cadence holds over an empty queue; a
-        // timeout loops back to the sweep check above.
-        bool HasWork = QueueCv.wait_for(
-            Lock, std::chrono::duration<double>(SweepPeriod),
-            [&] { return Stopping || !Queue.empty(); });
-        if (!HasWork)
-          continue;
-      } else {
-        QueueCv.wait(Lock, [&] { return Stopping || !Queue.empty(); });
-      }
+      QueueCv.wait(Lock, [&] { return Stopping || !Queue.empty(); });
       if (Stopping) {
         Batch.assign(Queue.begin(), Queue.end());
         Queue.clear();
@@ -562,7 +496,6 @@ void InferenceService::execute(const std::shared_ptr<Request> &R) {
            {});
     return;
   }
-  S->LastUsedUs.store(steadyNowUs(), std::memory_order_relaxed);
   // Memory-budget preflight (graceful degradation): when the process is
   // over budget even after the governor reclaims cold keys and trims the
   // limb pool, shed THIS incoming request in-band with ResourceExhausted
@@ -617,10 +550,6 @@ void InferenceService::execute(const std::shared_ptr<Request> &R) {
                        std::chrono::steady_clock::now() - DequeuedAt)
                        .count();
   StageHist[static_cast<size_t>(Stage::Exec)].recordSeconds(R->ExecSeconds);
-  // Re-stamp at completion: a request running longer than the idle TTL
-  // must not leave its session looking idle (and its freshly built keys
-  // sweepable) the instant it finishes.
-  S->LastUsedUs.store(steadyNowUs(), std::memory_order_relaxed);
   if (!Outcome.ok())
     CtBytes.clear();
   finish(R, std::move(Outcome), std::move(CtBytes));

@@ -121,11 +121,6 @@ struct ServiceConfig {
   /// Deadline applied to requests that carry none (0 = no default). A
   /// client opts out explicitly with encryptRequest(DeadlineSeconds=0).
   double DefaultDeadlineSeconds = 0.0;
-  /// When > 0, the dispatcher evicts the cached rotation keys of
-  /// sessions idle longer than this many seconds (the keys regenerate
-  /// transparently on the session's next request). 0 disables the
-  /// sweep.
-  double SessionIdleSeconds = 0.0;
 };
 
 /// Point-in-time service health, the serving analogue of the bench
@@ -145,8 +140,6 @@ struct ServiceStats {
   /// Requests shed by the memory-budget preflight (each also counts as
   /// Failed — it resolved with a failure Status).
   uint64_t BudgetShed = 0;
-  /// Idle-TTL sweeps that evicted a session's cached rotation keys.
-  uint64_t IdleKeyEvictions = 0;
   /// Rotation-key bytes currently cached across all open sessions.
   size_t KeyCacheBytes = 0;
   /// Submit-to-completion latency percentiles over completed requests.
@@ -284,10 +277,6 @@ private:
   struct Request;
 
   std::shared_ptr<Session> findSession(uint64_t SessionId) const;
-  /// Evicts the cached rotation keys of sessions idle past
-  /// Config.SessionIdleSeconds. Runs on the dispatcher between waves;
-  /// busy sessions (RunMutex held) are skipped, never blocked on.
-  void sweepIdleSessions();
   void dispatchLoop();
   void execute(const std::shared_ptr<Request> &R);
   void finish(const std::shared_ptr<Request> &R, Status Outcome,

@@ -10,13 +10,13 @@
 /// Process-wide memory governor (see docs/memory.md). Long-lived
 /// consumers — the limb pool, per-session rotation-key caches, service
 /// sessions — charge their resident bytes against a single optional hard
-/// budget (ACE_MEMORY_BUDGET env, setBudgetBytes,
-/// ace_set_memory_budget). Admission points call admit() before growing;
-/// when a charge would exceed the budget the governor first asks
-/// registered reclaimers (key caches evict cold keys, the pool trims its
-/// free lists) to give memory back, and only if that is not enough does
-/// the caller get Status::resourceExhausted — degrading by shedding the
-/// incoming unit of work, never by crashing in-flight work.
+/// budget (ACE_MEMORY_BUDGET env, setBudgetBytes). Admission points call
+/// admit() before growing; when a charge would exceed the budget the
+/// governor first asks registered reclaimers (key caches evict cold keys,
+/// the pool trims its free lists) to give memory back, and only if that
+/// is not enough does the caller get Status::resourceExhausted —
+/// degrading by shedding the incoming unit of work, never by crashing
+/// in-flight work.
 ///
 /// charge()/release() are pure accounting (never fail, release clamps at
 /// zero); budget enforcement happens only at admit() call sites.

@@ -100,17 +100,6 @@ const char *ace::telemetry::counterName(Counter C) {
   return "unknown";
 }
 
-bool ace::telemetry::counterFromName(const std::string &Name, Counter &Out) {
-  for (size_t I = 0; I < kCounterCount; ++I) {
-    Counter C = static_cast<Counter>(I);
-    if (Name == counterName(C)) {
-      Out = C;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string ace::telemetry::jsonEscape(const std::string &S) {
   std::string Out;
   Out.reserve(S.size() + 8);

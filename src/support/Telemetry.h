@@ -89,9 +89,6 @@ constexpr size_t kCounterCount = static_cast<size_t>(Counter::CounterCount);
 /// Stable report/JSON name of \p C ("ct-ct-mul", "rotate", ...).
 const char *counterName(Counter C);
 
-/// Reverse lookup for the C API. Returns false on unknown names.
-bool counterFromName(const std::string &Name, Counter &Out);
-
 namespace detail {
 /// The cached global enable flag. Do not touch directly; hook sites read
 /// it through telemetry::enabled(), and Telemetry::setEnabled writes it.

@@ -22,8 +22,8 @@
 /// thread count comes from the ACE_THREADS environment variable (absent
 /// or invalid = 1, i.e. serial - threading is opt-in so the default
 /// configuration stays exactly as reproducible and sanitizer-friendly as
-/// the single-threaded seed). ThreadPool::setNumThreads (or the C API's
-/// ace_set_num_threads) reconfigures it at any quiescent point.
+/// the single-threaded seed). ThreadPool::setNumThreads reconfigures it
+/// at any quiescent point.
 ///
 /// Semantics:
 ///  - parallelFor(Begin, End, Fn) calls Fn(I) exactly once for every I in

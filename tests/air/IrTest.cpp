@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace ace;
 using namespace ace::air;
 
@@ -18,7 +20,6 @@ TEST(IrTest, DialectClassification) {
   EXPECT_EQ(dialectOf(NodeKind::NK_VecRoll), DialectKind::DK_Vector);
   EXPECT_EQ(dialectOf(NodeKind::NK_SiheMul), DialectKind::DK_Sihe);
   EXPECT_EQ(dialectOf(NodeKind::NK_CkksBootstrap), DialectKind::DK_Ckks);
-  EXPECT_EQ(dialectOf(NodeKind::NK_HwModMulAdd), DialectKind::DK_Poly);
   EXPECT_EQ(dialectOf(NodeKind::NK_Input), DialectKind::DK_Common);
 }
 
@@ -26,7 +27,6 @@ TEST(IrTest, KindNamesFollowPaperConvention) {
   EXPECT_STREQ(nodeKindName(NodeKind::NK_CkksMul), "CKKS.mul");
   EXPECT_STREQ(nodeKindName(NodeKind::NK_VecRoll), "VECTOR.roll");
   EXPECT_STREQ(nodeKindName(NodeKind::NK_SiheEncode), "SIHE.encode");
-  EXPECT_STREQ(nodeKindName(NodeKind::NK_HwNtt), "POLY.hw_ntt");
 }
 
 IrFunction makeGemvLike() {
@@ -93,6 +93,40 @@ TEST(IrTest, PrinterEmitsPaperStyleMnemonics) {
   EXPECT_NE(Text.find("SIHE.encode"), std::string::npos);
   EXPECT_NE(Text.find("\"image\""), std::string::npos);
   EXPECT_NE(Text.find("retv"), std::string::npos);
+}
+
+// A dump identifies every attribute: a changed weight shows in the
+// constant's checksum and a changed scalar or scale in its round-trip
+// digits, so byte-identical dumps mean identical programs.
+TEST(IrTest, PrinterShowsEveryWeightAndScalar) {
+  IrFunction F("weights");
+  IrNode *X = F.addInput("x", TypeKind::TK_Cipher);
+  IrNode *C = F.create(NodeKind::NK_ConstVec, TypeKind::TK_Vector);
+  C->Data = {1.0, 2.0};
+  IrNode *E = F.create(NodeKind::NK_SiheEncode, TypeKind::TK_Plain, {C});
+  IrNode *M = F.create(NodeKind::NK_SiheMul, TypeKind::TK_Cipher, {X, E});
+  M->CkksLevel = 2;
+  M->CkksScale = std::ldexp(1.0, 45);
+  IrNode *S = F.create(NodeKind::NK_SiheMulConst, TypeKind::TK_Cipher, {M});
+  S->Scalar = 0.1;
+  F.setReturn(S);
+  const std::string Base = printFunction(F);
+  EXPECT_NE(Base.find("data<2 crc32c="), std::string::npos) << Base;
+  EXPECT_NE(Base.find("scalar=0.10000000000000001"), std::string::npos)
+      << Base;
+
+  // One weight one ulp away changes the dump; restoring it restores it.
+  C->Data[1] = std::nextafter(2.0, 3.0);
+  EXPECT_NE(printFunction(F), Base);
+  C->Data[1] = 2.0;
+  EXPECT_EQ(printFunction(F), Base);
+
+  // Changes below six significant digits show too.
+  S->Scalar = 0.1 + 1e-12;
+  EXPECT_NE(printFunction(F), Base);
+  S->Scalar = 0.1;
+  M->CkksScale *= 1.0 + 1e-9;
+  EXPECT_NE(printFunction(F), Base);
 }
 
 TEST(IrTest, CountDialectAndRenumber) {

@@ -2,13 +2,15 @@
 // Full code-generation integration test: emit C for the Figure 4 model,
 // compile it with the system C compiler against the runtime library, run
 // the binary, and check that it prints logits matching the biases (the
-// generated harness uses a zero input). Skipped when no compiler or the
-// static libraries are not where the build puts them.
+// generated harness uses a zero input) and runs the key switches the POLY
+// count models. CMake passes the header directory and the runtime
+// archives in, so the test skips only when no system compiler exists.
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CodeEmitter.h"
 #include "driver/AceCompiler.h"
 #include "nn/ModelZoo.h"
+#include "passes/CkksToPoly.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -23,9 +25,28 @@ using namespace ace;
 
 namespace {
 
-bool fileExists(const std::string &Path) {
-  std::ifstream F(Path);
-  return F.good();
+/// The value of counter \p Name in the "FHE op counters:" section of the
+/// telemetry report a generated program printed to \p Path; -1 when the
+/// report does not list it.
+long long reportCounter(const std::string &Path, const std::string &Name) {
+  std::ifstream Out(Path);
+  bool InCounters = false;
+  for (std::string Line; std::getline(Out, Line);) {
+    if (Line == "FHE op counters:") {
+      InCounters = true;
+      continue;
+    }
+    if (!InCounters)
+      continue;
+    char Counter[64];
+    long long Value = 0;
+    if (Line.rfind("  ", 0) != 0 ||
+        std::sscanf(Line.c_str(), "%63s %lld", Counter, &Value) != 2)
+      break;
+    if (Name == Counter)
+      return Value;
+  }
+  return -1;
 }
 
 /// The "logit[k] = v" lines a generated program printed to \p Path.
@@ -42,21 +63,6 @@ TEST(GeneratedCTest, CompilesAndRuns) {
   if (std::system("which cc > /dev/null 2>&1") != 0 ||
       std::system("which c++ > /dev/null 2>&1") != 0)
     GTEST_SKIP() << "no system compiler";
-  // Locate the build tree relative to wherever ctest runs us.
-  std::string Prefix;
-  bool Found = false;
-  for (const char *Candidate : {"build/", "", "../", "../../"}) {
-    if (fileExists(std::string(Candidate) + "src/fhe/libace_fhe.a")) {
-      Prefix = Candidate;
-      Found = true;
-      break;
-    }
-  }
-  if (!Found)
-    GTEST_SKIP() << "runtime archives not found";
-  std::string FheLib = Prefix + "src/fhe/libace_fhe.a";
-  std::string SupLib = Prefix + "src/support/libace_support.a";
-
   onnx::Model M = nn::buildLinearInfer(3);
   Rng R(7);
   std::vector<nn::Tensor> Calib(1);
@@ -73,16 +79,10 @@ TEST(GeneratedCTest, CompilesAndRuns) {
                           "/tmp/ace_gen.weights");
   ASSERT_TRUE(codegen::writeProgram(P, "/tmp/ace_gen").ok());
 
-  std::string IncludeDir;
-  for (const char *Candidate : {"src", "../src", "../../src"})
-    if (fileExists(std::string(Candidate) + "/fhe/CApi.h"))
-      IncludeDir = Candidate;
-  if (IncludeDir.empty())
-    GTEST_SKIP() << "source headers not found";
-  std::string Cmd = "cc -c -I" + IncludeDir +
+  std::string Cmd = std::string("cc -c -I") + ACE_SRC_DIR +
                     " /tmp/ace_gen.c -o /tmp/ace_gen.o 2> /tmp/ace_gen.err"
-                    " && c++ /tmp/ace_gen.o " +
-                    FheLib + " " + SupLib +
+                    " && c++ /tmp/ace_gen.o " ACE_FHE_ARCHIVE
+                    " " ACE_SUPPORT_ARCHIVE
                     " -o /tmp/ace_gen_bin 2>> /tmp/ace_gen.err";
   ASSERT_EQ(std::system(Cmd.c_str()), 0) << "generated C failed to build";
   ASSERT_EQ(std::system("/tmp/ace_gen_bin > /tmp/ace_gen.out"), 0);
@@ -107,6 +107,22 @@ TEST(GeneratedCTest, CompilesAndRuns) {
                         "/tmp/ace_gen_threads.out 2> /tmp/ace_gen_threads.err"),
             0);
   EXPECT_EQ(logitLines("/tmp/ace_gen_threads.out"), Logits);
+
+  // The POLY count models this binary: each of its key switches is one
+  // fused decomp_modup, and no rotation shares a ModUp with another.
+  auto Counted =
+      passes::countPolyOps((*Result)->Program, (*Result)->State, true);
+  ASSERT_TRUE(Counted.ok()) << Counted.status().message();
+  ASSERT_EQ(std::system("ACE_TELEMETRY_REPORT=1 /tmp/ace_gen_bin > "
+                        "/tmp/ace_gen_report.out"),
+            0);
+  EXPECT_EQ(logitLines("/tmp/ace_gen_report.out"), Logits);
+  auto FusedDecompModUp = static_cast<long long>(Counted->FusedDecompModUp);
+  EXPECT_GT(FusedDecompModUp, 0);
+  EXPECT_EQ(reportCounter("/tmp/ace_gen_report.out", "key-switch"),
+            FusedDecompModUp);
+  EXPECT_EQ(reportCounter("/tmp/ace_gen_report.out", "modup"),
+            FusedDecompModUp);
 }
 
 } // namespace
