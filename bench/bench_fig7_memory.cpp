@@ -3,9 +3,11 @@
 // highlighting the CKKS evaluation keys' share. ACE generates only the
 // keys the rotation analysis found (paper: 84.8% average reduction);
 // the Expert baseline carries the full power-of-two set plus margin
-// levels. Alongside the measured toy-parameter bytes, the bench projects
-// the same key counts to the paper's production parameters
-// (N = 2^16, ~30 primes), where a single key exceeds 1 GB.
+// levels. Each row also measures what one inference adds on top of its
+// keys: ciphertexts and encoded plaintexts. Alongside the measured
+// toy-parameter bytes, the bench projects the same key counts to the
+// paper's production parameters (N = 2^16, ~30 primes), where a single
+// key exceeds 1 GB.
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -29,23 +31,44 @@ struct MemResult {
   size_t ChainLen = 0;
   size_t RingDegree = 0;
   size_t SetupRssBytes = 0;
+  size_t RunRssBytes = 0;
 };
+
+/// RSS now, after giving parked limbs and the heap's free pages back, so
+/// the growth measured from it cannot reuse memory an earlier step left.
+size_t trimmedRssBytes() {
+  LimbPool::instance().trim();
+  malloc_trim(0);
+  return currentRssBytes();
+}
 
 MemResult runOne(const BenchModel &M, const air::CompileOptions &Opt) {
   auto R = compileOrDie(M.Model, M.Data, Opt);
-  // The row's own RSS growth over setup. Limbs parked by earlier rows and
-  // the heap's free pages go back first, so setup cannot reuse them and
-  // read low; a process high-water mark would read the largest earlier
-  // row instead.
-  LimbPool::instance().trim();
-  malloc_trim(0);
-  size_t RssBefore = currentRssBytes();
+  // The row's own RSS growth over setup, then over one inference. Limbs
+  // parked by earlier steps and the heap's free pages go back first, so a
+  // step cannot reuse them and read low; a process high-water mark would
+  // read the largest earlier row instead.
+  size_t RssBefore = trimmedRssBytes();
   codegen::CkksExecutor Exec(R->Program, R->State);
   if (Status S = Exec.setup()) {
     std::fprintf(stderr, "setup failed: %s\n", S.message().c_str());
     std::exit(1);
   }
   size_t RssAfter = currentRssBytes();
+  auto Ct = Exec.encryptInput(M.Data.Images[0]);
+  if (!Ct.ok()) {
+    std::fprintf(stderr, "encrypt failed: %s\n",
+                 Ct.status().message().c_str());
+    std::exit(1);
+  }
+  size_t RunBefore = trimmedRssBytes();
+  auto Result = Exec.run(*Ct);
+  if (!Result.ok()) {
+    std::fprintf(stderr, "run failed: %s\n",
+                 Result.status().message().c_str());
+    std::exit(1);
+  }
+  size_t RunAfter = currentRssBytes();
   MemResult Out;
   Out.RotationKeys = Exec.rotationKeyCount();
   Out.KeyBytes = Exec.evalKeyBytes();
@@ -54,6 +77,7 @@ MemResult runOne(const BenchModel &M, const air::CompileOptions &Opt) {
       static_cast<size_t>(R->State.SelectedParams.NumRescaleModuli) + 1;
   Out.RingDegree = R->State.SelectedParams.RingDegree;
   Out.SetupRssBytes = RssAfter > RssBefore ? RssAfter - RssBefore : 0;
+  Out.RunRssBytes = RunAfter > RunBefore ? RunAfter - RunBefore : 0;
   return Out;
 }
 
@@ -112,9 +136,9 @@ int main(int argc, char **argv) {
   telemetry::Telemetry::instance().setEnabled(true);
 
   std::printf("=== Figure 7: key memory, ACE vs Expert ===\n");
-  std::printf("%-18s %-7s | %8s %12s %12s %10s | %14s\n", "model", "impl",
-              "rotkeys", "eval-keys", "total-mem", "setup-rss",
-              "prod-scale-keys");
+  std::printf("%-18s %-7s | %8s %12s %12s %10s %10s | %14s\n", "model",
+              "impl", "rotkeys", "eval-keys", "total-mem", "setup-rss",
+              "run-rss", "prod-scale-keys");
   std::string Rows;
   for (auto &M : Models) {
     MemResult Ace = runOne(M, benchOptions());
@@ -125,24 +149,27 @@ int main(int argc, char **argv) {
       double Scale = 65536.0 / static_cast<double>(ToyN);
       double ProjGiB = static_cast<double>(R.KeyBytes) * Scale /
                        (1024.0 * 1024.0 * 1024.0);
-      std::printf("%-18s %-7s | %8zu %12s %12s %10s | %10.1f GiB\n",
+      std::printf("%-18s %-7s | %8zu %12s %12s %10s %10s | %10.1f GiB\n",
                   M.Spec.Name.c_str(), Impl, R.RotationKeys,
                   formatBytes(R.KeyBytes).c_str(),
                   formatBytes(R.TotalBytes).c_str(),
-                  formatBytes(R.SetupRssBytes).c_str(), ProjGiB);
+                  formatBytes(R.SetupRssBytes).c_str(),
+                  formatBytes(R.RunRssBytes).c_str(), ProjGiB);
     };
     Print("ace", Ace, Ace.RingDegree);
     Print("expert", Exp, Exp.RingDegree);
     std::printf("%-18s %-7s | key-memory reduction: %.1f%%\n", "", "delta",
                 100.0 * (1.0 - static_cast<double>(Ace.KeyBytes) /
                                    static_cast<double>(Exp.KeyBytes)));
-    char Row[384];
+    char Row[512];
     std::snprintf(Row, sizeof(Row),
                   "{\"model\": \"%s\", \"ace_rotkeys\": %zu, "
-                  "\"ace_key_bytes\": %zu, \"expert_rotkeys\": %zu, "
-                  "\"expert_key_bytes\": %zu, \"reduction_pct\": %.2f}",
+                  "\"ace_key_bytes\": %zu, \"ace_run_rss_bytes\": %zu, "
+                  "\"expert_rotkeys\": %zu, \"expert_key_bytes\": %zu, "
+                  "\"expert_run_rss_bytes\": %zu, \"reduction_pct\": %.2f}",
                   M.Spec.Name.c_str(), Ace.RotationKeys, Ace.KeyBytes,
-                  Exp.RotationKeys, Exp.KeyBytes,
+                  Ace.RunRssBytes, Exp.RotationKeys, Exp.KeyBytes,
+                  Exp.RunRssBytes,
                   100.0 * (1.0 - static_cast<double>(Ace.KeyBytes) /
                                      static_cast<double>(Exp.KeyBytes)));
     Rows += std::string(Rows.empty() ? "" : ",\n  ") + Row;

@@ -11,6 +11,7 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -21,7 +22,8 @@ using fhe::Ciphertext;
 using fhe::Plaintext;
 
 CkksExecutor::CkksExecutor(const IrFunction &F, const CompileState &State)
-    : F(F), State(State) {}
+    : F(F), State(State),
+      Uses(computeLastUses(F, State.Options.EnableRotationKeyAnalysis)) {}
 
 CkksExecutor::~CkksExecutor() = default;
 
@@ -211,24 +213,29 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
                                   Ctx->scale()) +
         "; fresh inputs must be encrypted at the context scale");
   telemetry::TraceSpan RunSpan("executor", "run");
-  std::map<int, Ciphertext> Values;
+  std::vector<Ciphertext> Values(Uses.LastReader.size());
+  auto Value = [&](const IrNode *V) -> const Ciphertext & {
+    assert(!Values[V->Id].Polys.empty() && "value read after its release");
+    return Values[V->Id];
+  };
+  // Operand I of N: moved out when N reads it for the last time (at its
+  // last operand slot, so x + x copies its first operand), copied
+  // otherwise.
+  auto Take = [&](const IrNode *N, size_t I) -> Ciphertext {
+    const IrNode *Op = N->Operands[I];
+    const Ciphertext &V = Value(Op);
+    if (Uses.lastReadAt(Op, N) &&
+        std::find(N->Operands.begin() + I + 1, N->Operands.end(), Op) ==
+            N->Operands.end())
+      return std::move(Values[Op->Id]);
+    return V;
+  };
 
   auto ConstOperand = [&](const IrNode *N) -> const IrNode * {
     // CkksEncode wraps a ConstVec.
     assert(N->Kind == NodeKind::NK_CkksEncode && "expected encode node");
     return N->Operands[0];
   };
-
-  // Rotations that share an operand ciphertext (the baby steps of a BSGS
-  // matvec) are served as one hoisted batch: one digit decomposition for
-  // the whole group instead of one per rotation. SSA guarantees the
-  // operand's value never changes, so the batch can run at the first
-  // member and later members just read their precomputed result.
-  std::map<int, std::vector<const IrNode *>> RotateGroups;
-  if (State.Options.EnableRotationKeyAnalysis)
-    for (const auto &NPtr : F.nodes())
-      if (NPtr->Kind == NodeKind::NK_CkksRotate)
-        RotateGroups[NPtr->Operands[0]->Id].push_back(NPtr.get());
 
   Ciphertext Result;
   bool HaveResult = false;
@@ -247,33 +254,36 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
       Values[N->Id] = Input;
       break;
     case NodeKind::NK_CkksRotate: {
-      const Ciphertext &A = Values.at(N->Operands[0]->Id);
+      // Rotations that share an operand ciphertext (the baby steps of a
+      // BSGS matvec) are served as one hoisted batch: one digit
+      // decomposition for the whole group instead of one per rotation.
+      // SSA guarantees the operand's value never changes, so the batch
+      // runs at the first member and later members are already produced.
+      if (Uses.servedByBatch(N))
+        break;
+      const Ciphertext &A = Value(N->Operands[0]);
       int64_t Slots = static_cast<int64_t>(A.Slots);
       if (Slots <= 0)
         return Status::invalidArgument(
             "executor rotate: operand reports " + std::to_string(Slots) +
             " slots");
       int64_t Step = ((N->rotationSteps() % Slots) + Slots) % Slots;
-      if (State.Options.EnableRotationKeyAnalysis) {
-        if (Values.count(N->Id))
-          break; // already served by an earlier hoisted batch
-        auto GroupIt = RotateGroups.find(N->Operands[0]->Id);
-        if (GroupIt != RotateGroups.end() && GroupIt->second.size() >= 2) {
-          std::vector<int64_t> Steps;
-          Steps.reserve(GroupIt->second.size());
-          for (const IrNode *Member : GroupIt->second)
-            Steps.push_back(Member->rotationSteps());
-          ACE_ASSIGN_OR_RETURN(std::vector<Ciphertext> Outs,
-                               Eval->checkedRotateHoisted(A, Steps));
-          for (size_t I = 0; I < Outs.size(); ++I)
-            Values[GroupIt->second[I]->Id] = std::move(Outs[I]);
-          break;
-        }
+      const std::vector<const IrNode *> &Batch = Uses.BatchMembers[N->Id];
+      if (!Batch.empty()) {
+        std::vector<int64_t> Steps;
+        Steps.reserve(Batch.size());
+        for (const IrNode *Member : Batch)
+          Steps.push_back(Member->rotationSteps());
+        ACE_ASSIGN_OR_RETURN(std::vector<Ciphertext> Outs,
+                             Eval->checkedRotateHoisted(A, Steps));
+        for (size_t I = 0; I < Outs.size(); ++I)
+          Values[Batch[I]->Id] = std::move(Outs[I]);
+      } else if (State.Options.EnableRotationKeyAnalysis) {
         ACE_ASSIGN_OR_RETURN(Values[N->Id], Eval->checkedRotate(A, Step));
       } else {
         // Power-of-two key set only: decompose the step bit by bit (the
         // extra key switches are the Expert baseline's rotation cost).
-        Ciphertext Cur = A;
+        Ciphertext Cur = Take(N, 0);
         for (int64_t Bit = 1; Bit < Slots; Bit <<= 1) {
           if (Step & Bit) {
             ACE_ASSIGN_OR_RETURN(Cur, Eval->checkedRotate(Cur, Bit));
@@ -284,14 +294,16 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
       break;
     }
     case NodeKind::NK_CkksMul: {
-      const Ciphertext &A = Values.at(N->Operands[0]->Id);
+      const Ciphertext &A = Value(N->Operands[0]);
       if (N->Operands[1]->Type == TypeKind::TK_Plain) {
         ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, A, "mulPlain"));
         const Plaintext &P =
             encodedConst(ConstOperand(N->Operands[1]), A, /*ForMul=*/true);
-        Values[N->Id] = Eval->mulPlain(A, P);
+        Ciphertext Prod = Take(N, 0);
+        Eval->mulPlainInPlace(Prod, P);
+        Values[N->Id] = std::move(Prod);
       } else {
-        const Ciphertext &B = Values.at(N->Operands[1]->Id);
+        const Ciphertext &B = Value(N->Operands[1]);
         ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, A, "mul"));
         ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, B, "mul"));
         if (A.numQ() != B.numQ())
@@ -308,24 +320,22 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
     }
     case NodeKind::NK_CkksRelin: {
       ACE_ASSIGN_OR_RETURN(
-          Values[N->Id],
-          Eval->checkedRelinearize(Values.at(N->Operands[0]->Id)));
+          Values[N->Id], Eval->checkedRelinearize(Value(N->Operands[0])));
       break;
     }
     case NodeKind::NK_CkksMulConst: {
-      const Ciphertext &A = Values.at(N->Operands[0]->Id);
+      const Ciphertext &A = Value(N->Operands[0]);
       ACE_ASSIGN_OR_RETURN(Values[N->Id],
                            Eval->checkedMulScalar(A, N->Scalar, A.Scale));
       break;
     }
     case NodeKind::NK_CkksAddConst: {
-      ACE_ASSIGN_OR_RETURN(
-          Values[N->Id],
-          Eval->checkedAddConst(Values.at(N->Operands[0]->Id), N->Scalar));
+      ACE_ASSIGN_OR_RETURN(Values[N->Id],
+                           Eval->checkedAddConst(Take(N, 0), N->Scalar));
       break;
     }
     case NodeKind::NK_CkksAdd: {
-      Ciphertext A = Values.at(N->Operands[0]->Id);
+      Ciphertext A = Take(N, 0);
       if (N->Operands[1]->Type == TypeKind::TK_Plain) {
         ACE_RETURN_IF_ERROR(fhe::validateCiphertext(*Ctx, A, "addPlain"));
         const Plaintext &P = encodedConst(ConstOperand(N->Operands[1]), A,
@@ -333,7 +343,7 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
         Eval->addPlainInPlace(A, P);
         Values[N->Id] = std::move(A);
       } else {
-        Ciphertext B = Values.at(N->Operands[1]->Id);
+        Ciphertext B = Take(N, 1);
         ACE_RETURN_IF_ERROR(Eval->checkedMatchForAdd(A, B));
         Eval->addInPlace(A, B);
         Values[N->Id] = std::move(A);
@@ -341,15 +351,13 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
       break;
     }
     case NodeKind::NK_CkksRescale: {
-      ACE_ASSIGN_OR_RETURN(
-          Values[N->Id],
-          Eval->checkedRescale(Values.at(N->Operands[0]->Id)));
+      ACE_ASSIGN_OR_RETURN(Values[N->Id], Eval->checkedRescale(Take(N, 0)));
       break;
     }
     case NodeKind::NK_CkksModSwitch: {
       ACE_ASSIGN_OR_RETURN(
           Values[N->Id],
-          Eval->checkedModSwitchTo(Values.at(N->Operands[0]->Id),
+          Eval->checkedModSwitchTo(Take(N, 0),
                                    static_cast<size_t>(N->Ints[0])));
       break;
     }
@@ -358,21 +366,22 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
         return Status::keyMissing(
             "executor bootstrap: program contains a bootstrap node but "
             "setup() generated no bootstrapping keys");
-      const Ciphertext &A = Values.at(N->Operands[0]->Id);
       ACE_ASSIGN_OR_RETURN(
           Values[N->Id],
-          Boot->checkedBootstrap(A,
+          Boot->checkedBootstrap(Value(N->Operands[0]),
                                  static_cast<size_t>(N->BootstrapTarget)));
       break;
     }
     case NodeKind::NK_Return:
-      Result = Values.at(N->Operands[0]->Id);
+      Result = Take(N, 0);
       HaveResult = true;
       break;
     default:
       return Status::error(std::string("executor: unsupported node ") +
                            nodeKindName(N->Kind));
     }
+    for (int Id : Uses.Released[N->Id])
+      Values[Id] = Ciphertext();
   }
   if (!HaveResult)
     return Status::error("executor: program produced no result");

@@ -21,6 +21,7 @@
 #ifndef ACE_CODEGEN_CKKSEXECUTOR_H
 #define ACE_CODEGEN_CKKSEXECUTOR_H
 
+#include "air/LastUse.h"
 #include "air/Pass.h"
 #include "fhe/Bootstrapper.h"
 #include "fhe/Encryptor.h"
@@ -77,7 +78,9 @@ public:
   /// Server-side: runs the encrypted inference. Every homomorphic step
   /// goes through the checked evaluator tier: a corrupted operand or a
   /// missing key aborts the run with a diagnostic Status instead of
-  /// crashing the process. Honors the cancellation token installed on
+  /// crashing the process. The run holds only the values still to be
+  /// read: each ciphertext is released after its last reader, and an
+  /// operand read for the last time moves into the node that reads it. Honors the cancellation token installed on
   /// the calling thread (CancellationScope): an expired deadline or a
   /// cancel() unwinds between IR nodes with
   /// Status(DeadlineExceeded/Cancelled) - never mid-op, so no
@@ -116,6 +119,9 @@ public:
 private:
   const air::IrFunction &F;
   const air::CompileState &State;
+  /// F's last-reader table, with the hoisted rotation batches run()
+  /// serves when rotation-key analysis is on.
+  const air::LastUses Uses;
 
   std::unique_ptr<fhe::Context> Ctx;
   std::unique_ptr<fhe::Encoder> Enc;

@@ -1089,7 +1089,7 @@ StatusOr<Ciphertext> Evaluator::checkedMulScalar(const Ciphertext &A,
   return mulScalar(A, Value, TargetScale);
 }
 
-StatusOr<Ciphertext> Evaluator::checkedAddConst(const Ciphertext &A,
+StatusOr<Ciphertext> Evaluator::checkedAddConst(Ciphertext A,
                                                 double Value) const {
   ACE_RETURN_IF_ERROR(checkedEntry(Ctx, "addConst", &A, nullptr));
   long double Raw = static_cast<long double>(Value) *
@@ -1099,9 +1099,8 @@ StatusOr<Ciphertext> Evaluator::checkedAddConst(const Ciphertext &A,
         "addConst: constant " + std::to_string(Value) +
         " overflows the 62-bit encoding at scale " +
         std::to_string(A.Scale));
-  Ciphertext R = A;
-  addConstInPlace(R, Value);
-  return R;
+  addConstInPlace(A, Value);
+  return A;
 }
 
 StatusOr<Ciphertext> Evaluator::checkedRotate(const Ciphertext &A,
@@ -1196,18 +1195,17 @@ StatusOr<Ciphertext> Evaluator::checkedRelinearize(const Ciphertext &A) const {
   return relinearize(A);
 }
 
-StatusOr<Ciphertext> Evaluator::checkedRescale(const Ciphertext &A) const {
+StatusOr<Ciphertext> Evaluator::checkedRescale(Ciphertext A) const {
   ACE_RETURN_IF_ERROR(checkedEntry(Ctx, "rescale", &A, nullptr));
   if (A.numQ() < 2)
     return Status::depthExhausted(
         "rescale: depth exhausted: ciphertext already at the base modulus "
         "(1 active prime)");
-  Ciphertext R = A;
-  rescaleInPlace(R);
-  return R;
+  rescaleInPlace(A);
+  return A;
 }
 
-StatusOr<Ciphertext> Evaluator::checkedModSwitchTo(const Ciphertext &A,
+StatusOr<Ciphertext> Evaluator::checkedModSwitchTo(Ciphertext A,
                                                    size_t NumQ) const {
   ACE_RETURN_IF_ERROR(checkedEntry(Ctx, "modSwitch", &A, nullptr));
   if (NumQ < 1 || NumQ > A.numQ())
@@ -1215,7 +1213,6 @@ StatusOr<Ciphertext> Evaluator::checkedModSwitchTo(const Ciphertext &A,
         "modSwitch: target of " + std::to_string(NumQ) +
         " active primes is outside [1, " + std::to_string(A.numQ()) +
         "] for this ciphertext");
-  Ciphertext R = A;
-  modSwitchTo(R, NumQ);
-  return R;
+  modSwitchTo(A, NumQ);
+  return A;
 }

@@ -107,8 +107,9 @@ public:
       const;
   StatusOr<Ciphertext> checkedMulScalar(const Ciphertext &A, double Value,
                                         double TargetScale = 0.0) const;
-  StatusOr<Ciphertext> checkedAddConst(const Ciphertext &A,
-                                       double Value) const;
+  /// Takes \p A by value, like checkedRescale and checkedModSwitchTo: an
+  /// rvalue operand is transformed in place, an lvalue one is copied.
+  StatusOr<Ciphertext> checkedAddConst(Ciphertext A, double Value) const;
   StatusOr<Ciphertext> checkedRotate(const Ciphertext &A,
                                      int64_t Steps) const;
   /// Validated hoisted rotation batch: checks the ciphertext and every
@@ -118,9 +119,8 @@ public:
                        const std::vector<int64_t> &Steps) const;
   StatusOr<Ciphertext> checkedConjugate(const Ciphertext &A) const;
   StatusOr<Ciphertext> checkedRelinearize(const Ciphertext &A) const;
-  StatusOr<Ciphertext> checkedRescale(const Ciphertext &A) const;
-  StatusOr<Ciphertext> checkedModSwitchTo(const Ciphertext &A,
-                                          size_t NumQ) const;
+  StatusOr<Ciphertext> checkedRescale(Ciphertext A) const;
+  StatusOr<Ciphertext> checkedModSwitchTo(Ciphertext A, size_t NumQ) const;
   /// @}
 
   /// \name Additive operations (operands need matching level and scale).

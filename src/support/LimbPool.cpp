@@ -50,7 +50,7 @@ uint64_t *LimbPool::acquire(size_t Words, bool &FromPool) {
         It->second.pop_back();
         Hits.fetch_add(1, std::memory_order_relaxed);
         FreeBytes.fetch_sub(Bytes, std::memory_order_relaxed);
-        InUseBytes.fetch_add(Bytes, std::memory_order_relaxed);
+        addInUse(Bytes);
         FromPool = true;
         return Ptr;
       }
@@ -58,7 +58,7 @@ uint64_t *LimbPool::acquire(size_t Words, bool &FromPool) {
     // Miss: a fresh heap block that will live in the pool from now on.
     Misses.fetch_add(1, std::memory_order_relaxed);
     ResourceGovernor::instance().charge(MemCategory::LimbPool, Bytes);
-    InUseBytes.fetch_add(Bytes, std::memory_order_relaxed);
+    addInUse(Bytes);
     FromPool = true;
     return new uint64_t[Words];
   }
@@ -90,8 +90,17 @@ void LimbPool::lend(size_t Bytes) {
 }
 
 void LimbPool::unlend(size_t Bytes) {
-  InUseBytes.fetch_add(Bytes, std::memory_order_relaxed);
+  addInUse(Bytes);
   ResourceGovernor::instance().charge(MemCategory::LimbPool, Bytes);
+}
+
+void LimbPool::addInUse(size_t Bytes) {
+  size_t InUse =
+      InUseBytes.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
+  size_t Peak = PeakInUseBytes.load(std::memory_order_relaxed);
+  while (InUse > Peak && !PeakInUseBytes.compare_exchange_weak(
+                             Peak, InUse, std::memory_order_relaxed))
+    ;
 }
 
 size_t LimbPool::trim(size_t TargetFreeBytes) {
@@ -122,6 +131,7 @@ LimbPoolStats LimbPool::stats() const {
   S.Trims = Trims.load(std::memory_order_relaxed);
   S.FreeBytes = FreeBytes.load(std::memory_order_relaxed);
   S.InUseBytes = InUseBytes.load(std::memory_order_relaxed);
+  S.PeakInUseBytes = PeakInUseBytes.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -129,6 +139,8 @@ void LimbPool::resetCounters() {
   Hits.store(0, std::memory_order_relaxed);
   Misses.store(0, std::memory_order_relaxed);
   Trims.store(0, std::memory_order_relaxed);
+  PeakInUseBytes.store(InUseBytes.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
 }
 
 void LimbStorage::assignZero(size_t Words) {

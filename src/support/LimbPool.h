@@ -53,6 +53,9 @@ struct LimbPoolStats {
   uint64_t Trims = 0;     ///< blocks returned to the heap by trim()
   size_t FreeBytes = 0;   ///< bytes parked on free lists
   size_t InUseBytes = 0;  ///< bytes acquired by live storages, not lent
+  /// High-water mark of InUseBytes since the last resetCounters(): the
+  /// largest working set the pool has served.
+  size_t PeakInUseBytes = 0;
   /// Bytes the pool holds against the process (free + in use); what the
   /// governor sees charged under MemCategory::LimbPool while enabled.
   size_t residentBytes() const { return FreeBytes + InUseBytes; }
@@ -92,8 +95,10 @@ public:
 
   LimbPoolStats stats() const;
 
-  /// Zeroes the hit/miss/trim counters (byte gauges reflect live state
-  /// and are untouched). For benches that measure steady-state deltas.
+  /// Zeroes the hit/miss/trim counters and restarts the in-use
+  /// high-water mark from the current in-use bytes (the other byte gauges
+  /// reflect live state and are untouched). For benches and tests that
+  /// measure steady-state deltas.
   void resetCounters();
 
   /// Moves \p Bytes of acquired pooled blocks out of the limb_pool charge
@@ -109,7 +114,10 @@ private:
 
   std::atomic<bool> Enabled;
   std::atomic<uint64_t> Hits{0}, Misses{0}, Trims{0};
-  std::atomic<size_t> FreeBytes{0}, InUseBytes{0};
+  std::atomic<size_t> FreeBytes{0}, InUseBytes{0}, PeakInUseBytes{0};
+
+  /// Adds \p Bytes to the in-use gauge and raises its high-water mark.
+  void addInUse(size_t Bytes);
 
   mutable std::mutex Mutex;
   /// Exact-size bins: word count -> parked blocks.

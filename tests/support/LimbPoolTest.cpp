@@ -79,6 +79,30 @@ TEST_F(LimbPoolTest, BypassModeCountsMissesButParksNothing) {
   EXPECT_EQ(Pool.stats().FreeBytes, 0u); // went back to the heap
 }
 
+TEST_F(LimbPoolTest, PeakInUseTracksTheHighWaterMarkUntilReset) {
+  LimbPool &Pool = LimbPool::instance();
+  const size_t Word = sizeof(uint64_t);
+  bool FA = false, FB = false, FC = false;
+  uint64_t *A = Pool.acquire(256, FA);
+  uint64_t *B = Pool.acquire(128, FB);
+  Pool.release(A, 256, FA);
+  Pool.release(B, 128, FB);
+  // Both blocks were in use at once; releasing them keeps the mark.
+  EXPECT_EQ(Pool.stats().InUseBytes, 0u);
+  EXPECT_EQ(Pool.stats().PeakInUseBytes, 384 * Word);
+
+  // A reset restarts the mark from what is in use now.
+  uint64_t *C = Pool.acquire(64, FC);
+  Pool.resetCounters();
+  EXPECT_EQ(Pool.stats().PeakInUseBytes, 64 * Word);
+  uint64_t *D = Pool.acquire(256, FA); // a hit counts like a miss
+  EXPECT_EQ(Pool.stats().Hits, 1u);
+  EXPECT_EQ(Pool.stats().PeakInUseBytes, 320 * Word);
+  Pool.release(D, 256, FA);
+  Pool.release(C, 64, FC);
+  EXPECT_EQ(Pool.stats().PeakInUseBytes, 320 * Word);
+}
+
 TEST_F(LimbPoolTest, ProvenanceSurvivesModeFlip) {
   LimbPool &Pool = LimbPool::instance();
   bool PooledProv = false, HeapProv = false;
