@@ -53,9 +53,9 @@ int main(int Argc, char **Argv) {
   }
   bench::BenchArgs Args(Argc, Argv, 1, 1); // applies --threads, --json
 
-  // Compile once. Two ReLUs, so every request runs a bootstrap
-  // (encryption refreshes the first).
-  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
+  // Compile once. Three ReLUs, so every request runs a bootstrap
+  // (encryption carries the first two).
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
   Rng R(23);
   std::vector<nn::Tensor> Calib;
   for (int I = 0; I < 4; ++I) {

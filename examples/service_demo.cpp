@@ -59,9 +59,9 @@ int main(int argc, char **argv) {
   if (!MetricsDump.empty())
     telemetry::Telemetry::instance().setEnabled(true);
   // Compile once (fast toy parameters; the service shape is the point).
-  // Two ReLUs, so each request runs a bootstrap (encryption refreshes the
-  // first).
-  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
+  // Three ReLUs, so each request runs a bootstrap (encryption carries the
+  // first two).
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
   Rng R(19);
   std::vector<nn::Tensor> Calib;
   for (int I = 0; I < 4; ++I)

@@ -104,7 +104,7 @@ struct CompileState {
 
   /// Number of active primes fresh inputs are encrypted with: the levels
   /// the program needs before its first bootstrap (all of them when it
-  /// has none), since encryption is the first ReLU's refresh.
+  /// has none), since encryption carries the leading ReLUs.
   size_t InputNumQ = 0;
   /// Multiplicative-depth summary (filled by the CKKS lowering).
   int MaxComputeDepth = 0;

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 using namespace ace;
 using namespace ace::codegen;
@@ -239,6 +240,10 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
 
   Ciphertext Result;
   bool HaveResult = false;
+  // One region span per contiguous run of nodes with the same origin, so
+  // a request records one span per layer stretch rather than per node.
+  std::optional<telemetry::TraceSpan> Region;
+  OriginKind RegionOrigin = OriginKind::OR_Other;
   for (const auto &NPtr : F.nodes()) {
     const IrNode *N = NPtr.get();
     if (N->Kind == NodeKind::NK_ConstVec ||
@@ -248,7 +253,11 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
     // cancelled or deadline-expired request costs at most one more CKKS
     // op before unwinding.
     ACE_RETURN_IF_ERROR(checkCancellation("executor"));
-    telemetry::TraceSpan RegionSpan("region", originKindName(N->Origin));
+    if (!Region || N->Origin != RegionOrigin) {
+      Region.reset();
+      Region.emplace("region", originKindName(N->Origin));
+      RegionOrigin = N->Origin;
+    }
     switch (N->Kind) {
     case NodeKind::NK_Input:
       Values[N->Id] = Input;
@@ -383,6 +392,7 @@ StatusOr<fhe::Ciphertext> CkksExecutor::run(const Ciphertext &Input) {
     for (int Id : Uses.Released[N->Id])
       Values[Id] = Ciphertext();
   }
+  Region.reset();
   if (!HaveResult)
     return Status::error("executor: program produced no result");
   if (telemetry::enabled()) {

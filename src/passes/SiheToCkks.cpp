@@ -11,9 +11,9 @@
 #include "fhe/Bootstrapper.h"
 #include "fhe/Security.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 
 using namespace ace;
 using namespace ace::passes;
@@ -43,6 +43,58 @@ int levelCost(const IrNode *N) {
           N->Kind == NodeKind::NK_SiheMulConst)
              ? 1
              : 0;
+}
+
+/// Levels each value must carry, given the refresh points.
+struct LevelNeeds {
+  /// Levels consumed from a value up to the next refresh on every path.
+  std::map<const IrNode *, int> Need;
+  /// A refreshed value's levels: the max over its post-refresh uses.
+  std::map<const IrNode *, int> RefreshNeed;
+
+  int of(const IrNode *N) const {
+    auto It = Need.find(N);
+    return It == Need.end() ? 0 : It->second;
+  }
+  int inputNeed(const IrFunction &F) const {
+    int Max = 0;
+    for (const IrNode *In : F.inputs())
+      Max = std::max(Max, of(In));
+    return Max;
+  }
+  /// The highest bootstrap target, the base prime included.
+  int maxTarget() const {
+    int Max = 2;
+    for (const auto &[Value, Levels] : RefreshNeed)
+      Max = std::max(Max, Levels + 1);
+    return Max;
+  }
+};
+
+/// Backward need analysis. \p RefreshId maps each bootstrapped value to
+/// the id of its first refreshing reader; that reader and every later
+/// one read the refreshed value.
+LevelNeeds analyzeNeeds(const IrFunction &F,
+                        const std::map<const IrNode *, int> &RefreshId) {
+  const std::vector<std::unique_ptr<IrNode>> &Nodes = F.nodes();
+  auto ReadsRefreshed = [&](const IrNode *X, const IrNode *N) {
+    auto R = RefreshId.find(X);
+    return R != RefreshId.end() && R->second <= N->Id;
+  };
+  LevelNeeds L;
+  if (F.returnValue())
+    L.Need[F.returnValue()] = 1; // settling the final pending rescale
+  for (auto It = Nodes.rbegin(); It != Nodes.rend(); ++It) {
+    const IrNode *N = It->get();
+    int Out = L.of(N) + levelCost(N);
+    for (const IrNode *X : N->Operands) {
+      auto [NIt, Inserted] =
+          (ReadsRefreshed(X, N) ? L.RefreshNeed : L.Need).emplace(X, Out);
+      if (!Inserted)
+        NIt->second = std::max(NIt->second, Out);
+    }
+  }
+  return L;
 }
 
 /// Forward rebuild state. The placement legality rules this builder
@@ -176,61 +228,36 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
   const std::vector<std::unique_ptr<IrNode>> &Nodes = F.nodes();
 
   // --- Refresh points -----------------------------------------------------
-  // Encryption is the first refresh: a ReLU with no other ReLU upstream
-  // reads the input's own levels, so the input is encrypted at the level
-  // that ReLU and the layers up to the next refresh need, and only later
-  // ReLUs are bootstrapped (docs/compiler.md, "Where the bootstrap goes").
-  // AfterRelu(N): some path from the input to N runs through a ReLU.
-  std::set<const IrNode *> AfterRelu;
-  for (const auto &N : Nodes)
-    for (const IrNode *X : N->Operands)
-      if (X->RefreshBefore || AfterRelu.count(X)) {
-        AfterRelu.insert(N.get());
-        break;
-      }
-  // refreshId(X): earliest node that forces a bootstrap of X before use.
+  // Each ReLU's value carries RefreshBefore on its first reader. Every
+  // ReLU starts out bootstrapped; encryption then carries the leading
+  // ones the chain holds (docs/compiler.md, "Where the bootstrap goes").
   std::map<const IrNode *, int> RefreshId;
+  std::vector<const IrNode *> Relus; ///< refreshed values, program order
   for (const auto &N : Nodes)
-    if (N->RefreshBefore && AfterRelu.count(N->Operands[0])) {
-      const IrNode *X = N->Operands[0];
-      auto [It, Inserted] = RefreshId.emplace(X, N->Id);
-      if (!Inserted)
-        It->second = std::min(It->second, N->Id);
-    }
+    if (N->RefreshBefore && RefreshId.emplace(N->Operands[0], N->Id).second)
+      Relus.push_back(N->Operands[0]);
 
-  // --- Backward need analysis -------------------------------------------
-  std::map<const IrNode *, int> Need;
-  auto NeedOf = [&](const IrNode *N) {
-    auto It = Need.find(N);
-    return It == Need.end() ? 0 : It->second;
-  };
-  if (F.returnValue())
-    Need[F.returnValue()] = 1; // settling the final pending rescale
-  for (auto It = Nodes.rbegin(); It != Nodes.rend(); ++It) {
-    const IrNode *N = It->get();
-    int Out = NeedOf(N) + levelCost(N);
-    for (const IrNode *X : N->Operands) {
-      auto R = RefreshId.find(X);
-      bool Cut = R != RefreshId.end() && R->second <= N->Id;
-      if (Cut)
-        continue; // this use reads the refreshed value
-      auto [NIt, Inserted] = Need.emplace(X, Out);
-      if (!Inserted)
-        NIt->second = std::max(NIt->second, Out);
-    }
-  }
-  // Bootstrap output requirements: max over post-refresh uses.
-  std::map<const IrNode *, int> RefreshNeed;
-  for (const auto &N : Nodes) {
-    for (const IrNode *X : N->Operands) {
-      auto R = RefreshId.find(X);
-      if (R == RefreshId.end() || R->second > N->Id)
-        continue;
-      int Out = NeedOf(N.get()) + levelCost(N.get());
-      auto [NIt, Inserted] = RefreshNeed.emplace(X, Out);
-      if (!Inserted)
-        NIt->second = std::max(NIt->second, Out);
-    }
+  size_t Slots = State.InputLayout.slotCount();
+  size_t RingDegree = std::max<size_t>(2 * nextPow2(Slots), 128);
+  bool Minimal = State.Options.EnableMinimalBootstrapLevel;
+  int Margin = Minimal ? 0 : kExpertLevelMargin;
+  int BootDepth = fhe::estimateBootstrapDepth(
+      RingDegree, Slots, fhe::BootstrapConfig{}, kLogScale, kLogFirstModulus);
+  LevelNeeds Levels = analyzeNeeds(F, RefreshId);
+  // The chain with every ReLU bootstrapped: the highest refresh target
+  // plus the bootstrap's own depth.
+  int Chain = Levels.maxTarget() + Margin + BootDepth;
+  // Walk the ReLUs in program order and drop each refresh while the
+  // input, encrypted with the levels up to the next kept refresh, still
+  // fits in that chain.
+  for (const IrNode *X : Relus) {
+    std::map<const IrNode *, int> Fewer = RefreshId;
+    Fewer.erase(X);
+    LevelNeeds Trial = analyzeNeeds(F, Fewer);
+    if (Trial.inputNeed(F) + 1 + Margin > Chain)
+      break;
+    RefreshId = std::move(Fewer);
+    Levels = std::move(Trial);
   }
 
   // --- Forward rebuild ----------------------------------------------------
@@ -252,16 +279,11 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
       if (!Refreshed.count(XOld)) {
         // Bootstrapping demands canonical form (degree 2, scale Delta).
         IrNode *X = B.canonical(B.Map.at(XOld));
-        int Target = RefreshNeed.at(XOld) + 1;
-        if (!State.Options.EnableMinimalBootstrapLevel) {
-          // Expert-style: refresh to the deepest level any ReLU needs,
-          // plus the hand-budgeted margin (paper Sec. 4.4 contrasts this
-          // with minimal-level placement).
-          int MaxTarget = 2;
-          for (const auto &[Key, Value] : RefreshNeed)
-            MaxTarget = std::max(MaxTarget, Value + 1);
-          Target = MaxTarget + kExpertLevelMargin;
-        }
+        // Expert-style placement refreshes to the deepest level any
+        // bootstrapped ReLU needs, plus the hand-budgeted margin (paper
+        // Sec. 4.4 contrasts this with minimal-level placement).
+        int Target = Minimal ? Levels.RefreshNeed.at(XOld) + 1
+                             : Levels.maxTarget() + Margin;
         IrNode *Boot = NewF.create(NodeKind::NK_CkksBootstrap, X->Type, {X},
                                    OriginKind::OR_Bootstrap);
         Boot->BootstrapTarget = Target;
@@ -277,9 +299,7 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
     switch (N->Kind) {
     case NodeKind::NK_Input: {
       Lowered = NewF.addInput(N->Name, TypeKind::TK_Cipher);
-      InputNumQ = static_cast<size_t>(NeedOf(N)) + 1;
-      if (!State.Options.EnableMinimalBootstrapLevel)
-        InputNumQ += kExpertLevelMargin;
+      InputNumQ = static_cast<size_t>(Levels.of(N) + 1 + Margin);
       B.finish(Lowered, InputNumQ, false);
       break;
     }
@@ -448,18 +468,17 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
   }
 
   // --- Automatic parameter selection (paper Table 10) --------------------
-  size_t Slots = State.InputLayout.slotCount();
   bool HasBootstrap = State.BootstrapCount > 0;
 
   int MaxNeed = 0;
-  for (const auto &[Node, Value] : Need)
+  for (const auto &[Node, Value] : Levels.Need)
     MaxNeed = std::max(MaxNeed, Value);
   State.MaxComputeDepth = MaxNeed;
 
   // Execution parameters run fast on one core: the smallest ring that
   // holds the slots. The 128-bit production ring is reported below.
   fhe::CkksParams P;
-  P.RingDegree = std::max<size_t>(2 * nextPow2(Slots), 128);
+  P.RingDegree = RingDegree;
   P.Slots = Slots;
   P.LogScale = kLogScale;
   P.LogFirstModulus = kLogFirstModulus;
@@ -467,14 +486,10 @@ Status SiheToCkksPass::run(IrFunction &F, CompileState &State) {
   P.SparseSecret = HasBootstrap;
   P.Seed = State.Options.Seed;
 
-  size_t ChainNumQ = std::max<size_t>(InputNumQ, MaxBootTarget);
+  size_t ChainNumQ = InputNumQ;
   if (HasBootstrap) {
-    State.BootstrapDepth = fhe::estimateBootstrapDepth(
-        P.RingDegree, Slots, fhe::BootstrapConfig{}, P.LogScale,
-        P.LogFirstModulus);
-    ChainNumQ = static_cast<size_t>(MaxBootTarget) +
-                static_cast<size_t>(State.BootstrapDepth);
-    ChainNumQ = std::max(ChainNumQ, InputNumQ);
+    State.BootstrapDepth = BootDepth;
+    ChainNumQ = std::max<size_t>(InputNumQ, MaxBootTarget + BootDepth);
   }
   P.NumRescaleModuli = static_cast<int>(ChainNumQ) - 1;
   State.SelectedParams = P;

@@ -17,10 +17,10 @@
 ///    deferred under lazy placement so a sum of products relinearizes
 ///    once.
 ///  - Level inference with modswitch insertion for operand alignment.
-///  - Minimal-level bootstrap placement before every ReLU region with
-///    another ReLU upstream: each refresh targets exactly the depth the
-///    downstream program needs. Encryption is the first refresh: the
-///    input enters at the level its first ReLUs need.
+///  - Minimal-level bootstrap placement: each refresh targets exactly the
+///    depth the downstream program needs. The chain is sized for every
+///    ReLU bootstrapped, and encryption carries the leading ReLUs that
+///    fit in it: the input enters at the level they need.
 ///  - Rotation-key analysis: the precise set of rotation steps used.
 ///  - Automatic security parameter selection: the modulus chain follows
 ///    from the measured depth, N = max(N_security, N_simd) (Table 10).

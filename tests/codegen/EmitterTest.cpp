@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 
 using namespace ace;
@@ -44,10 +45,11 @@ std::unique_ptr<driver::CompileResult> compileLinear() {
   return compileModel(nn::buildLinearInfer(3), 84);
 }
 
-/// The two-ReLU MLP: its ReLUs scale and shift by compiled constants, and
-/// its relinearizations alias their products' handles.
+/// The three-ReLU MLP: its ReLUs scale and shift by compiled constants,
+/// its relinearizations alias their products' handles, and the third ReLU
+/// is bootstrapped.
 std::unique_ptr<driver::CompileResult> compileMlp() {
-  return compileModel(nn::buildMlp({16, 12, 12, 8}, 5), 16);
+  return compileModel(nn::buildMlp({16, 12, 12, 12, 8}, 5), 16);
 }
 
 /// The ids of the `v<id>` names \p Line mentions.
@@ -68,29 +70,35 @@ std::vector<int> namesIn(const std::string &Line) {
   return Ids;
 }
 
-/// Every ciphertext handle \p Source declares is freed exactly once, on a
-/// line after every use of it under any name: a relin's
-/// `AceFheCiphertext *vR = vM;` shares vM's handle. Returns the number of
-/// handles.
+/// Every ciphertext handle \p Source assigns is freed exactly once, on a
+/// line after every use of it under any name (a relin's `vR = vM;` shares
+/// vM's handle), and the cleanup path after `cleanup:` names every handle
+/// and no alias. Returns the number of handles.
 size_t expectEveryHandleFreedOnceAfterLastUse(const std::string &Source) {
   std::map<int, int> HandleOf; // variable -> the variable owning its handle
   std::map<int, int> LastUse;  // handle -> last line using it
   std::map<int, std::vector<int>> Frees;
   std::istringstream In(Source);
   int LineNo = 0;
-  for (std::string Line; std::getline(In, Line); ++LineNo) {
+  std::string Line;
+  for (; std::getline(In, Line) && Line != "cleanup:"; ++LineNo) {
     int V = -1, Alias = -1;
+    char Next = 0;
     if (std::sscanf(Line.c_str(), " ace_ct_free(v%d);", &V) == 1) {
       auto It = HandleOf.find(V);
-      EXPECT_NE(It, HandleOf.end()) << "frees an undeclared handle: " << Line;
+      EXPECT_NE(It, HandleOf.end()) << "frees an unassigned handle: " << Line;
       if (It != HandleOf.end())
         Frees[It->second].push_back(LineNo);
       continue;
     }
-    if (std::sscanf(Line.c_str(), " AceFheCiphertext *v%d = v%d;", &V,
-                    &Alias) == 2)
+    // Declarations, and resets after a free, are not uses.
+    if (std::sscanf(Line.c_str(), " AceFheCiphertext *v%d = NULL%c", &V,
+                    &Next) == 2 ||
+        std::sscanf(Line.c_str(), " v%d = NULL%c", &V, &Next) == 2)
+      continue;
+    if (std::sscanf(Line.c_str(), " v%d = v%d;", &V, &Alias) == 2)
       HandleOf[V] = HandleOf.at(Alias);
-    else if (std::sscanf(Line.c_str(), " AceFheCiphertext *v%d =", &V) == 1)
+    else if (std::sscanf(Line.c_str(), " v%d = ace_%c", &V, &Next) == 2)
       HandleOf[V] = V;
     for (int Name : namesIn(Line)) {
       auto H = HandleOf.find(Name);
@@ -98,11 +106,11 @@ size_t expectEveryHandleFreedOnceAfterLastUse(const std::string &Source) {
         LastUse[H->second] = LineNo;
     }
   }
-  size_t Handles = 0;
+  std::set<int> Handles, Cleaned;
   for (const auto &[V, H] : HandleOf) {
     if (V != H)
       continue;
-    ++Handles;
+    Handles.insert(H);
     const std::vector<int> &Lines = Frees[H];
     EXPECT_EQ(Lines.size(), 1u) << "v" << H << " is freed " << Lines.size()
                                 << " times";
@@ -111,7 +119,12 @@ size_t expectEveryHandleFreedOnceAfterLastUse(const std::string &Source) {
           << "v" << H << " is used after it is freed";
     }
   }
-  return Handles;
+  while (std::getline(In, Line))
+    for (int Name : namesIn(Line))
+      Cleaned.insert(Name);
+  EXPECT_EQ(Cleaned, Handles)
+      << "the cleanup path must free every handle and no alias";
+  return Handles.size();
 }
 
 /// The text between \p Before and the next ')' in \p Line, or "" when
@@ -186,7 +199,8 @@ TEST(EmitterTest, FreesEveryHandleOnceAfterItsLastUse) {
   auto Q = codegen::emitC(Mlp->Program, Mlp->State, "w.bin");
   ASSERT_NE(Q.CSource.find("ace_bootstrap("), std::string::npos);
   ASSERT_NE(Q.CSource.find("ace_mul(ctx"), std::string::npos);
-  EXPECT_GT(expectEveryHandleFreedOnceAfterLastUse(Q.CSource), 100u);
+  // 371 handles, and 39 relin aliases (13 per ReLU) that own none.
+  EXPECT_EQ(expectEveryHandleFreedOnceAfterLastUse(Q.CSource), 371u);
 }
 
 TEST(EmitterTest, WritesEveryDoubleAtRoundTripPrecision) {
@@ -209,7 +223,7 @@ TEST(EmitterTest, WritesEveryDoubleAtRoundTripPrecision) {
   for (std::string Line; std::getline(In, Line);) {
     int V = -1;
     if (Line.find("_const(ctx, ") != std::string::npos &&
-        std::sscanf(Line.c_str(), " AceFheCiphertext *v%d =", &V) == 1) {
+        std::sscanf(Line.c_str(), " v%d =", &V) == 1) {
       // The scalar is the call's last argument.
       EXPECT_EQ(Parse(literalAfter(Line.substr(Line.rfind(", ")), ", ")),
                 Bits(ById.at(V)->Scalar))

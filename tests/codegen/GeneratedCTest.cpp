@@ -6,7 +6,8 @@
 // count models. CMake passes the header directory, the runtime archives
 // and the build's sanitizer flags in, so the test skips only when no
 // system compiler exists; in a sanitizer build the program's exit status
-// carries its leak check, so a handle it never frees fails the test.
+// carries its leak check, so a handle it never frees fails the test, on
+// the success path and on the error path a fault injection forces.
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CodeEmitter.h"
@@ -20,8 +21,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 using namespace ace;
 
@@ -126,6 +130,17 @@ TEST(GeneratedCTest, CompilesAndRuns) {
             FusedDecompModUp);
   EXPECT_EQ(reportCounter("/tmp/ace_gen_report.out", "modup"),
             FusedDecompModUp);
+  // A failed check frees whatever the program holds, then exits 1 with
+  // the library's diagnostic; a sanitizer build would report any leak.
+  int Fault = std::system("ACE_FAULT_INJECT=truncate-chain /tmp/ace_gen_bin "
+                          "> /tmp/ace_gen_fault.out 2> /tmp/ace_gen_fault.err");
+  ASSERT_TRUE(WIFEXITED(Fault));
+  EXPECT_EQ(WEXITSTATUS(Fault), 1);
+  std::ifstream ErrFile("/tmp/ace_gen_fault.err");
+  std::string Err((std::istreambuf_iterator<char>(ErrFile)),
+                  std::istreambuf_iterator<char>());
+  EXPECT_NE(Err.find("ace error"), std::string::npos) << Err;
+  EXPECT_EQ(Err.find("LeakSanitizer"), std::string::npos) << Err;
 }
 
 } // namespace

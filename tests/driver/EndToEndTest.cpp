@@ -97,9 +97,9 @@ void expectMlpMatchesCleartext(const onnx::Model &Model,
 }
 
 TEST(EndToEndTest, MlpWithReluMatchesCleartext) {
-  // Two ReLU layers: encryption refreshes the first, one bootstrap the
-  // second.
-  expectMlpMatchesCleartext(nn::buildMlp({16, 12, 12, 8}, 5),
+  // Three ReLU layers: encryption carries the first two, one bootstrap
+  // refreshes the third.
+  expectMlpMatchesCleartext(nn::buildMlp({16, 12, 12, 12, 8}, 5),
                             randomInputs({1, 16}, 4, 19), /*Bootstraps=*/1);
 }
 
@@ -186,9 +186,9 @@ TEST(EndToEndTest, ExecutorPropagatesInjectedFaults) {
 /// A second setup() builds a new context and secret, so nothing of the
 /// first may survive it: every key and every encoded plaintext the first
 /// call made refers to the old context, the bootstrapper's keys included
-/// (two ReLUs, so the second is bootstrapped).
+/// (three ReLUs, so the third is bootstrapped).
 TEST(EndToEndTest, SecondSetupStartsFromFreshKeysAndPlaintexts) {
-  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
   auto Inputs = randomInputs({1, 16}, 2, 19);
 
   driver::AceCompiler Compiler(toyOptions());

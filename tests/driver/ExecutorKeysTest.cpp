@@ -24,9 +24,9 @@ namespace {
 class ExecutorKeysTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    // Two ReLUs: the second is bootstrapped, so the key set includes
+    // Three ReLUs: the third is bootstrapped, so the key set includes
     // the bootstrap's SubSum and BSGS keys.
-    onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
+    onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
     Rng R(19);
     std::vector<nn::Tensor> Calibration;
     for (int I = 0; I < 4; ++I) {

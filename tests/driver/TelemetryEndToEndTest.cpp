@@ -55,8 +55,8 @@ std::vector<nn::Tensor> randomInputs(const std::vector<int64_t> &Shape,
   return Out;
 }
 
-/// Compiles and runs the small bootstrap-bearing MLP (two ReLUs: the
-/// second is bootstrapped); returns the logits.
+/// Compiles and runs the small bootstrap-bearing MLP (three ReLUs: the
+/// third is bootstrapped); returns the logits.
 std::vector<double> runMlp(const onnx::Model &Model,
                            const std::vector<nn::Tensor> &Inputs,
                            std::unique_ptr<driver::CompileResult> *KeepR) {
@@ -87,7 +87,7 @@ protected:
 };
 
 TEST_F(TelemetryEndToEndTest, EnablingTelemetryDoesNotChangeResults) {
-  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
   auto Inputs = randomInputs({1, 16}, 4, 19);
 
   std::vector<double> Off = runMlp(Model, Inputs, nullptr);
@@ -103,7 +103,7 @@ TEST_F(TelemetryEndToEndTest, EnablingTelemetryDoesNotChangeResults) {
 
 TEST_F(TelemetryEndToEndTest, GoldenCountersMatchEvaluatorAndPlan) {
   Telemetry::instance().setEnabled(true);
-  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
   auto Inputs = randomInputs({1, 16}, 4, 19);
 
   std::unique_ptr<driver::CompileResult> R;
@@ -125,9 +125,41 @@ TEST_F(TelemetryEndToEndTest, GoldenCountersMatchEvaluatorAndPlan) {
   EXPECT_GT(S.get(Counter::Bootstrap), 0u);
 }
 
+// The executor opens one region span per contiguous run of nodes with
+// the same origin (constants, materialized at use, belong to no run), so
+// a request's trace holds one span per layer stretch, in program order.
+TEST_F(TelemetryEndToEndTest, OneRegionSpanPerOriginRun) {
+  Telemetry::instance().setEnabled(true);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
+  auto Inputs = randomInputs({1, 16}, 4, 19);
+  std::unique_ptr<driver::CompileResult> R;
+  ASSERT_FALSE(runMlp(Model, Inputs, &R).empty());
+
+  std::vector<std::string> Runs;
+  const air::IrNode *Prev = nullptr;
+  for (const auto &N : R->Program.nodes()) {
+    if (N->Kind == air::NodeKind::NK_ConstVec ||
+        N->Kind == air::NodeKind::NK_CkksEncode)
+      continue;
+    if (!Prev || N->Origin != Prev->Origin)
+      Runs.push_back(air::originKindName(N->Origin));
+    Prev = N.get();
+  }
+  // Region spans close one after another on the executor's thread, so
+  // the buffer holds them in program order.
+  std::vector<std::string> Spans;
+  for (const TraceEvent &E : Telemetry::instance().eventsCopy())
+    if (std::string(E.Category) == "region")
+      Spans.push_back(E.Name);
+  // Gemm, ReLU, ..., bootstrap, ReLU, gemm: a handful of runs, not one
+  // span per node.
+  EXPECT_LT(Runs.size(), 20u);
+  EXPECT_EQ(Spans, Runs);
+}
+
 TEST_F(TelemetryEndToEndTest, TraceContainsPassAndRuntimeOpSpans) {
   Telemetry::instance().setEnabled(true);
-  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
   auto Inputs = randomInputs({1, 16}, 4, 19);
   std::vector<double> Logits = runMlp(Model, Inputs, nullptr);
   ASSERT_FALSE(Logits.empty());

@@ -25,7 +25,7 @@ protected:
 };
 
 TEST_F(ThreadedEndToEndTest, MlpLogitsBitIdenticalAcrossThreadCounts) {
-  onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
+  onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
   Rng R(19);
   std::vector<nn::Tensor> Inputs;
   for (int I = 0; I < 4; ++I) {
@@ -43,7 +43,7 @@ TEST_F(ThreadedEndToEndTest, MlpLogitsBitIdenticalAcrossThreadCounts) {
   auto Result = Compiler.compile(Model, Inputs);
   ASSERT_TRUE(Result.ok()) << Result.status().message();
   auto &Compiled = **Result;
-  // The second ReLU's refresh: the nonlinear path.
+  // The third ReLU's refresh: the nonlinear path.
   ASSERT_EQ(Compiled.State.BootstrapCount, 1u);
 
   codegen::CkksExecutor Exec(Compiled.Program, Compiled.State);

@@ -11,13 +11,12 @@
 #include "driver/AceCompiler.h"
 #include "nn/ModelZoo.h"
 #include "passes/SiheToCkks.h"
-#include "passes/VectorToSihe.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <iterator>
 
 using namespace ace;
 
@@ -105,13 +104,14 @@ TEST(OpBudgetTest, MlpBudgetsAreExactPerMode) {
   EXPECT_EQ(B.Eager.ModSwitch, 20u);
 
   // Mode-invariant counters pin the rest of the lowering: the three
-  // gemms' rotations and mask products, plus the ReLUs. Encryption is the
-  // first ReLU's refresh, so only the second is bootstrapped.
+  // gemms' rotations and mask products, plus the ReLUs. Encryption
+  // carries both ReLUs within the 25-prime chain, so none is
+  // bootstrapped.
   for (const air::CkksOpBudget *Budget : {&B.Eager, &B.Lazy}) {
     EXPECT_EQ(Budget->Rotate, 40u);
     EXPECT_EQ(Budget->CtCtMul, Relus * ReluOps::CtCt);
     EXPECT_EQ(Budget->CtPtMul, 169u + Relus * ReluOps::Scalar);
-    EXPECT_EQ(Budget->Bootstrap, Relus - 1);
+    EXPECT_EQ(Budget->Bootstrap, 0u);
   }
 
   // The acceptance criterion: lazy placement removes >=20% of the
@@ -142,7 +142,7 @@ TEST(OpBudgetTest, LeNetBudgetsAreExactPerMode) {
     EXPECT_EQ(Budget->Rotate, 122u);
     EXPECT_EQ(Budget->CtCtMul, Relus * ReluOps::CtCt);
     EXPECT_EQ(Budget->CtPtMul, 127u + Relus * ReluOps::Scalar);
-    EXPECT_EQ(Budget->Bootstrap, Relus - 1);
+    EXPECT_EQ(Budget->Bootstrap, 2u); // encryption carries the first ReLU
   }
 
   size_t EagerTotal = B.Eager.Rescale + B.Eager.Relinearize;
@@ -162,31 +162,21 @@ TEST(OpBudgetTest, DefaultOptionsPlaceLazily) {
   EXPECT_EQ((*R)->State.Budget.Relinearize, 2 * ReluOps::LazyRelin);
 }
 
-size_t reluCount(const onnx::Model &M) {
-  return std::count_if(M.MainGraph.Nodes.begin(), M.MainGraph.Nodes.end(),
-                       [](const onnx::Node &N) {
-                         return N.Kind == onnx::OpKind::OK_Relu;
-                       });
-}
-
-/// Placement the default options select. Encryption is the first
-/// refresh: the input enters at the levels its first ReLU (10 levels)
-/// and the \p LinearLevels of the layers around it, up to the next
-/// refresh, need, plus the base prime. Every later ReLU is bootstrapped
-/// to the levels it and the layers after it need, and the bootstrap's
-/// own depth sits on top of the highest target.
+/// Placement the default options select. The chain is sized for every
+/// ReLU bootstrapped (the highest refresh target plus the bootstrap's
+/// own depth); encryption then carries the leading ReLUs, in program
+/// order, while the input's level fits in that chain, and every later
+/// ReLU is bootstrapped to the levels it and the layers after it need.
 void expectChain(const onnx::Model &M, const std::vector<nn::Tensor> &Calib,
-                 int Primes, int LinearLevels) {
+                 size_t Bootstraps, int Primes, size_t InputPrimes) {
   driver::AceCompiler Compiler{air::CompileOptions()};
   auto R = Compiler.compile(M, Calib);
   ASSERT_TRUE(R.ok()) << R.status().message();
   const air::CompileState &S = (*R)->State;
-  size_t Bootstraps = reluCount(M) - 1;
   EXPECT_EQ(S.SelectedParams.NumRescaleModuli + 1, Primes);
   EXPECT_EQ(S.BootstrapCount, Bootstraps);
   EXPECT_EQ(S.Budget.Bootstrap, Bootstraps);
-  EXPECT_EQ(S.InputNumQ, static_cast<size_t>(passes::reluDepth(3) +
-                                             LinearLevels + 1));
+  EXPECT_EQ(S.InputNumQ, InputPrimes);
 }
 
 nn::Dataset paperDataset(const nn::NanoResNetSpec &Spec) {
@@ -195,40 +185,55 @@ nn::Dataset paperDataset(const nn::NanoResNetSpec &Spec) {
       static_cast<int>(Spec.Classes), 16, 0.12, 3);
 }
 
-// 2 ReLUs, 1 bootstrap; the input is encrypted at gemm + ReLU + gemm.
+// 2 ReLUs, no bootstrap: the input carries all 25 primes the three
+// gemms and both ReLUs need, the chain the model needs with one.
 TEST(OpBudgetTest, MlpChainAndBootstraps) {
   expectChain(nn::buildMlp({64, 48, 32, 10}, 7), randomInputs({1, 64}, 2, 7),
-              /*Primes=*/25, /*LinearLevels=*/2);
+              /*Bootstraps=*/0, /*Primes=*/25, /*InputPrimes=*/25);
 }
 
-// 3 ReLUs, 2 bootstraps; conv + ReLU + pool + conv ahead of the first
-// refresh.
+// 3 ReLUs: encryption carries the first (conv + ReLU + pool + conv ahead
+// of the second refresh); carrying the second too would outgrow the
+// 26-prime chain.
 TEST(OpBudgetTest, LeNetChainAndBootstraps) {
   expectChain(nn::buildLeNet(/*Classes=*/8, 11),
-              randomInputs({1, 1, 8, 8}, 2, 13), /*Primes=*/26,
-              /*LinearLevels=*/3);
+              randomInputs({1, 1, 8, 8}, 2, 13), /*Bootstraps=*/2,
+              /*Primes=*/26, /*InputPrimes=*/14);
 }
 
-// nano-resnet-20 as encrypted_resnet builds it: 7 ReLUs, 6 bootstraps.
+// 3 ReLUs: encryption carries two within the 27-prime chain, the third
+// is bootstrapped.
+TEST(OpBudgetTest, ThreeReluMlpChainAndBootstraps) {
+  expectChain(nn::buildMlp({16, 12, 12, 12, 8}, 5),
+              randomInputs({1, 16}, 4, 19), /*Bootstraps=*/1,
+              /*Primes=*/27, /*InputPrimes=*/24);
+}
+
+// nano-resnet-20 as encrypted_resnet builds it: 7 ReLUs; encryption
+// carries the first two, so 5 bootstraps.
 TEST(OpBudgetTest, NanoResNet20ChainAndBootstraps) {
   nn::NanoResNetSpec Spec = nn::paperModelSpecs()[0];
   nn::Dataset Data = paperDataset(Spec);
   auto M = nn::buildNanoResNet(Spec, Data, 9);
   ASSERT_TRUE(M.ok()) << M.status().message();
-  expectChain(*M, Data.Images, /*Primes=*/26, /*LinearLevels=*/2);
+  expectChain(*M, Data.Images, /*Bootstraps=*/5, /*Primes=*/26,
+              /*InputPrimes=*/24);
 }
 
 // The deeper paper zoo models run one bootstrap per ReLU after the first
-// too (12, 12, 18, 24 and 36) on the same 26-prime chain.
+// two on the same 26-prime chain.
 TEST(OpBudgetTest, DeeperPaperModelsChainAndBootstraps) {
   std::vector<nn::NanoResNetSpec> Specs = nn::paperModelSpecs();
-  for (auto It = Specs.begin() + 1; It != Specs.end(); ++It) {
-    const nn::NanoResNetSpec &Spec = *It;
+  const size_t Bootstraps[] = {11, 11, 17, 23, 35};
+  ASSERT_EQ(Specs.size(), 1 + std::size(Bootstraps));
+  for (size_t I = 1; I < Specs.size(); ++I) {
+    const nn::NanoResNetSpec &Spec = Specs[I];
     SCOPED_TRACE(Spec.Name);
     nn::Dataset Data = paperDataset(Spec);
     auto M = nn::buildNanoResNet(Spec, Data, 9);
     ASSERT_TRUE(M.ok()) << M.status().message();
-    expectChain(*M, Data.Images, /*Primes=*/26, /*LinearLevels=*/2);
+    expectChain(*M, Data.Images, Bootstraps[I - 1], /*Primes=*/26,
+                /*InputPrimes=*/24);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 using namespace ace;
 
@@ -109,10 +110,12 @@ TEST(ReluApproxTest, DepthModelMatchesOptions) {
   EXPECT_EQ(passes::reluDepth(3), 10);
 }
 
-// The depth model is the compiled IR's: the bootstrap before the second
-// ReLU (encryption refreshes the first) refreshes to exactly reluDepth
-// levels plus the primes the trailing gemm needs, read from that gemm
-// compiled on its own.
+// The depth model is the compiled IR's: the bootstrap before the last
+// ReLU refreshes to exactly reluDepth levels plus the primes the trailing
+// gemm needs, read from that gemm compiled on its own. Encryption carries
+// the leading ReLUs the chain holds, so each step count compiles enough
+// ReLUs to leave one bootstrap: at It = 1 a ReLU costs only 4 levels and
+// three of them fit.
 TEST(ReluApproxTest, CompiledBootstrapTargetMatchesDepthModel) {
   const int64_t D = 8;
   driver::AceCompiler Tail{air::CompileOptions{}};
@@ -121,11 +124,11 @@ TEST(ReluApproxTest, CompiledBootstrapTargetMatchesDepthModel) {
   int TailNumQ = static_cast<int>((*TailResult)->State.InputNumQ);
   ASSERT_GT(TailNumQ, 1);
 
-  for (int Iterations : {1, 2, 3}) {
+  for (auto [Iterations, Relus] : {std::pair{1, 4}, {2, 3}, {3, 3}}) {
     air::CompileOptions Opt;
     Opt.ReluSignIterations = Iterations;
     driver::AceCompiler Compiler(Opt);
-    auto Result = Compiler.compile(identityModel(D, 2), calibration(D));
+    auto Result = Compiler.compile(identityModel(D, Relus), calibration(D));
     ASSERT_TRUE(Result.ok()) << Result.status().message();
     std::vector<int> Targets;
     for (const auto &N : (*Result)->Program.nodes())
@@ -149,16 +152,16 @@ TEST(ReluApproxTest, ZeroIterationsAreRejected) {
 }
 
 TEST(ReluApproxTest, HomomorphicReluThroughPipeline) {
-  // Identity gemms around one ReLU, then around two: compare the
-  // encrypted pipeline against true relu slot by slot. Encryption
-  // refreshes the first ReLU, so only the second runs behind a bootstrap.
+  // Identity gemms around one ReLU, then around three: compare the
+  // encrypted pipeline against true relu slot by slot. Encryption carries
+  // the first two ReLUs, so only the third runs behind a bootstrap.
   const int64_t D = 8;
   std::vector<nn::Tensor> Calib = calibration(D);
-  for (int Relus : {1, 2}) {
+  for (int Relus : {1, 3}) {
     driver::AceCompiler Compiler(air::CompileOptions{});
     auto Result = Compiler.compile(identityModel(D, Relus), Calib);
     ASSERT_TRUE(Result.ok()) << Result.status().message();
-    EXPECT_EQ((*Result)->State.BootstrapCount, static_cast<size_t>(Relus - 1));
+    EXPECT_EQ((*Result)->State.BootstrapCount, Relus == 1 ? 0u : 1u);
     codegen::CkksExecutor Exec((*Result)->Program, (*Result)->State);
     ASSERT_FALSE(Exec.setup());
 

@@ -55,9 +55,9 @@ nn::Tensor makeInput(uint64_t Seed) {
 class InferenceServiceTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    // Two ReLUs: every request runs one bootstrap (encryption refreshes
-    // the first ReLU).
-    onnx::Model Model = nn::buildMlp({16, 12, 12, 8}, 5);
+    // Three ReLUs: every request runs one bootstrap (encryption carries
+    // the first two ReLUs).
+    onnx::Model Model = nn::buildMlp({16, 12, 12, 12, 8}, 5);
     std::vector<nn::Tensor> Calibration;
     for (uint64_t I = 0; I < 4; ++I)
       Calibration.push_back(makeInput(100 + I));
